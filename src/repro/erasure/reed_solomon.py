@@ -52,6 +52,7 @@ class ReedSolomon:
         matrix = _systematic_matrix(data_shards, parity_shards)
         self._matrix = matrix
         self._parity_rows = matrix[data_shards:]
+        self._decode_rows = {}  # missing shard indices -> decode rows
         # Per-stripe scratch, lazily sized to the shard length and then
         # reused: one gather buffer plus the parity accumulators.
         self._scratch = np.empty(0, dtype=np.uint8)
@@ -152,42 +153,43 @@ class ReedSolomon:
         if len(lengths) != 1:
             raise ValueError("present shards must all be the same length")
         length = lengths.pop()
-        # Solve for the data shards from any k surviving rows, then
-        # re-encode whatever parity was lost.
+        # Rebuild only what was lost, from any k surviving rows; the
+        # present shards pass through.
         chosen = present[: self.data_shards]
         if len(chosen) < self.data_shards:
             raise UncorrectableError(
                 "only %d shards survive, need %d" % (len(chosen), self.data_shards)
             )
         with PERF.timer("rs-decode"):
-            submatrix = [self._matrix[index] for index in chosen]
-            inverse = GF256.matinv(submatrix)
+            rows = self._decode_rows_for(chosen, missing)
             survivor_arrays = [
                 np.frombuffer(shards[index], dtype=np.uint8) for index in chosen
             ]
             scratch, _parity = self._buffers(length)
-            data_arrays = []
-            for row in inverse:
+            result = list(shards)
+            for index, row in zip(missing, rows):
                 accumulator = np.zeros(length, dtype=np.uint8)
                 for coefficient, array in zip(row, survivor_arrays):
                     GF256.addmul_array(
                         accumulator, array, coefficient, scratch=scratch
                     )
-                data_arrays.append(accumulator)
-            result = list(shards)
-            for index in range(self.data_shards):
-                result[index] = data_arrays[index].tobytes()
-            for index in missing:
-                if index < self.data_shards:
-                    continue
-                row = self._matrix[index]
-                accumulator = np.zeros(length, dtype=np.uint8)
-                for coefficient, array in zip(row, data_arrays):
-                    GF256.addmul_array(
-                        accumulator, array, coefficient, scratch=scratch
-                    )
                 result[index] = accumulator.tobytes()
         return [bytes(shard) for shard in result]
+
+    def _decode_rows_for(self, chosen, missing):
+        """Rows that rebuild each ``missing`` shard from the ``chosen`` ones.
+
+        ``missing`` fixes ``chosen``, so the cache holds at most one entry
+        per erasure pattern: C(k+m, 1) + ... + C(k+m, m).
+        """
+        pattern = tuple(missing)
+        rows = self._decode_rows.get(pattern)
+        if rows is None:
+            inverse = GF256.matinv([self._matrix[index] for index in chosen])
+            lost_rows = [self._matrix[index] for index in missing]
+            # matrix[i] . inverse is inverse[i] itself for a data shard.
+            rows = self._decode_rows[pattern] = GF256.matmul(lost_rows, inverse)
+        return rows
 
     def verify(self, shards):
         """True if a complete stripe's parity matches its data."""

@@ -7,7 +7,9 @@ cache. Sealing it produces a :class:`~repro.pyramid.patch.Patch` for
 the segment writer.
 """
 
-from repro.pyramid.patch import Patch
+import bisect
+
+from repro.pyramid.patch import SORT_KEY, Patch, key_slice
 
 
 class MemTable:
@@ -15,6 +17,7 @@ class MemTable:
 
     def __init__(self):
         self._by_key = {}
+        self._keys = []  # the distinct keys of _by_key, sorted
         self._count = 0
         self.min_seq = None
         self.max_seq = None
@@ -24,8 +27,11 @@ class MemTable:
 
     def insert(self, fact):
         """Add one fact. Re-inserting an identical fact is a no-op."""
-        versions = self._by_key.setdefault(fact.key, [])
-        if fact in versions:
+        versions = self._by_key.get(fact.key)
+        if versions is None:
+            versions = self._by_key[fact.key] = []
+            bisect.insort(self._keys, fact.key)
+        elif fact in versions:
             return
         versions.append(fact)
         self._count += 1
@@ -48,6 +54,13 @@ class MemTable:
                 best = fact
         return best
 
+    def scan(self, lo_key=None, hi_key=None):
+        """The buffered facts with lo_key <= key <= hi_key, in patch order."""
+        facts = []
+        for key in self._keys[key_slice(self._keys, lo_key, hi_key)]:
+            facts += sorted(self._by_key[key], key=SORT_KEY)
+        return facts
+
     def to_patch(self):
         """Snapshot the current contents as an immutable patch."""
         facts = [fact for versions in self._by_key.values() for fact in versions]
@@ -56,6 +69,7 @@ class MemTable:
     def clear(self):
         """Discard all buffered facts."""
         self._by_key.clear()
+        self._keys.clear()
         self._count = 0
         self.min_seq = None
         self.max_seq = None

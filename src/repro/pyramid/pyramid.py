@@ -8,8 +8,10 @@ maintenance is deadlock-free and an interrupted merge can simply be
 retried (or discarded) after a crash.
 """
 
+import itertools
+
 from repro.pyramid.memtable import MemTable
-from repro.pyramid.patch import merge_patches
+from repro.pyramid.patch import SORT_KEY, merge_patches
 
 
 class Pyramid:
@@ -88,13 +90,23 @@ class Pyramid:
         return out
 
     def scan_latest(self, lo_key=None, hi_key=None):
-        """Yield the newest fact per key, in key order."""
-        merged = merge_patches(
-            [self.memtable.to_patch()] + self._patches
-        )
+        """Yield the newest fact per key, in key order.
+
+        Each source is bisected for ``[lo_key, hi_key]`` at the first
+        ``next()`` and only those slices are merged, so the cost is
+        O(patches * log n + answer) and inserts made while the scan is
+        being iterated are not seen by it.
+        """
+        sources = [self.memtable] + self._patches
+        slices = [source.scan(lo_key, hi_key) for source in sources]
+        slices = [facts for facts in slices if facts]
+        if len(slices) == 1:
+            ordered = slices[0]
+        else:
+            ordered = sorted(itertools.chain.from_iterable(slices), key=SORT_KEY)
         current_key = object()
         best = None
-        for fact in merged.scan(lo_key, hi_key):
+        for fact in ordered:
             if fact.key != current_key:
                 if best is not None:
                     yield best

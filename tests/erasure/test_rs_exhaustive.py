@@ -96,6 +96,42 @@ def test_reconstruct_every_erasure_pattern(code, stripe, lost):
     assert _reference_decode(code, damaged) == stripe
 
 
+def test_reconstruct_fills_only_what_was_lost_and_inverts_once(stripe, monkeypatch):
+    """Present shards pass through; one ``matinv`` per erasure pattern."""
+    code = ReedSolomon(K, M)  # fresh: the module fixture's cache is warm
+    inversions = []
+    matinv = GF256.matinv
+
+    def reconstruct(shards):
+        # Counted around the codec alone: the oracle decoder inverts too.
+        with monkeypatch.context() as counted:
+            counted.setattr(
+                GF256, "matinv", lambda matrix: inversions.append(1) or matinv(matrix)
+            )
+            return code.reconstruct(shards)
+
+    patterns = _erasure_patterns()
+    for repeat in range(2):
+        for lost in patterns:
+            damaged = [None if i in lost else stripe[i] for i in range(TOTAL)]
+            # A surviving shard decode does not read comes back as given,
+            # not re-derived: the last one is spare whenever k others live.
+            spare = max(set(range(TOTAL)) - set(lost))
+            if len(lost) < M:
+                damaged[spare] = bytes(SHARD_LEN)
+            recovered = reconstruct(damaged)
+            oracle = _reference_decode(code, damaged)
+            for index in range(TOTAL):
+                expected = oracle[index] if index in lost else damaged[index]
+                assert recovered[index] == expected, (lost, index)
+        # The second sweep finds every pattern's decode rows cached.
+        assert len(inversions) == len(patterns), repeat
+    assert len(code._decode_rows) == len(patterns)  # C(9,1) + C(9,2), no more
+    with pytest.raises(UncorrectableError):
+        code.reconstruct([None] * (M + 1) + stripe[M + 1:])
+    assert len(code._decode_rows) == len(patterns)
+
+
 def test_encode_matches_reference_oracle(code):
     stream = RandomStream(0x0DDC)
     for _ in range(25):
