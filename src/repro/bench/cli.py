@@ -7,7 +7,9 @@ One entry point for the whole suite:
   schema-versioned ``BENCH_*.json`` artifacts to the repo root;
 * ``--check`` additionally compares the fresh results against the
   committed ``bench-baseline.json`` and exits nonzero on paper-shape
-  breaks or out-of-tolerance regressions — the CI perf gate;
+  breaks or out-of-tolerance regressions — the CI perf gate. A check
+  is read-only: unless ``--out-dir`` says otherwise its fresh JSON
+  lands in ``bench-artifacts/``, not over the committed files;
 * ``--write-baseline`` adopts the fresh results as the new baseline;
 * ``--docs`` regenerates the marked tables in EXPERIMENTS.md from the
   *committed* JSON; ``--check-docs`` fails if doc and data drifted;
@@ -29,6 +31,8 @@ from repro.bench.runner import (
 from repro.bench.schema import validate_document
 
 EXPERIMENTS_FILENAME = "EXPERIMENTS.md"
+#: Where a ``--check`` run's fresh documents go by default (gitignored).
+CHECK_OUT_DIR = "bench-artifacts"
 
 
 def build_parser():
@@ -49,8 +53,10 @@ def build_parser():
                         help="trim to the quick subset (the CI gate)")
     parser.add_argument("--list", action="store_true",
                         help="list registered benches and exit")
-    parser.add_argument("--out-dir", default=".", metavar="DIR",
-                        help="where BENCH_*.json land (default: repo root)")
+    parser.add_argument("--out-dir", default=None, metavar="DIR",
+                        help="where BENCH_*.json land (default: repo root; "
+                             "%s/ with --check, which leaves the committed "
+                             "files alone)" % CHECK_OUT_DIR)
     parser.add_argument("--timings", action="store_true",
                         help="include wall-clock stage timings in the JSON "
                              "(breaks byte-for-byte determinism)")
@@ -120,7 +126,10 @@ def main(argv=None):
                               progress=progress)
         for document in documents.values():
             validate_document(document)
-        paths = write_documents(documents, options.out_dir)
+        paths = write_documents(
+            documents,
+            options.out_dir or (CHECK_OUT_DIR if options.check else "."),
+        )
         for line in summary_lines(documents):
             print(line)
         for path in paths:
@@ -147,10 +156,11 @@ def main(argv=None):
                   % len(baseline.get("metrics", {})))
 
     if options.docs or options.check_docs:
-        committed = load_committed_documents(options.out_dir)
+        committed_dir = options.out_dir or "."
+        committed = load_committed_documents(committed_dir)
         if not committed:
             raise SystemExit("no committed BENCH_*.json found under %r"
-                             % options.out_dir)
+                             % committed_dir)
         for document in committed.values():
             validate_document(document)
         if options.docs:

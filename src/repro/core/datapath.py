@@ -36,9 +36,12 @@ MAX_PAINT_DEPTH = 64
 class CBlockCache:
     """LRU cache of decompressed cblocks, indexed by segment.
 
-    Keys are (segment_id, payload_offset). A per-segment key index
-    makes :meth:`invalidate_segment` proportional to the entries cached
-    *for that segment* instead of a scan of the whole cache, and every
+    Keys are (segment_id, payload_offset); values are immutable
+    ``bytes`` the cache owns, never views of a caller's buffer, so
+    readers slice them and dedup compares them (memcmp) without a
+    defensive copy. A per-segment key index makes
+    :meth:`invalidate_segment` proportional to the entries cached *for
+    that segment* instead of a scan of the whole cache, and every
     lookup/eviction/invalidation feeds both local counters (unit
     tests) and the global perf counters (``perf_report()``).
     """
@@ -82,7 +85,10 @@ class CBlockCache:
             entries.move_to_end(key)
         else:
             self._segment_keys.setdefault(key[0], set()).add(key)
-        entries[key] = value
+        # A view of a caller's write buffer is copied here (the caller
+        # may reuse the buffer the moment write() returns); bytes pass
+        # through as they are.
+        entries[key] = bytes(value)
         while len(entries) > self.capacity:
             evicted_key, _value = entries.popitem(last=False)
             self._drop_key_index(evicted_key)
@@ -132,9 +138,8 @@ class DataPath:
         )
         self.deduper = InlineDeduper(
             self.dedup_index,
-            self._fetch_sector,
+            self._fetch_cblock,
             min_run_sectors=config.dedup_min_run_sectors,
-            fetch_run=self._fetch_run,
         )
         self._cblock_cache = CBlockCache(config.cblock_cache_entries)
         self._descriptor_cache = {}
@@ -216,39 +221,15 @@ class DataPath:
         self._cblock_cache.put(cache_key, data)
         return data, latency
 
-    def _fetch_sector(self, location):
-        """Dedup verify callback: one sector's bytes, or None."""
-        if location.sector_index < 0:
-            return None
+    def _fetch_cblock(self, location):
+        """Dedup verify callback: the candidate cblock's bytes, or None."""
         try:
             data, _latency = self._read_cblock(
                 location.segment_id, location.payload_offset, location.stored_length
             )
         except Exception:
             return None  # stale index entry: treat as a miss, never an error
-        start = location.sector_index * SECTOR
-        if start + SECTOR > len(data):
-            return None
-        return data[start : start + SECTOR]
-
-    def _fetch_run(self, location, sector_count):
-        """Bulk dedup-extension callback: up to ``sector_count`` whole
-        sectors starting at ``location``, as a zero-copy memoryview, or
-        None when the start sector is unreadable."""
-        if location.sector_index < 0 or sector_count <= 0:
-            return None
-        try:
-            data, _latency = self._read_cblock(
-                location.segment_id, location.payload_offset, location.stored_length
-            )
-        except Exception:
-            return None  # stale index entry: treat as a miss, never an error
-        start = location.sector_index * SECTOR
-        if start + SECTOR > len(data):
-            return None
-        whole = (len(data) // SECTOR) * SECTOR
-        end = min(whole, start + sector_count * SECTOR)
-        return memoryview(data)[start:end]
+        return data
 
     # ------------------------------------------------------------------
     # Write path

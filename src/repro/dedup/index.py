@@ -61,7 +61,10 @@ class DedupIndex:
         self._recent[sector_hash_value] = location
         self._recent.move_to_end(sector_hash_value)
         while len(self._recent) > self.recent_capacity:
-            self._recent.popitem(last=False)
+            evicted, _location = self._recent.popitem(last=False)
+            # The count goes with the entry: a hash recorded again later
+            # earns promotion from scratch, and the dict stays bounded.
+            self._hit_counts.pop(evicted, None)
 
     def lookup(self, sector_hash_value):
         """Location for a hash, or None; promotes hot hashes."""

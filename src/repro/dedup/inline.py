@@ -4,25 +4,24 @@ For an incoming write, every sector hash is looked up (only sampled
 hashes were recorded). A hit is *verified* by comparing the actual
 bytes — collisions cost one block compare, never correctness. A
 verified sector becomes an anchor: the match is extended forward and
-backward sector by sector, so duplicate runs of at least
-``min_run_sectors`` (8 by default = 4 KiB) are detected regardless of
-how they align with the sampling grid.
+backward, so duplicate runs of at least ``min_run_sectors`` (8 by
+default = 4 KiB) are detected regardless of how they align with the
+sampling grid.
 
-Hot-path shape: when the caller supplies a ``fetch_run`` callback (the
-data path does), extension compares whole candidate runs with a single
-memoryview fetch and one vectorized mismatch scan, instead of one
-``fetch_sector`` round trip per sector. The per-sector path remains as
-the fallback for callers that only provide ``fetch_sector``, and the
-results are identical: both stop the run at the first differing sector
-or the cblock boundary.
+Hot-path shape: the candidate cblock is fetched once per anchor and
+every compare is a ``bytes`` slice against a ``bytes`` slice (memcmp;
+``memoryview.__eq__`` walks element by element). Extension gallops —
+1, 2, 4, ... sectors, then halves inside the first chunk that differs —
+so an anchor that goes nowhere costs a few sector compares and a real
+run costs O(run), never O(cblock). The per-sector eager matcher it
+replaced survives as :meth:`InlineDeduper.find_matches_reference`, the
+oracle the tests (and ``repro.seedpath``) hold it to.
 """
 
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.dedup.hashing import sector_hash
+from repro.dedup.hashing import sector_hash, sector_hashes
 from repro.perf import PERF
 from repro.units import SECTOR
 
@@ -48,58 +47,55 @@ class DedupMatch:
         return self.sector_count * SECTOR
 
 
-def _common_sector_prefix(candidate, incoming):
-    """Number of leading sectors on which two equal-length views agree."""
-    if candidate == incoming:
-        return len(candidate) // SECTOR
-    a = np.frombuffer(candidate, dtype=np.uint8)
-    b = np.frombuffer(incoming, dtype=np.uint8)
-    first_mismatch = int(np.argmax(a != b))
-    return first_mismatch // SECTOR
+def _agreeing_sectors(stored, stored_at, incoming, incoming_at, limit, forward):
+    """How many whole sectors agree walking away from an anchor.
 
-
-def _common_sector_suffix(candidate, incoming):
-    """Number of trailing sectors on which two equal-length views agree."""
-    if candidate == incoming:
-        return len(candidate) // SECTOR
-    a = np.frombuffer(candidate, dtype=np.uint8)
-    b = np.frombuffer(incoming, dtype=np.uint8)
-    mismatches = np.nonzero(a != b)[0]
-    last_mismatch = int(mismatches[-1])
-    return (len(candidate) - 1 - last_mismatch) // SECTOR
+    ``stored_at``/``incoming_at`` are the byte offsets the walk starts
+    from (the anchor's end when ``forward``, its start otherwise); at
+    most ``limit`` sectors are looked at. Galloping first-mismatch
+    search over ``bytes`` slices, so the bytes sliced and compared are
+    proportional to the answer, not to ``limit``.
+    """
+    limit *= SECTOR
+    agreed = 0  # bytes known to agree
+    size = SECTOR
+    galloping = True
+    while agreed < limit:
+        if size > limit - agreed:
+            size = limit - agreed
+        near = agreed if forward else -agreed - size
+        a = stored_at + near
+        b = incoming_at + near
+        if stored[a : a + size] == incoming[b : b + size]:
+            agreed += size
+            if galloping:
+                size += size
+        else:
+            # The first mismatch is inside this chunk: never look past
+            # its last sector again, and halve from here on.
+            galloping = False
+            limit = agreed + size - SECTOR
+            size = size // (2 * SECTOR) * SECTOR
+    return agreed // SECTOR
 
 
 class InlineDeduper:
     """Finds duplicate runs in incoming writes against the dedup index."""
 
-    def __init__(self, index, fetch_sector, min_run_sectors=8, fetch_run=None):
-        """``fetch_sector(location) -> bytes or None`` reads the 512 B
-        sector a :class:`DedupLocation` points at (None when the
-        location is no longer readable, e.g. its cblock was collected).
-
-        ``fetch_run(location, sector_count) -> memoryview or None``
-        optionally reads up to ``sector_count`` consecutive sectors
-        starting at ``location`` (clamped to the cblock) so run
-        extension can compare in bulk.
+    def __init__(self, index, fetch_cblock, min_run_sectors=8):
+        """``fetch_cblock(location) -> bytes or None`` returns the
+        logical bytes of the stored cblock a :class:`DedupLocation`
+        points into (None when it is no longer readable, e.g. its
+        segment was collected). It is never asked about a location
+        with a negative ``sector_index``.
         """
         if min_run_sectors < 1:
             raise ValueError("min_run_sectors must be positive")
         self.index = index
-        self.fetch_sector = fetch_sector
-        self.fetch_run = fetch_run
+        self.fetch_cblock = fetch_cblock
         self.min_run_sectors = min_run_sectors
-        self.verify_comparisons = 0
         self.false_hash_hits = 0
         self.matches_found = 0
-
-    def _sector(self, data, index):
-        return data[index * SECTOR : (index + 1) * SECTOR]
-
-    def _verify(self, location, expected):
-        self.verify_comparisons += 1
-        with PERF.timer("dedup-verify"):
-            actual = self.fetch_sector(location)
-            return actual is not None and actual == expected
 
     def find_matches(self, data):
         """Duplicate runs in ``data``; non-overlapping, sorted, verified.
@@ -116,39 +112,39 @@ class InlineDeduper:
                 "data length %d is not a sector multiple" % len(view)
             )
         total = len(view) // SECTOR
-        hashes = [None] * total
-        hash_ns = 0
+        lookup = self.index.lookup
         # lint: allow[wall-clock-purity] host-side perf accounting (charged to PERF); never enters sim state
         monotonic_ns = time.monotonic_ns
+        # The clock is read per call and per index hit, never per
+        # sector: "hash" is the call's time outside anchor handling.
+        call_ns = monotonic_ns()
+        verify_ns = 0
+        incoming = None  # the write as bytes, materialized at the first hit
         matches = []
         claimed_until = 0  # first sector not covered by an emitted match
         cursor = 0
         while cursor < total:
-            value = hashes[cursor]
-            if value is None:
-                start_ns = monotonic_ns()
-                value = sector_hash(view[cursor * SECTOR : (cursor + 1) * SECTOR])
-                hash_ns += monotonic_ns() - start_ns
-                hashes[cursor] = value
-            location = self.index.lookup(value)
+            at = cursor * SECTOR
+            location = lookup(sector_hash(view[at : at + SECTOR]))
             if location is None:
                 cursor += 1
                 continue
-            if not self._verify(location, self._sector(view, cursor)):
+            anchor_ns = monotonic_ns()
+            if incoming is None:
+                incoming = bytes(data)
+            run = self._verified_run(incoming, cursor, claimed_until, location)
+            verify_ns += monotonic_ns() - anchor_ns
+            if run is None:
                 self.false_hash_hits += 1
                 cursor += 1
                 continue
-            run_start, run_location = self._extend_backward(
-                view, cursor, location, limit=cursor - claimed_until
-            )
-            run_end = self._extend_forward(view, cursor, location, total)
-            run_length = run_end - run_start
-            if run_length >= self.min_run_sectors:
+            run_start, run_end = run
+            if run_end - run_start >= self.min_run_sectors:
                 matches.append(
                     DedupMatch(
                         sector_start=run_start,
-                        sector_count=run_length,
-                        location=run_location,
+                        sector_count=run_end - run_start,
+                        location=location.shifted(run_start - cursor),
                     )
                 )
                 self.matches_found += 1
@@ -156,63 +152,97 @@ class InlineDeduper:
                 cursor = run_end
             else:
                 cursor += 1
-        PERF.add_time("hash", hash_ns)
+        PERF.add_time("hash", monotonic_ns() - call_ns - verify_ns)
+        PERF.add_time("dedup-verify", verify_ns)
         return matches
 
-    def _extend_forward(self, data, anchor, location, total):
-        """Grow the run past the anchor; returns one past the last match."""
-        if self.fetch_run is not None:
-            return self._extend_forward_batched(data, anchor, location, total)
-        end = anchor + 1
-        while end < total:
-            candidate = location.shifted(end - anchor)
-            if not self._verify(candidate, self._sector(data, end)):
-                break
-            end += 1
-        return end
-
-    def _extend_forward_batched(self, data, anchor, location, total):
-        want = total - (anchor + 1)
-        if want <= 0:
-            return anchor + 1
-        with PERF.timer("dedup-verify"):
-            run = self.fetch_run(location.shifted(1), want)
-            if run is None:
-                return anchor + 1
-            got = len(run) // SECTOR
-            incoming = data[(anchor + 1) * SECTOR : (anchor + 1 + got) * SECTOR]
-            agreed = _common_sector_prefix(run, incoming)
-        self.verify_comparisons += max(1, min(agreed + 1, got))
-        return anchor + 1 + agreed
-
-    def _extend_backward(self, data, anchor, location, limit):
-        """Grow the run before the anchor; returns (run start, location).
-
-        ``limit`` caps how far back we may go without overlapping the
-        previous emitted match.
+    def _verified_run(self, incoming, anchor, floor, location):
+        """[start, end) of the byte-verified run through sector ``anchor``,
+        or None when the anchor itself does not match (hash collision or
+        stale location). ``floor`` caps the backward walk at the end of
+        the previous emitted match; the cblock is fetched exactly once.
         """
-        if self.fetch_run is not None:
-            return self._extend_backward_batched(data, anchor, location, limit)
-        start = anchor
-        steps = 0
-        while steps < limit and start > 0 and location.sector_index - (anchor - start) - 1 >= 0:
-            candidate = location.shifted(start - 1 - anchor)
-            if not self._verify(candidate, self._sector(data, start - 1)):
-                break
-            start -= 1
-            steps += 1
-        return start, location.shifted(start - anchor)
+        sector_index = location.sector_index
+        stored = self.fetch_cblock(location) if sector_index >= 0 else None
+        at = anchor * SECTOR
+        stored_at = sector_index * SECTOR
+        if (
+            stored is None
+            or stored_at + SECTOR > len(stored)
+            or stored[stored_at : stored_at + SECTOR] != incoming[at : at + SECTOR]
+        ):
+            return None
+        behind = _agreeing_sectors(
+            stored, stored_at, incoming, at,
+            min(anchor - floor, sector_index), forward=False,
+        )
+        ahead = _agreeing_sectors(
+            stored, stored_at + SECTOR, incoming, at + SECTOR,
+            min(len(incoming) // SECTOR - anchor,
+                len(stored) // SECTOR - sector_index) - 1,
+            forward=True,
+        )
+        return anchor - behind, anchor + 1 + ahead
 
-    def _extend_backward_batched(self, data, anchor, location, limit):
-        want = min(limit, anchor, location.sector_index)
-        if want <= 0:
-            return anchor, location
-        with PERF.timer("dedup-verify"):
-            run = self.fetch_run(location.shifted(-want), want)
-            agreed = 0
-            if run is not None and len(run) == want * SECTOR:
-                incoming = data[(anchor - want) * SECTOR : anchor * SECTOR]
-                agreed = _common_sector_suffix(run, incoming)
-        self.verify_comparisons += max(1, min(agreed + 1, want))
-        start = anchor - agreed
-        return start, location.shifted(start - anchor)
+    def find_matches_reference(self, data):
+        """The eager per-sector matcher: oracle for :meth:`find_matches`.
+
+        Hashes every sector up front and verifies one sector — one
+        ``fetch_cblock`` — at a time. Same matches, counters and
+        ``index.lookup`` sequence as the live path; only tests and
+        ``repro.seedpath`` call it.
+        """
+        view = memoryview(data)
+        with PERF.timer("hash"):
+            hashes = sector_hashes(view)
+        total = len(hashes)
+
+        def verified(location, sector):
+            with PERF.timer("dedup-verify"):
+                if location.sector_index < 0:
+                    return False
+                stored = self.fetch_cblock(location)
+                start = location.sector_index * SECTOR
+                return (
+                    stored is not None
+                    and start + SECTOR <= len(stored)
+                    and stored[start : start + SECTOR]
+                    == view[sector * SECTOR : (sector + 1) * SECTOR]
+                )
+
+        matches = []
+        claimed_until = 0
+        cursor = 0
+        while cursor < total:
+            location = self.index.lookup(hashes[cursor])
+            if location is None:
+                cursor += 1
+                continue
+            if not verified(location, cursor):
+                self.false_hash_hits += 1
+                cursor += 1
+                continue
+            start = cursor
+            while (
+                start > claimed_until
+                and location.sector_index - (cursor - start) > 0
+                and verified(location.shifted(start - 1 - cursor), start - 1)
+            ):
+                start -= 1
+            end = cursor + 1
+            while end < total and verified(location.shifted(end - cursor), end):
+                end += 1
+            if end - start >= self.min_run_sectors:
+                matches.append(
+                    DedupMatch(
+                        sector_start=start,
+                        sector_count=end - start,
+                        location=location.shifted(start - cursor),
+                    )
+                )
+                self.matches_found += 1
+                claimed_until = end
+                cursor = end
+            else:
+                cursor += 1
+        return matches

@@ -2,8 +2,8 @@
 
 The hot-path optimizations (full-table GF(256) kernels, batched RS
 encode with codec-owned scratch, sampled record hashing, memoryview
-write splitting, bulk dedup-run extension) replaced the seed
-implementations in place. This module patches the seed behaviours back
+write splitting, one-fetch galloping dedup-run extension) replaced the
+seed implementations in place. This module patches the seed behaviours back
 in, under a context manager, for two consumers:
 
 * ``benchmarks/bench_hotpath.py`` measures seed-vs-optimized numbers
@@ -13,8 +13,10 @@ in, under a context manager, for two consumers:
   byte-identical reads and identical data-reduction stats either way.
 
 The seed kernels themselves (``GF256.mul_array_reference``,
-``ReedSolomon.encode_reference``) stay in their home modules as the
-bit-exactness oracles; this module only re-wires the pipeline to them.
+``ReedSolomon.encode_reference``,
+``InlineDeduper.find_matches_reference``) stay in their home modules as
+the bit-exactness oracles; this module only re-wires the pipeline to
+them.
 """
 
 from contextlib import contextmanager
@@ -25,10 +27,9 @@ import repro.core.datapath as _datapath_module
 from repro.core.datapath import DataPath
 from repro.dedup.hashing import sector_hash
 from repro.dedup.index import DedupLocation
-from repro.dedup.inline import DedupMatch, InlineDeduper
+from repro.dedup.inline import InlineDeduper
 from repro.erasure.gf256 import GF256
 from repro.erasure.reed_solomon import ReedSolomon
-from repro.perf import PERF
 from repro.units import MAX_CBLOCK, SECTOR
 
 
@@ -90,70 +91,6 @@ def _seed_record_hashes(self, segment_id, payload_offset, stored_length, data):
             )
 
 
-def _seed_find_matches(self, data):
-    """Seed matcher: hash every sector of the write eagerly, up front."""
-    with PERF.timer("hash"):
-        hashes = _seed_sector_hashes(data)
-    total = len(hashes)
-    matches = []
-    claimed_until = 0
-    cursor = 0
-    while cursor < total:
-        location = self.index.lookup(hashes[cursor])
-        if location is None:
-            cursor += 1
-            continue
-        if not self._verify(location, self._sector(data, cursor)):
-            self.false_hash_hits += 1
-            cursor += 1
-            continue
-        run_start, run_location = self._extend_backward(
-            data, cursor, location, limit=cursor - claimed_until
-        )
-        run_end = self._extend_forward(data, cursor, location, total)
-        run_length = run_end - run_start
-        if run_length >= self.min_run_sectors:
-            matches.append(
-                DedupMatch(
-                    sector_start=run_start,
-                    sector_count=run_length,
-                    location=run_location,
-                )
-            )
-            self.matches_found += 1
-            claimed_until = run_end
-            cursor = run_end
-        else:
-            cursor += 1
-    return matches
-
-
-def _seed_extend_forward(self, data, anchor, location, total):
-    end = anchor + 1
-    while end < total:
-        candidate = location.shifted(end - anchor)
-        if not self._verify(candidate, self._sector(data, end)):
-            break
-        end += 1
-    return end
-
-
-def _seed_extend_backward(self, data, anchor, location, limit):
-    start = anchor
-    steps = 0
-    while (
-        steps < limit
-        and start > 0
-        and location.sector_index - (anchor - start) - 1 >= 0
-    ):
-        candidate = location.shifted(start - 1 - anchor)
-        if not self._verify(candidate, self._sector(data, start - 1)):
-            break
-        start -= 1
-        steps += 1
-    return start, location.shifted(start - anchor)
-
-
 @contextmanager
 def seed_pipeline():
     """Patch the seed hot-path implementations back in, temporarily."""
@@ -165,8 +102,6 @@ def seed_pipeline():
         "split_write": _datapath_module.split_write,
         "record_hashes": DataPath._record_hashes,
         "find_matches": InlineDeduper.find_matches,
-        "extend_forward": InlineDeduper._extend_forward,
-        "extend_backward": InlineDeduper._extend_backward,
     }
     GF256.mul_array = classmethod(_seed_mul_array)
     GF256.addmul_array = classmethod(_seed_addmul_array)
@@ -174,9 +109,7 @@ def seed_pipeline():
     ReedSolomon.encode_stripes = _seed_encode_stripes
     _datapath_module.split_write = _seed_split_write
     DataPath._record_hashes = _seed_record_hashes
-    InlineDeduper.find_matches = _seed_find_matches
-    InlineDeduper._extend_forward = _seed_extend_forward
-    InlineDeduper._extend_backward = _seed_extend_backward
+    InlineDeduper.find_matches = InlineDeduper.find_matches_reference
     try:
         yield
     finally:
@@ -187,5 +120,3 @@ def seed_pipeline():
         _datapath_module.split_write = saved["split_write"]
         DataPath._record_hashes = saved["record_hashes"]
         InlineDeduper.find_matches = saved["find_matches"]
-        InlineDeduper._extend_forward = saved["extend_forward"]
-        InlineDeduper._extend_backward = saved["extend_backward"]

@@ -87,6 +87,19 @@ def test_check_passes_against_fresh_baseline_and_fails_after_injection(
     assert "FAIL [regression] %s" % key in out
 
 
+def test_check_without_out_dir_leaves_the_committed_documents_alone(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _run(CHEAP + ["--write-baseline"]) == 0  # refreshes ./BENCH_*
+    committed = tmp_path / "BENCH_paper_shapes.json"
+    fresh = committed.read_bytes()
+    committed.write_bytes(b"the committed document")
+    assert _run(CHEAP + ["--check"]) == 0
+    assert committed.read_bytes() == b"the committed document"
+    assert (tmp_path / cli.CHECK_OUT_DIR
+            / "BENCH_paper_shapes.json").read_bytes() == fresh
+
+
 def test_check_flags_missing_metric_for_a_bench_that_ran(tmp_path, capsys):
     baseline_path = tmp_path / "bench-baseline.json"
     assert _run(["--only", "raid_ablation", "--out-dir", str(tmp_path),

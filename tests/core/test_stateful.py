@@ -24,6 +24,7 @@ from hypothesis.stateful import (
 from repro.core.array import PurityArray
 from repro.core.config import ArrayConfig
 from repro.core.recovery import recover_array
+from repro.errors import VolumeNotFoundError
 from repro.sim.rand import RandomStream
 from repro.units import KIB, SECTOR
 
@@ -175,7 +176,36 @@ class ArrayMachine(RuleBasedStateMachine):
             assert data == bytes(self.reference[volume][:SECTOR])
 
 
+# Derandomised and database-free: every run draws the same 12 examples,
+# so tier-1 cannot pass or fail by chance. Known failing sequences are
+# pinned below as explicit tests instead of being met one run in six.
 ArrayMachine.TestCase.settings = settings(
     max_examples=12, stateful_step_count=25, deadline=None,
+    derandomize=True, database=None,
 )
 TestArrayStateMachine = ArrayMachine.TestCase
+
+
+@pytest.mark.xfail(
+    strict=True, raises=VolumeNotFoundError,
+    reason="ROADMAP item 1 defect (iv): volume lost after a second "
+           "crash -> recover on a degraded shelf; whoever fixes it "
+           "drops this marker",
+)
+def test_double_recovery_on_a_degraded_shelf_keeps_the_volume():
+    """The sequence the random search used to find one run in six."""
+    machine = ArrayMachine()
+    machine.setup()
+    steps = [
+        (machine.checkpoint, {}),
+        (machine.pull_drive, {}),
+        (machine.pull_drive, {}),
+        (machine.rebuild_and_replace, {}),
+        (machine.write, dict(volume_index=0, offset=0, length=1, salt=0)),
+        (machine.pull_drive, {}),
+        (machine.crash_and_recover, {}),
+        (machine.crash_and_recover, {}),
+    ]
+    for step, arguments in steps:
+        step(**arguments)
+        machine.spot_check_first_block()

@@ -41,6 +41,25 @@ def test_hot_hash_promoted_to_frequent():
     assert index.lookup(0xAA) == loc(sector=1)
 
 
+def test_eviction_drops_the_hit_count_with_the_entry():
+    index = DedupIndex(recent_capacity=2, promote_hits=2)
+    index.record(0xAA, loc(sector=1))
+    index.lookup(0xAA)  # one hit short of promotion
+    index.record(0xBB, loc(sector=2))
+    index.record(0xCC, loc(sector=3))  # evicts 0xAA
+    assert index.lookup(0xAA) is None
+    assert 0xAA not in index._hit_counts
+    # Recorded again, it needs promote_hits *fresh* hits: one hit must
+    # leave it in the recent tier, where a flood still evicts it.
+    index.record(0xAA, loc(sector=4))
+    index.lookup(0xAA)
+    assert 0xAA not in index._frequent
+    for value in range(2):
+        index.record(value, loc(sector=value))
+    assert index.lookup(0xAA) is None
+    assert len(index._hit_counts) <= index.recent_capacity
+
+
 def test_invalidate_segment():
     index = DedupIndex()
     index.record(1, loc(segment_id=7))

@@ -1,8 +1,9 @@
 """Tests for inline dedup: verify + anchor extension.
 
 The fixtures emulate a stored cblock via an in-memory "store" the
-fetch_sector callback reads from, so the deduper's behaviour is
-exercised without the full array.
+fetch_cblock callback reads from, so the deduper's behaviour is
+exercised without the full array. ``test_inline_differential.py`` holds
+the live matcher to the reference matcher on a seeded corpus.
 """
 
 import pytest
@@ -30,32 +31,11 @@ def store_cblock(store, index, segment_id, data, sample_every=8):
             )
 
 
-def make_deduper(store, index, min_run=8, batched=False):
-    def fetch_sector(location):
-        data = store.get(location.segment_id)
-        if data is None:
-            return None
-        start = location.sector_index * SECTOR
-        if start < 0 or start + SECTOR > len(data):
-            return None
-        return data[start : start + SECTOR]
-
-    def fetch_run(location, sector_count):
-        data = store.get(location.segment_id)
-        if data is None or location.sector_index < 0 or sector_count <= 0:
-            return None
-        start = location.sector_index * SECTOR
-        if start + SECTOR > len(data):
-            return None
-        whole = (len(data) // SECTOR) * SECTOR
-        end = min(whole, start + sector_count * SECTOR)
-        return memoryview(data)[start:end]
-
+def make_deduper(store, index, min_run=8):
     return InlineDeduper(
         index,
-        fetch_sector,
+        lambda location: store.get(location.segment_id),
         min_run_sectors=min_run,
-        fetch_run=fetch_run if batched else None,
     )
 
 
@@ -166,47 +146,3 @@ def test_matches_never_overlap():
 def test_min_run_validation():
     with pytest.raises(ValueError):
         InlineDeduper(DedupIndex(), lambda loc: None, min_run_sectors=0)
-
-
-def test_batched_extension_matches_per_sector_path():
-    """fetch_run bulk comparison finds exactly the per-sector runs."""
-    scenarios = []
-    base = unique_sectors(32, salt=20)
-    scenarios.append(("exact", base, [(1, base)]))
-    scenarios.append(
-        (
-            "misaligned",
-            unique_sectors(3, salt=21) + base[5 * SECTOR : 29 * SECTOR],
-            [(1, base)],
-        )
-    )
-    scenarios.append(
-        (
-            "two-runs",
-            base[: 16 * SECTOR]
-            + unique_sectors(8, salt=22)
-            + unique_sectors(16, salt=23),
-            [(1, base), (2, unique_sectors(16, salt=23))],
-        )
-    )
-    scenarios.append(
-        (
-            "partial-tail-mismatch",
-            base[: 12 * SECTOR] + unique_sectors(20, salt=24),
-            [(1, base)],
-        )
-    )
-    scenarios.append(("wraparound-overlap", base + base[: 16 * SECTOR], [(1, base)]))
-    for name, incoming, stored in scenarios:
-        results = {}
-        for batched in (False, True):
-            store, index = make_store(), DedupIndex()
-            for segment_id, data in stored:
-                store_cblock(store, index, segment_id, data)
-            deduper = make_deduper(store, index, batched=batched)
-            results[batched] = [
-                (m.sector_start, m.sector_count,
-                 m.location.segment_id, m.location.sector_index)
-                for m in deduper.find_matches(incoming)
-            ]
-        assert results[True] == results[False], name

@@ -1,0 +1,261 @@
+"""``find_matches`` held to ``find_matches_reference``, and its cost counted.
+
+The live matcher fetches the candidate cblock once per anchor and
+gallops over ``bytes`` slices; the reference verifies one sector per
+fetch. On a seeded corpus built to be mostly *futile* anchors (stored
+cblocks share a small pool of filler sectors, as the benchmark's
+generators do) plus every shape of true run, both must return the same
+matches, counters and ``index.lookup`` sequence. The guard then counts
+fetches and bytes sliced — no wall clock — so a futile anchor cannot
+quietly go back to costing O(cblock).
+"""
+
+import pytest
+
+from repro.dedup.hashing import sector_hash
+from repro.dedup.index import DedupIndex, DedupLocation
+from repro.dedup.inline import InlineDeduper
+from repro.sim.rand import RandomStream
+from repro.units import SECTOR
+
+from tests.dedup.test_inline import make_deduper, store_cblock, unique_sectors
+
+FILLERS = [bytes([0xF0 + k]) * SECTOR for k in range(4)]
+INPUT_KINDS = {
+    "bytes": bytes,
+    "bytearray": bytearray,
+    "memoryview": lambda data: memoryview(bytearray(data)),
+}
+CASES_PER_KIND = 120
+
+
+class RecordingIndex(DedupIndex):
+    """A DedupIndex that remembers every hash it was asked about."""
+
+    def __init__(self):
+        super().__init__(promote_hits=2)
+        self.asked = []
+
+    def lookup(self, sector_hash_value):
+        self.asked.append(sector_hash_value)
+        return super().lookup(sector_hash_value)
+
+
+def cut(data, first, last):
+    return data[first * SECTOR : last * SECTOR]
+
+
+def seeded_case(seed):
+    """(store, index, incoming bytes, min_run) — same seed, same case."""
+    stream = RandomStream(seed)
+    store, index = {}, RecordingIndex()
+    sample_every = stream.choice([1, 4, 8])
+    for segment_id in range(1, stream.randint(1, 4) + 1):
+        data = b"".join(
+            stream.choice(FILLERS) if stream.random() < 0.35
+            else stream.randbytes(SECTOR)
+            for _ in range(stream.randint(1, 64))
+        )
+        store_cblock(store, index, segment_id, data, sample_every)
+    pieces = []
+    for _ in range(stream.randint(1, 6)):
+        shape = stream.choice(
+            ["run", "to-cblock-end", "abutting", "overlapping",
+             "filler", "filler", "filler", "unique"]
+        )
+        data = store[stream.choice(sorted(store))]
+        sectors = len(data) // SECTOR
+        first = stream.randint(0, sectors - 1)
+        last = stream.randint(first + 1, sectors)
+        if shape == "run":  # aligned or not, any length
+            pieces.append(cut(data, first, last))
+        elif shape == "to-cblock-end":
+            pieces.append(cut(data, first, sectors))
+        elif shape == "abutting":  # two runs back to back, no gap
+            other = store[stream.choice(sorted(store))]
+            pieces.append(cut(data, first, last))
+            pieces.append(cut(other, 0, stream.randint(1, len(other) // SECTOR)))
+        elif shape == "overlapping":  # the second run re-covers the first:
+            # its backward walk must stop at the previous match
+            pieces.append(cut(data, first, last))
+            pieces.append(cut(data, stream.randint(first, last - 1), sectors))
+        elif shape == "filler":
+            pieces.extend(
+                stream.choice(FILLERS) for _ in range(stream.randint(1, 6))
+            )
+        else:
+            pieces.append(stream.randbytes(SECTOR * stream.randint(1, 9)))
+    if stream.random() < 0.5:  # otherwise the last run ends the chunk
+        pieces.append(stream.randbytes(SECTOR))
+    incoming = b"".join(pieces)[: 64 * SECTOR]
+    total = len(incoming) // SECTOR
+    # Index entries that must be rejected, never matched or raised on.
+    for _ in range(stream.randint(0, 2)):
+        at = stream.randint(0, total - 1)
+        value = sector_hash(cut(incoming, at, at + 1))
+        segment_id = stream.choice(sorted(store))
+        stored_sectors = len(store[segment_id]) // SECTOR
+        sector_index = stream.choice(
+            [-1, -stored_sectors, stored_sectors, stored_sectors + 7,
+             stream.randint(0, stored_sectors - 1)]  # poisoned: wrong bytes
+        )
+        index.record(
+            value,
+            DedupLocation(segment_id, 0, len(store[segment_id]), sector_index),
+        )
+    if len(store) > 1 and stream.random() < 0.1:
+        del store[stream.choice(sorted(store))]  # stale: it was collected
+    return store, index, incoming, stream.choice([1, 8, 8, 8])
+
+
+def run_matcher(case, kind, reference):
+    store, index, incoming, min_run = case
+    deduper = make_deduper(store, index, min_run)
+    matcher = deduper.find_matches_reference if reference else deduper.find_matches
+    matches = matcher(INPUT_KINDS[kind](incoming))
+    return {
+        "matches": [(m.sector_start, m.sector_count, m.location) for m in matches],
+        "matches_found": deduper.matches_found,
+        "false_hash_hits": deduper.false_hash_hits,
+        "asked": index.asked,
+        "hits": index.hits,
+    }
+
+
+def assert_same_as_reference(make_case, kind, label):
+    live = run_matcher(make_case(), kind, reference=False)
+    reference = run_matcher(make_case(), kind, reference=True)
+    assert live == reference, label
+    # Independently of the oracle: every emitted run is real and disjoint.
+    store, _index, incoming, min_run = make_case()
+    claimed = 0
+    for sector_start, sector_count, location in live["matches"]:
+        assert sector_start >= claimed and sector_count >= min_run, label
+        claimed = sector_start + sector_count
+        stored = store[location.segment_id]
+        assert cut(stored, location.sector_index,
+                   location.sector_index + sector_count) \
+            == cut(incoming, sector_start, claimed), label
+    return live
+
+
+@pytest.mark.parametrize("kind", sorted(INPUT_KINDS))
+def test_seeded_corpus_matches_reference(kind):
+    base = 1000 * sorted(INPUT_KINDS).index(kind)
+    anchors = futile = matches = rejected = 0
+    for seed in range(base, base + CASES_PER_KIND):
+        outcome = assert_same_as_reference(
+            lambda seed=seed: seeded_case(seed), kind, "seed %d" % seed
+        )
+        anchors += outcome["hits"]
+        matches += outcome["matches_found"]
+        rejected += outcome["false_hash_hits"]
+        futile += (outcome["hits"] - outcome["matches_found"]
+                   - outcome["false_hash_hits"])
+    # The corpus exercises what it claims to: mostly futile anchors,
+    # but plenty of real runs and rejected candidates too.
+    assert futile > anchors // 2
+    assert matches > CASES_PER_KIND
+    assert rejected > CASES_PER_KIND // 4
+
+
+def named_scenarios():
+    """(name, incoming, [(segment_id, stored bytes)]) — the hand-written
+    shapes the per-sector and bulk extension paths were first held to."""
+    base = unique_sectors(32, salt=20)
+    other = unique_sectors(16, salt=23)
+    return [
+        ("exact", base, [(1, base)]),
+        ("misaligned",
+         unique_sectors(3, salt=21) + cut(base, 5, 29), [(1, base)]),
+        ("two-runs",
+         cut(base, 0, 16) + unique_sectors(8, salt=22) + other,
+         [(1, base), (2, other)]),
+        ("partial-tail-mismatch",
+         cut(base, 0, 12) + unique_sectors(20, salt=24), [(1, base)]),
+        ("wraparound-overlap", base + cut(base, 0, 16), [(1, base)]),
+    ]
+
+
+def test_named_scenarios_match_reference():
+    for name, incoming, stored in named_scenarios():
+        for kind in sorted(INPUT_KINDS):
+            for min_run in (1, 8):
+                def make_case(incoming=incoming, stored=stored, min_run=min_run):
+                    store, index = {}, RecordingIndex()
+                    for segment_id, data in stored:
+                        store_cblock(store, index, segment_id, data)
+                    return store, index, incoming, min_run
+
+                outcome = assert_same_as_reference(
+                    make_case, kind, "%s/%s/min_run=%d" % (name, kind, min_run)
+                )
+                assert outcome["matches_found"] >= 1, name
+
+
+# ----------------------------------------------------------------------
+# Counted cost: fetches and bytes sliced out of the stored cblock
+
+
+class CountingBytes(bytes):
+    """``bytes`` that add up the length of every slice taken of them."""
+
+    sliced = 0
+
+    def __getitem__(self, key):
+        out = bytes.__getitem__(self, key)
+        if isinstance(key, slice):
+            self.sliced += len(out)
+        return out
+
+
+def counted_run(stored, incoming, sample_every):
+    """find_matches over one stored cblock; returns (matches, fetches,
+    bytes sliced from the cblock, index)."""
+    store, index = {}, RecordingIndex()
+    store_cblock(store, index, 1, stored, sample_every)
+    counting = CountingBytes(stored)
+    fetches = []
+
+    def fetch_cblock(location):
+        fetches.append(location)
+        return counting
+
+    matches = InlineDeduper(index, fetch_cblock).find_matches(incoming)
+    return matches, len(fetches), counting.sliced, index
+
+
+def test_futile_anchor_costs_one_fetch_and_a_few_sector_compares():
+    """32 anchors that verify but extend nowhere: one fetch and at most
+    three sector compares each — and not a byte more when the cblock
+    they point into is four times longer."""
+    stored = unique_sectors(64, salt=31)
+    incoming = b"".join(
+        cut(stored, 2 * k, 2 * k + 1) + bytes([0xE0, k]) * (SECTOR // 2)
+        for k in range(32)
+    )
+    matches, fetches, sliced, index = counted_run(stored, incoming, 1)
+    assert matches == []
+    assert index.hits == 32
+    assert fetches == 32
+    assert sliced <= 32 * 3 * SECTOR
+    longer = stored + unique_sectors(192, salt=32)
+    assert counted_run(longer, incoming, 1)[1:3] == (fetches, sliced)
+
+
+def test_real_run_costs_its_length_not_the_cblocks():
+    """An exact-duplicate 64-sector chunk: one lookup hit, one fetch,
+    bytes compared proportional to the run; a short run inside a long
+    cblock is not charged for the cblock."""
+    stored = unique_sectors(64, salt=33)
+    matches, fetches, sliced, index = counted_run(stored, stored, 8)
+    assert [(m.sector_start, m.sector_count) for m in matches] == [(0, 64)]
+    assert (index.lookups, index.hits, fetches) == (1, 1, 1)
+    assert sliced <= 3 * 64 * SECTOR
+    long_cblock = unique_sectors(64, salt=34) + unique_sectors(192, salt=35)
+    incoming = (unique_sectors(28, salt=36) + cut(long_cblock, 8, 17)
+                + unique_sectors(27, salt=37))
+    matches, fetches, sliced, _index = counted_run(long_cblock, incoming, 8)
+    assert [(m.sector_start, m.sector_count) for m in matches] == [(28, 9)]
+    assert fetches == 1  # the cursor jumps the run: sector 16 is never an anchor
+    assert sliced <= 4 * 9 * SECTOR
