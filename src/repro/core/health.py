@@ -6,21 +6,35 @@ outright, the array grades every drive from its observed read outcomes:
 
 * ``HEALTHY`` — the steady state.
 * ``SUSPECT`` — the drive returned enough corrupted reads, or enough
-  stalled reads, inside a sliding window that the array stops trusting
-  it: the segment reader shortens its retry budget (fail fast,
-  reconstruct from the other shards) and maintenance watches it closely.
+  *unexplained* stalled reads, inside a sliding window that the array
+  stops trusting it: the segment reader shortens its retry budget (fail
+  fast, reconstruct from the other shards), the hedge policy races
+  reconstruction against every read of it, and maintenance watches it
+  closely. Suspicion is a statement about the window, not a latch: once
+  the windowed integrity score and the windowed stall count have both
+  fallen back under their thresholds the drive reads ``HEALTHY`` again.
 * ``FAILED`` — chronic *integrity* misbehaviour (corrupted reads,
   exhausted retries) while suspect; the array fails the drive
   proactively, exactly as if it had been pulled, and schedules a
   rebuild. Proactive failure turns a slowly-rotting drive (which would
   keep feeding the erasure code corrupted shards) into the clean
-  one-drive-down case the 7+2 code is designed for. Stalls alone never
-  fail a drive: reads colliding with in-flight segment programs stall
-  by design (Section 4.4), so latency is a suspicion signal, not proof
-  of rot.
+  one-drive-down case the 7+2 code is designed for. Terminal until the
+  drive is replaced (:meth:`DriveHealthMonitor.reset`). Stalls alone
+  never fail a drive: latency is a suspicion signal, not proof of rot.
+
+Two evidence classes feed the machine. *Integrity* events (corrupted
+reads, exhausted retries) always count. Of the *stalls*, only those the
+array did not schedule count: a read that collides with one of the
+array's own segment programs pays ``write_interference_stall`` by
+design (Section 4.4) — the device is doing what its data sheet says,
+and the array put the program there — so the segment reader does not
+report it (see :class:`repro.ssd.device.ReadResult`). Counting those
+made most of a fault-free shelf suspect after one preload.
 
 All thresholds are event counts inside a simulated-time window, so the
-machine is deterministic for a given workload and seed.
+machine is deterministic for a given workload and seed: a drive's state
+is a function of its two ledgers and the clock, whoever asks and
+however often.
 """
 
 from collections import deque
@@ -46,11 +60,17 @@ class DriveHealth:
     stalled_reads: int = 0
     exhausted_retries: int = 0
     suspect_since: float = None
+    #: Sim time through which the ledgers still support ``SUSPECT``;
+    #: past it the suspicion has lapsed (refreshed on every event).
+    suspect_until: float = None
     failed_at: float = None
-    #: (timestamp, weight) of recent integrity events inside the window.
+    #: (timestamp, weight, region) of recent integrity events inside
+    #: the window.
     events: deque = field(default_factory=deque)
-    #: Timestamps of recent stalled reads (separate ledger: stalls can
-    #: raise suspicion but never fail a drive).
+    #: Timestamps of recent unexplained stalls (separate ledger: stalls
+    #: can raise suspicion but never fail a drive). Keeps recording
+    #: while the drive is suspect, so a continuing storm holds the
+    #: suspicion up.
     stall_events: deque = field(default_factory=deque)
 
     def counters(self):
@@ -63,10 +83,11 @@ class DriveHealth:
 
 
 class DriveHealthMonitor:
-    """Healthy → suspect → failed, driven by read outcomes.
+    """Healthy ⇄ suspect → failed, driven by read outcomes.
 
-    The segment reader reports every corrupted read, stall, and
-    exhausted retry here; the monitor escalates state and, on the
+    The segment reader reports every corrupted read, unexplained stall,
+    and exhausted retry here; the monitor escalates state, lets a
+    suspicion lapse once its window has emptied, and, on the
     suspect → failed transition, invokes ``on_auto_fail(drive_name)``
     (the array wires this to its drive-failure path). The caller is
     responsible for running the rebuild that the auto-fail makes
@@ -82,9 +103,9 @@ class DriveHealthMonitor:
         self.suspect_threshold = suspect_threshold
         #: Weighted integrity events in the window before SUSPECT → FAILED.
         self.fail_threshold = fail_threshold
-        #: Stalled reads in the window before HEALTHY → SUSPECT. Much
-        #: higher than the integrity threshold because ordinary segment
-        #: flushes stall some reads on a perfectly healthy drive.
+        #: Unexplained stalls in the window before HEALTHY → SUSPECT.
+        #: Much higher than the integrity threshold: one slow read is
+        #: noise, a storm is a signal.
         self.stall_suspect_threshold = stall_suspect_threshold
         self.window_seconds = window_seconds
         self._drives = {}
@@ -98,10 +119,13 @@ class DriveHealthMonitor:
         return record
 
     def state_of(self, drive_name):
-        return self.health_of(drive_name).state
+        return self._settled(self.health_of(drive_name)).state
 
     def is_suspect(self, drive_name):
-        return self.health_of(drive_name).state == SUSPECT
+        """O(1), and for a healthy drive one lookup and one compare:
+        the segment reader asks once per device read."""
+        record = self.health_of(drive_name)
+        return record.state == SUSPECT and self._settled(record).state == SUSPECT
 
     # ------------------------------------------------------------------
     # Event intake (called from the segment reader)
@@ -147,8 +171,50 @@ class DriveHealthMonitor:
     # ------------------------------------------------------------------
     # State machine
 
+    def _settled(self, record):
+        """``record`` with a lapsed suspicion written back as HEALTHY.
+
+        Every query and every event goes through here first, so the
+        stored state is only ever a cache of (ledgers, clock): asking
+        twice, or not at all, changes no later answer — which keeps
+        :meth:`HedgePolicy.should_hedge` pure in effect.
+        """
+        if record.state == SUSPECT and self.clock.now > record.suspect_until:
+            record.state = HEALTHY
+            record.suspect_since = None
+        return record
+
+    def _suspect_until(self, record):
+        """Sim time through which a ledger still reaches its suspect
+        threshold: the stamp of the event that completes the threshold
+        counting back from the newest, plus the window."""
+        stamp = float("-inf")
+        if len(record.stall_events) >= self.stall_suspect_threshold:
+            # Indexed from the right end: O(threshold) however long a
+            # storm has made the ledger.
+            stamp = record.stall_events[-self.stall_suspect_threshold]
+        score = 0
+        for event_stamp, weight, _region in reversed(record.events):
+            score += weight
+            if score >= self.suspect_threshold:
+                stamp = max(stamp, event_stamp)
+                break
+        return stamp + self.window_seconds
+
+    def _reassess(self, record, now):
+        """HEALTHY → SUSPECT, or push an existing suspicion's lapse out,
+        from the ledgers as they stand after a new event."""
+        until = self._suspect_until(record)
+        if until < now:
+            return  # neither ledger reaches its threshold in the window
+        if record.state == HEALTHY:
+            record.state = SUSPECT
+            record.suspect_since = now
+            PERF.incr("health-drive-suspected")
+        record.suspect_until = until
+
     def _bad_event(self, record, weight, region=None):
-        if record.state == FAILED:
+        if self._settled(record).state == FAILED:
             return
         now = self.clock.now
         horizon = now - self.window_seconds
@@ -160,11 +226,7 @@ class DriveHealthMonitor:
             return  # the same damaged spot scored already this window
         record.events.append((now, weight, region))
         score = sum(w for _t, w, _r in record.events)
-        if record.state == HEALTHY and score >= self.suspect_threshold:
-            record.state = SUSPECT
-            record.suspect_since = now
-            PERF.incr("health-drive-suspected")
-        elif record.state == SUSPECT and score >= self.fail_threshold:
+        if record.state == SUSPECT and score >= self.fail_threshold:
             record.state = FAILED
             record.failed_at = now
             record.events.clear()
@@ -172,20 +234,19 @@ class DriveHealthMonitor:
             PERF.incr("health-drive-auto-failed")
             if self.on_auto_fail is not None:
                 self.on_auto_fail(record.name)
+        else:
+            self._reassess(record, now)
 
     def _stall_event(self, record):
         """Stall storms raise suspicion; they never fail a drive."""
-        if record.state != HEALTHY:
+        if self._settled(record).state == FAILED:
             return
         now = self.clock.now
         record.stall_events.append(now)
         horizon = now - self.window_seconds
-        while record.stall_events and record.stall_events[0] < horizon:
+        while record.stall_events[0] < horizon:
             record.stall_events.popleft()
-        if len(record.stall_events) >= self.stall_suspect_threshold:
-            record.state = SUSPECT
-            record.suspect_since = now
-            PERF.incr("health-drive-suspected")
+        self._reassess(record, now)
 
     # ------------------------------------------------------------------
     # Reporting
@@ -193,25 +254,27 @@ class DriveHealthMonitor:
     def report(self):
         """drive name -> health counters, for telemetry/chaos reports."""
         return {
-            name: record.counters() for name, record in sorted(self._drives.items())
+            name: self._settled(record).counters()
+            for name, record in sorted(self._drives.items())
         }
 
     def suspects(self):
         return [
             record.name
             for record in self._drives.values()
-            if record.state == SUSPECT
+            if self._settled(record).state == SUSPECT
         ]
 
     def stall_pressure(self, drive_name):
-        """Stalled reads recorded inside the sliding window (0 = calm).
+        """Unexplained stalls recorded inside the sliding window
+        (0 = calm; ``stall_suspect_threshold`` or more = suspect).
 
         A support-facing signal: telemetry surfaces it next to the
         hedge counters so "which drive is stalling right now" is one
-        lookup. Deliberately *not* a hedge trigger — stalls happen on
-        perfectly healthy drives during ordinary segment flushes, so
-        hedging on this would fire in fault-free runs and break the
-        hedging-on/off trace-identity guarantee.
+        lookup. Stalls behind the array's own segment programs are not
+        in it — they happen on perfectly healthy drives during every
+        flush, and counting them would make fault-free runs suspect and
+        hedge (the device counter ``stalled_reads`` has them all).
         """
         record = self._drives.get(drive_name)
         if record is None:

@@ -7,13 +7,29 @@ this policy covers the remaining tail: drives that are stalling for
 reasons the scheduler cannot see up front (injected stall storms, deep
 die queues, suspect devices). When the *predicted* wait for a direct
 read crosses the configured sim-clock deadline — or the target drive is
-already suspect — the segment reader races a parity-reconstruct path
+currently suspect — the segment reader races a parity-reconstruct path
 against the direct read and adopts whichever completes first.
+
+What "suspect" means here is the health monitor's business
+(:mod:`repro.core.health`), and two of its rules are what keep this
+policy quiet on a healthy shelf. Reads that stall behind the array's
+own segment programs are not evidence, so a fault-free run suspects no
+drive and no hedge fires *on suspicion*; and suspicion lapses once its
+evidence has aged out of the window, so a drive that rode out a storm
+goes back to one device read per chunk instead of paying a
+``data_shards``-read reconstruction beside every read until it is
+replaced. The deadline trigger is independent of both: under enough
+queue pressure the *predicted wait* alone can cross the deadline on a
+fault-free shelf, and such a hedge usually loses, because the survivors
+queue behind the same flush (counted in DESIGN.md, "Deadline-aware
+hedged reads"; gating it on calm survivors is ROADMAP 3b's follow-up).
 
 Determinism contract: :meth:`should_hedge` is pure. It only reads
 device/health state (via :meth:`SimulatedSSD.estimated_read_wait`,
-itself non-mutating) and draws no randomness, so a run where no hedge
-fires is byte-identical to the same run with hedging disabled.
+itself non-mutating, and :meth:`DriveHealthMonitor.is_suspect`, whose
+answer is a function of the drive's ledgers and the clock alone) and
+draws no randomness, so a run where no hedge fires is byte-identical to
+the same run with hedging disabled.
 """
 
 
@@ -63,7 +79,9 @@ class HedgePolicy:
         self._counter("hedge.fired")
 
     def note_outcome(self, won, wasted):
-        """Record which arm was adopted and what the loser cost."""
+        """Record which arm was adopted and what the loser cost:
+        ``wasted`` is the device reads the losing arm actually issued
+        (an arm that gave up short of ``data_shards`` costs less)."""
         if won:
             self.won += 1
             self._counter("hedge.won")

@@ -49,7 +49,8 @@ class SegmentReader:
         self.drives = drives  # name -> SimulatedSSD
         self.avoid_policy = avoid_policy
         #: Optional :class:`repro.core.health.DriveHealthMonitor`; fed
-        #: every corrupted/stalled/exhausted read outcome.
+        #: every corrupted or exhausted read and every stall the array
+        #: did not schedule itself.
         self.health = health
         #: Observability handle (see :mod:`repro.obs`); wired by the
         #: array, None-safe for standalone readers.
@@ -70,6 +71,9 @@ class SegmentReader:
             self.retry_backoff = READ_RETRY_BACKOFF
         self.direct_reads = 0
         self.reconstructed_reads = 0
+        #: Device reads issued through the retry loop, every attempt
+        #: counted — what a losing hedge arm is charged from.
+        self.device_reads = 0
         self.retry_stats = {}  # drive name -> DriveRetryStats
 
     def _drive_for(self, descriptor, shard):
@@ -102,15 +106,19 @@ class SegmentReader:
         Suspect drives get a shorter retry budget — fail fast and let
         reconstruction serve the read. Every outcome feeds the health
         monitor, which may auto-fail the drive mid-sequence; the loop
-        then stops retrying and reports the read as exhausted.
+        then stops retrying and reports the read as exhausted. Of the
+        stalls, only those the array did not schedule are evidence: a
+        read that waited behind the array's own segment program
+        (``program_stall``) is the device working as specified.
         """
         health = self.health
         #: One health "region" per write unit: repeated reads of the
         #: same damaged unit are one piece of evidence, not many.
         region = offset // self.geometry.write_unit
         result = drive.read(offset, length)
+        self.device_reads += 1
         total_latency = result.latency
-        if health is not None and result.stalled:
+        if health is not None and result.unscheduled_stall:
             health.note_stalled(drive.name)
         budget = self.corruption_retries
         if health is not None and health.is_suspect(drive.name):
@@ -126,8 +134,9 @@ class SegmentReader:
             backoff = self.retry_backoff * (2 ** attempts)
             attempts += 1
             result = drive.read(offset, length)
+            self.device_reads += 1
             total_latency += backoff + result.latency
-            if health is not None and result.stalled:
+            if health is not None and result.unscheduled_stall:
                 health.note_stalled(drive.name)
         if result.corrupted:
             self.stats_for(drive.name).exhausted += 1
@@ -203,8 +212,8 @@ class SegmentReader:
         direct read comes back corrupted). Results are byte-identical
         either way — the differential test in ``tests/degrade``
         guarantees it — so hedging only ever trades extra device reads
-        for bounded tail latency. The losing arm's device reads are
-        charged to ``hedge.wasted``.
+        for bounded tail latency. The device reads the losing arm
+        actually issued are charged to ``hedge.wasted``.
         """
         hedge = self.hedge
         hedge.note_fired()
@@ -217,7 +226,9 @@ class SegmentReader:
                 segio=segio,
                 shard=shard,
             )
+        before_direct = self.device_reads
         direct = self._read_with_retry(drive, offset, length)
+        before_reconstruct = self.device_reads
         try:
             data, reconstruct_latency = self._reconstruct_chunk(
                 descriptor, segio, shard, within, length
@@ -229,17 +240,25 @@ class SegmentReader:
                 if span is not None:
                     obs.end(span, failed=True)
                 raise
-            hedge.note_outcome(won=False, wasted=self.geometry.data_shards)
+            hedge.note_outcome(
+                won=False, wasted=self.device_reads - before_reconstruct
+            )
             if span is not None:
                 obs.end(span, won=False, lat=direct.latency)
             self.direct_reads += 1
             return direct.data, direct.latency
         if direct.corrupted or reconstruct_latency <= direct.latency:
-            hedge.note_outcome(won=True, wasted=0 if direct.corrupted else 1)
+            hedge.note_outcome(
+                won=True,
+                wasted=0 if direct.corrupted
+                else before_reconstruct - before_direct,
+            )
             if span is not None:
                 obs.end(span, won=True, lat=reconstruct_latency)
             return data, reconstruct_latency
-        hedge.note_outcome(won=False, wasted=self.geometry.data_shards)
+        hedge.note_outcome(
+            won=False, wasted=self.device_reads - before_reconstruct
+        )
         if span is not None:
             obs.end(span, won=False, lat=direct.latency)
         self.direct_reads += 1

@@ -15,7 +15,7 @@ data-path I/O goes through :meth:`ServiceFrontend.submit` and the QoS
 scheduler, never around it.
 """
 
-from repro.core.telemetry import degraded_mode_report
+from repro.core.telemetry import SUSPECT, degraded_mode_report
 from repro.service.config import QosSpec
 
 #: endpoint name -> ManagementAPI method name.
@@ -165,7 +165,10 @@ class ManagementAPI:
 
         Single array (or passthrough cluster): the full
         :func:`~repro.core.telemetry.degraded_mode_report`. Cluster:
-        one ladder/liveness row per member plus the service section.
+        one row per member — liveness and ladder rung, plus, for an
+        alive member, the read-path signals that say whether its shelf
+        is reading each chunk once (suspect drives, hedge outcomes,
+        direct vs. reconstructed reads) — and the service section.
         """
         frontend = self.frontend
         backend = frontend.backend
@@ -173,15 +176,22 @@ class ManagementAPI:
             return degraded_mode_report(backend, service=frontend)
         if backend.passthrough:
             return degraded_mode_report(backend.solo, service=frontend)
+        nodes = {}
+        for node_id, node in backend.nodes.items():
+            row = {"alive": node.alive, "ladder": None}
+            if node.alive:
+                report = degraded_mode_report(node.array)
+                row.update(
+                    ladder=node.array.degrade.state,
+                    suspects=[name for name, drive in report["health"].items()
+                              if drive["state"] == SUSPECT],
+                    hedge=report["hedge"],
+                    direct_reads=report["direct_reads"],
+                    reconstructed_reads=report["reconstructed_reads"],
+                )
+            nodes[node_id] = row
         return {
-            "nodes": {
-                node_id: {
-                    "alive": node.alive,
-                    "ladder": node.array.degrade.state
-                    if node.alive else None,
-                }
-                for node_id, node in backend.nodes.items()
-            },
+            "nodes": nodes,
             "lost_volumes": sorted(backend.mdm.lost),
             "service": frontend.service_report(),
         }

@@ -52,17 +52,38 @@ class SSDTiming:
 
 @dataclass
 class ReadResult:
-    """Outcome of an SSD read: payload, charged latency, corruption flag."""
+    """Outcome of an SSD read: payload, charged latency, corruption flag.
+
+    A stalled read says *why* it stalled, because the two causes mean
+    opposite things to the array above. ``program_stall``: the read
+    landed inside one of the array's own program windows and paid
+    ``write_interference_stall`` — normal device behaviour (Section
+    4.4; SimpleSSD and Amber model the same read-behind-program wait),
+    scheduled by the array itself, so no evidence against the drive.
+    ``unscheduled_stall``: the drive added a delay the array did not
+    schedule (today only the fault model's ``extra_stall``) — the kind
+    the health monitor counts. A read can be both.
+    """
 
     data: bytes
     latency: float
     corrupted: bool = False
-    stalled: bool = False
+    program_stall: bool = False
+    unscheduled_stall: bool = False
+
+    @property
+    def stalled(self):
+        return self.program_stall or self.unscheduled_stall
 
 
 @dataclass
 class DeviceCounters:
-    """Operation counters for telemetry and tests."""
+    """Operation counters for telemetry and tests.
+
+    ``stalled_reads`` counts every stalled read, whatever the cause
+    (see :class:`ReadResult`); the health monitor's own
+    ``stalled_reads`` counts only the unscheduled ones.
+    """
 
     reads: int = 0
     writes: int = 0
@@ -252,10 +273,10 @@ class SimulatedSSD:
         now = self.clock.now
         service = self._read_latency.sample(self.stream)
         service += self.ftl.maybe_stall(self.stream)
-        stalled = False
-        if self.busy_writing(now):
+        program_stall = self.busy_writing(now)
+        if program_stall:
             service += self.timing.write_interference_stall
-            stalled = True
+        unscheduled_stall = False
         _begin, flash_done = self._die_dispatch(
             offset, nbytes, service, priority=True
         )
@@ -269,15 +290,21 @@ class SimulatedSSD:
             corrupted = corrupted or forced_corrupt
             if extra_stall > 0.0:
                 latency += extra_stall
-                stalled = True
+                unscheduled_stall = True
         data = self.store.read(offset, nbytes)
         self.counters.reads += 1
         self.counters.bytes_read += nbytes
         if corrupted:
             self.counters.corrupted_reads += 1
-        if stalled:
+        if program_stall or unscheduled_stall:
             self.counters.stalled_reads += 1
-        return ReadResult(data=data, latency=latency, corrupted=corrupted, stalled=stalled)
+        return ReadResult(
+            data=data,
+            latency=latency,
+            corrupted=corrupted,
+            program_stall=program_stall,
+            unscheduled_stall=unscheduled_stall,
+        )
 
     def _sample_corruption(self, offset, nbytes, now):
         for erase_block in self.geometry.erase_blocks_spanned(offset, nbytes):

@@ -8,6 +8,7 @@ from repro.faults.plan import DRIVE_FAIL, STALL_STORM, FaultPlan, FaultSpec
 from repro.units import KIB, MIB
 
 from tests.core.conftest import unique_bytes
+from tests.degrade.conftest import device_reads, spy_on_hedges
 
 READ_SIZE = 16 * KIB
 
@@ -146,3 +147,72 @@ def test_hedge_adopts_direct_read_when_reconstruction_cannot_help(
         assert data == payload
     hedge = array.segreader.hedge
     assert hedge.fired > 0
+
+
+def test_lost_hedge_is_charged_the_reads_its_losing_arm_issued(
+        array, volume, stream):
+    """With two drives gone a reconstruction arm finds six survivors,
+    reads them, and gives up: six wasted reads, not ``data_shards``."""
+    blocks = write_blocks(array, volume, stream)
+    names = sorted(array.drives)
+    array.fail_drive(names[0])
+    array.fail_drive(names[1])
+    storm_drives(array, names[2:])
+    array.datapath.drop_caches()
+    outcomes = []
+    spy_on_hedges(array, outcomes)
+    for offset, payload in blocks.items():
+        data, _latency = array.read(volume, offset, READ_SIZE)
+        assert data == payload
+    hedge = array.segreader.hedge
+    assert hedge.won + hedge.lost == hedge.fired == len(outcomes)
+    # No read was corrupted or retried, so a lost hedge issued its one
+    # direct read plus whatever its reconstruction arm got through.
+    for reads, won, wasted in outcomes:
+        assert wasted == (1 if won else reads - 1)
+    short_arms = [wasted for _r, won, wasted in outcomes if not won
+                  and wasted < array.segreader.geometry.data_shards]
+    assert short_arms  # some stripe had both dead drives in it
+
+
+def test_storm_suspicion_lapses_and_reads_go_back_to_one_per_chunk(
+        array, volume, stream):
+    blocks = write_blocks(array, volume, stream)
+    health = array.health
+    hedge = array.segreader.hedge
+    storm_drives(array, duration=0.05)
+    for _round in range(health.stall_suspect_threshold):
+        if health.suspects():
+            break
+        array.datapath.drop_caches()
+        for offset in blocks:
+            array.read(volume, offset, READ_SIZE, advance_clock=False)
+    suspects = health.suspects()
+    assert suspects
+    # Past the storm but inside the window: still hedged.
+    array.clock.advance(1.0)
+    array.datapath.drop_caches()
+    fired = hedge.fired
+    for offset, payload in blocks.items():
+        assert array.read(volume, offset, READ_SIZE)[0] == payload
+    assert hedge.fired > fired
+    assert health.suspects() == suspects
+    # Past the window: the evidence has aged out, the shelf is trusted
+    # again, and a read of a once-suspect drive is one device read.
+    array.clock.advance(health.window_seconds + 1)
+    assert health.suspects() == []
+    array.datapath.drop_caches()
+    fired = hedge.fired
+    reconstructed = array.segreader.reconstructed_reads
+    direct = array.segreader.direct_reads
+    before = {name: array.drives[name].counters.reads for name in suspects}
+    issued = device_reads([array])
+    for offset, payload in blocks.items():
+        assert array.read(volume, offset, READ_SIZE)[0] == payload
+    assert hedge.fired == fired
+    assert array.segreader.reconstructed_reads == reconstructed
+    chunks = array.segreader.direct_reads - direct
+    assert device_reads([array]) - issued == chunks
+    assert any(
+        array.drives[name].counters.reads > before[name] for name in suspects
+    )

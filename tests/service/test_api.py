@@ -118,7 +118,25 @@ class TestClusterBackend:
         health = capi.call("array.health")
         assert all(row["alive"] for row in health["nodes"].values())
         assert health["lost_volumes"] == []
+        for node_id, row in health["nodes"].items():
+            reader = capi.frontend.backend.nodes[node_id].array.segreader
+            assert row["suspects"] == []
+            assert row["hedge"] == reader.hedge.report()
+            assert row["direct_reads"] == reader.direct_reads
+            assert row["reconstructed_reads"] == reader.reconstructed_reads
         reduction = capi.call("array.reduction")
         assert reduction["provisioned_bytes"] > 0
         capi.call("volume.destroy", volume="c-db-dev")
         assert capi.call("volume.list") == ["c-db"]
+
+    def test_cluster_health_names_suspect_drives_per_member(self, capi):
+        cluster = capi.frontend.backend
+        first, second = sorted(cluster.nodes)
+        array = cluster.nodes[first].array
+        name = sorted(array.drives)[0]
+        for _strike in range(array.health.stall_suspect_threshold):
+            array.health.note_stalled(name)
+        cluster.kill(second)
+        nodes = capi.call("array.health")["nodes"]
+        assert nodes[first]["suspects"] == [name]
+        assert nodes[second] == {"alive": False, "ladder": None}
