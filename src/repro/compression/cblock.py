@@ -59,7 +59,7 @@ def parse_cblock(blob):
         (codec_id, logical_length, payload_length), offset = decode_value(blob)
     except EncodingError as error:
         raise EncodingError("corrupt cblock header: %s" % error) from error
-    payload = blob[offset : offset + payload_length]
+    payload = memoryview(blob)[offset : offset + payload_length]
     if len(payload) != payload_length:
         raise EncodingError(
             "cblock truncated: header claims %d payload bytes, have %d"

@@ -57,7 +57,7 @@ class ZlibCompressor(Compressor):
         return zlib.compress(data, self.level)
 
     def decompress(self, payload):
-        return zlib.decompress(bytes(payload))
+        return zlib.decompress(payload)
 
 
 _DECOMPRESSORS = {

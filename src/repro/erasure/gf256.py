@@ -1,18 +1,27 @@
 """Arithmetic in GF(2^8).
 
 The paper cites Plank et al.'s SIMD Galois-field work [45] for its
-"screaming fast" software Reed–Solomon. The Python equivalent of that
-optimization is table-driven arithmetic vectorized with numpy: scalar
-ops use exp/log tables, and array ops gather through a precomputed
-256x256 full product table — ``MUL_TABLE[scalar]`` is the complete
-multiplication row for that scalar, so multiplying a whole shard is a
-single table lookup with no masking and no temporaries. The field uses
-the common AES-unrelated polynomial 0x11d.
+"screaming fast" software Reed–Solomon. CPython's SIMD-shaped table
+lookup is ``bytes.translate``: one C loop over the operand through a
+256-byte table, with no index array, no masking and no per-element
+dispatch. Scalar ops use exp/log tables; array ops translate the
+operand through ``MUL_ROWS[scalar]`` — that scalar's row of the full
+256x256 product table ``MUL_TABLE``, as ``bytes`` — and XOR with numpy.
+Rows 0 and 1 are the zero map and the identity, so the kernels need no
+scalar special-casing for correctness. The field uses the common
+AES-unrelated polynomial 0x11d.
+
+What the array kernels allocate: ``translate`` returns a fresh ``bytes``
+product per call (there is no ``out=``), and an operand that is not
+already ``bytes`` is copied into one first (``bytes.translate`` is a
+method of ``bytes``). ``addmul_array`` XORs the product into the
+caller's accumulator in place and allocates nothing else.
 
 The older masked exp/log array kernels are kept as
 ``mul_array_reference`` / ``addmul_array_reference``: they are the
-oracle the property tests (and the hot-path benchmark's seed mode)
-check the table kernels against bit-for-bit.
+oracle the property tests check the translate kernels against
+bit-for-bit, and what :mod:`repro.seedpath` patches back in for the
+hot-path benchmark's seed mode.
 """
 
 import numpy as np
@@ -53,6 +62,8 @@ class GF256:
 
     EXP, LOG = _build_tables()
     MUL_TABLE = _build_mul_table(EXP, LOG)
+    #: ``MUL_TABLE``'s rows as 256-byte ``bytes.translate`` tables.
+    MUL_ROWS = tuple(row.tobytes() for row in MUL_TABLE)
 
     @classmethod
     def add(cls, a, b):
@@ -91,39 +102,51 @@ class GF256:
             return 0
         return int(cls.EXP[(int(cls.LOG[a]) * exponent) % 255])
 
+    @staticmethod
+    def as_bytes(data):
+        """The ``bytes`` form of a uint8 buffer, which ``translate`` needs.
+
+        ``bytes`` passes through; an array (strided or not),
+        ``bytearray`` or ``memoryview`` is copied once. A caller that
+        multiplies one operand by several scalars converts it once here.
+        """
+        if type(data) is bytes:
+            return data
+        return data.tobytes() if isinstance(data, np.ndarray) else bytes(data)
+
     @classmethod
     def mul_array(cls, array, scalar):
-        """Multiply a uint8 numpy array elementwise by a scalar.
+        """Multiply a uint8 buffer elementwise by a scalar.
 
-        One gather through the scalar's product-table row; rows 0 and 1
-        make the zero/identity cases fall out naturally.
+        Returns a read-only uint8 array, shaped like ``array`` when
+        that is an ndarray and flat otherwise.
         """
-        return cls.MUL_TABLE[scalar][array]
+        product = np.frombuffer(
+            cls.as_bytes(array).translate(cls.MUL_ROWS[scalar]), dtype=np.uint8
+        )
+        if isinstance(array, np.ndarray):
+            return product.reshape(array.shape)
+        return product
 
     @classmethod
-    def addmul_array(cls, accumulator, array, scalar, scratch=None):
+    def addmul_array(cls, accumulator, array, scalar):
         """accumulator ^= array * scalar, in place (the RS inner loop).
 
-        With a caller-owned ``scratch`` (uint8, same shape as ``array``)
-        the fused gather-XOR allocates nothing: the product lands in
-        ``scratch`` and is XORed into ``accumulator`` in place.
+        ``accumulator`` is a writable uint8 ndarray; ``array`` is any
+        uint8 buffer of the same length (see :meth:`as_bytes`).
         """
         if scalar == 0:
             return accumulator
-        if scalar == 1:
-            np.bitwise_xor(accumulator, array, out=accumulator)
-            return accumulator
-        row = cls.MUL_TABLE[scalar]
-        if scratch is not None and scratch.shape == array.shape:
-            np.take(row, array, out=scratch)
-            np.bitwise_xor(accumulator, scratch, out=accumulator)
-        else:
-            np.bitwise_xor(accumulator, row[array], out=accumulator)
+        if scalar != 1:
+            array = cls.as_bytes(array).translate(cls.MUL_ROWS[scalar])
+        if not isinstance(array, np.ndarray):
+            array = np.frombuffer(array, dtype=np.uint8)
+        np.bitwise_xor(accumulator, array, out=accumulator)
         return accumulator
 
     # ------------------------------------------------------------------
     # Reference kernels: the seed exp/log implementation, kept in-tree
-    # as the bit-exactness oracle for the table kernels above.
+    # as the bit-exactness oracle for the translate kernels above.
 
     @classmethod
     def mul_array_reference(cls, array, scalar):

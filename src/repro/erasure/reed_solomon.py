@@ -11,13 +11,21 @@ shards pass through unchanged), and keep the bottom m rows as the
 parity-generating matrix. Reconstruction inverts the square submatrix
 of surviving rows.
 
-Allocation discipline: encode gathers through the GF(256) full product
-table into per-stripe scratch buffers owned by the codec, so
-steady-state encoding allocates nothing. ``encode_stripes`` is the
+Allocation discipline: encode accumulates into an (m, L) parity buffer
+owned by the codec and reused across calls; what it allocates per call
+is what ``bytes.translate`` must — one ``bytes`` form per data shard
+that is not ``bytes`` already, and one product per non-trivial
+coefficient (see :mod:`repro.erasure.gf256`). ``encode_stripes`` is the
 batched entry point the segio flush path uses — it takes a (k, L)
-uint8 matrix view of the payload and returns an (m, L) parity view
-without ever materializing per-shard byte strings. ``encode_reference``
-preserves the seed per-row implementation as the correctness oracle.
+uint8 matrix view of the payload and returns the (m, L) parity buffer.
+``encode_reference`` preserves the seed per-row implementation as the
+correctness oracle.
+
+Decode rebuilds only what it is asked for: ``reconstruct`` fills every
+missing slot by default, or just the ``targets`` named — the segment
+reader wants one shard of a stripe it read exactly ``k`` others of, and
+pays ``k`` multiply-accumulates for it, not ``k`` per empty slot.
+Surviving shards pass through as the objects they came in as.
 """
 
 import numpy as np
@@ -53,30 +61,23 @@ class ReedSolomon:
         self._matrix = matrix
         self._parity_rows = matrix[data_shards:]
         self._decode_rows = {}  # missing shard indices -> decode rows
-        # Per-stripe scratch, lazily sized to the shard length and then
-        # reused: one gather buffer plus the parity accumulators.
-        self._scratch = np.empty(0, dtype=np.uint8)
+        # The parity accumulators, lazily sized to the shard length and
+        # then reused.
         self._parity_buffer = np.empty((parity_shards, 0), dtype=np.uint8)
 
-    def _buffers(self, length):
-        if self._scratch.shape[0] != length:
-            self._scratch = np.empty(length, dtype=np.uint8)
+    def _encode_arrays(self, arrays, length):
+        """Parity for k uint8 buffers; returns the codec-owned (m, L) buffer."""
+        if self._parity_buffer.shape[1] != length:
             self._parity_buffer = np.empty(
                 (self.parity_shards, length), dtype=np.uint8
             )
-        return self._scratch, self._parity_buffer
-
-    def _encode_arrays(self, arrays, length):
-        """Parity for k uint8 arrays; returns the codec-owned (m, L) buffer."""
-        scratch, parity = self._buffers(length)
-        table = GF256.MUL_TABLE
-        for index, row in enumerate(self._parity_rows):
-            out = parity[index]
-            # Rows 0/1 of the product table are zero/identity, so the
-            # first term is always a plain gather straight into ``out``.
-            np.take(table[row[0]], arrays[0], out=out)
-            for coefficient, array in zip(row[1:], arrays[1:]):
-                GF256.addmul_array(out, array, coefficient, scratch=scratch)
+        parity = self._parity_buffer
+        # Every parity row multiplies every shard: convert each once.
+        arrays = [GF256.as_bytes(array) for array in arrays]
+        for out, row in zip(parity, self._parity_rows):
+            out.fill(0)
+            for coefficient, array in zip(row, arrays):
+                GF256.addmul_array(out, array, coefficient)
         return parity
 
     def encode(self, shards):
@@ -87,8 +88,7 @@ class ReedSolomon:
         self._check_data_shards(shards)
         length = len(shards[0])
         with PERF.timer("rs-encode"):
-            arrays = [np.frombuffer(shard, dtype=np.uint8) for shard in shards]
-            parity = self._encode_arrays(arrays, length)
+            parity = self._encode_arrays(shards, length)
             return [row.tobytes() for row in parity]
 
     def encode_stripes(self, data_matrix):
@@ -130,12 +130,14 @@ class ReedSolomon:
         if len(lengths) != 1:
             raise ValueError("data shards must all be the same length")
 
-    def reconstruct(self, shards):
+    def reconstruct(self, shards, targets=None):
         """Fill in missing shards. ``shards`` has k+m entries, None = lost.
 
-        Returns the complete list (data + parity), all as bytes. Raises
-        :class:`UncorrectableError` if more than ``m`` shards are
-        missing.
+        Returns the complete list (data + parity): rebuilt shards as
+        bytes, surviving ones as the objects passed in. With ``targets``
+        (indices of missing shards) only those are rebuilt and the other
+        empty slots stay None. Raises :class:`UncorrectableError` if
+        more than ``m`` shards are missing.
         """
         if len(shards) != self.total_shards:
             raise ValueError(
@@ -143,8 +145,9 @@ class ReedSolomon:
             )
         present = [index for index, shard in enumerate(shards) if shard is not None]
         missing = [index for index, shard in enumerate(shards) if shard is None]
+        result = list(shards)
         if not missing:
-            return [bytes(shard) for shard in shards]
+            return result
         if len(missing) > self.parity_shards:
             raise UncorrectableError(
                 "lost %d shards, code tolerates %d" % (len(missing), self.parity_shards)
@@ -153,8 +156,8 @@ class ReedSolomon:
         if len(lengths) != 1:
             raise ValueError("present shards must all be the same length")
         length = lengths.pop()
-        # Rebuild only what was lost, from any k surviving rows; the
-        # present shards pass through.
+        # Rebuild from any k surviving rows; the present shards pass
+        # through.
         chosen = present[: self.data_shards]
         if len(chosen) < self.data_shards:
             raise UncorrectableError(
@@ -162,19 +165,20 @@ class ReedSolomon:
             )
         with PERF.timer("rs-decode"):
             rows = self._decode_rows_for(chosen, missing)
-            survivor_arrays = [
-                np.frombuffer(shards[index], dtype=np.uint8) for index in chosen
-            ]
-            scratch, _parity = self._buffers(length)
-            result = list(shards)
+            # A survivor may feed several rebuilt shards: convert once.
+            survivors = [GF256.as_bytes(shards[index]) for index in chosen]
             for index, row in zip(missing, rows):
-                accumulator = np.zeros(length, dtype=np.uint8)
-                for coefficient, array in zip(row, survivor_arrays):
-                    GF256.addmul_array(
-                        accumulator, array, coefficient, scratch=scratch
-                    )
-                result[index] = accumulator.tobytes()
-        return [bytes(shard) for shard in result]
+                if targets is None or index in targets:
+                    result[index] = self._rebuild_shard(row, survivors, length)
+        return result
+
+    @staticmethod
+    def _rebuild_shard(row, survivors, length):
+        """One lost shard: its decode ``row`` applied to the survivors."""
+        accumulator = np.zeros(length, dtype=np.uint8)
+        for coefficient, shard in zip(row, survivors):
+            GF256.addmul_array(accumulator, shard, coefficient)
+        return accumulator.tobytes()
 
     def _decode_rows_for(self, chosen, missing):
         """Rows that rebuild each ``missing`` shard from the ``chosen`` ones.

@@ -112,7 +112,9 @@ class OpenSegio:
             return None  # buffer already recycled; data is on the drives
         if within < 0 or within + length > self.geometry.payload_per_segio:
             return None
-        return bytes(self._payload[within : within + length])
+        # One copy, off a view: the caller must own its bytes, because
+        # this buffer is recycled after the flush.
+        return bytes(memoryview(self._payload)[within : within + length])
 
     def _check_open(self):
         if self.finalized:
@@ -145,10 +147,11 @@ class OpenSegio:
         self._check_open()
         self.finalized = True
         # The payload is an exact multiple of shard_body, so the k data
-        # shards are a zero-copy 2-D view of the accumulation buffer;
-        # parity comes back as the codec's (m, L) scratch in one batched
-        # numpy pass — no per-shard byte strings until the write units
-        # themselves are assembled.
+        # shards are a zero-copy 2-D view of the accumulation buffer and
+        # parity comes back as the codec's (m, L) buffer. Each write unit
+        # is then materialised exactly once, header and body joined
+        # straight off those views — and it must be: the unit owns its
+        # bytes because both buffers are reused right after the flush.
         data_shards = self.geometry.data_shards
         payload_view = np.frombuffer(self._payload, dtype=np.uint8)
         matrix = payload_view.reshape(data_shards, payload_view.size // data_shards)
@@ -171,5 +174,5 @@ class OpenSegio:
                 seq_max=self._seq_max if self._seq_max is not None else -1,
                 max_record_id=self._max_record_id,
             ).encode(self.geometry.wu_header_size)
-            write_units.append(header + body.tobytes())
+            write_units.append(b"".join((header, body)))
         return write_units

@@ -169,7 +169,10 @@ class SegmentReader:
             )
             parts.append(data)
             latencies.append(latency)
-        return b"".join(parts), max(latencies)
+        # Nearly every range lies inside one shard body: hand that chunk
+        # over as it is instead of joining a list of one.
+        data = parts[0] if len(parts) == 1 else b"".join(parts)
+        return data, max(latencies)
 
     def _should_avoid(self, drive):
         return self.avoid_policy is not None and self.avoid_policy(drive)
@@ -328,7 +331,9 @@ class SegmentReader:
                     self.geometry.data_shards,
                 )
             )
-        complete = self.codec.reconstruct(shards)
+        # ``shards`` has a second empty slot (k of the other k+m-1 were
+        # read); only the target's is worth rebuilding.
+        complete = self.codec.reconstruct(shards, targets=(target_shard,))
         self.reconstructed_reads += 1
         latency = max(latencies)
         if span is not None:

@@ -12,8 +12,19 @@ Acquire returns a **zeroed** buffer: the segio payload contract is that
 unwritten gap bytes read as zeros, and the read path's paint buffer
 must start zeroed for unmapped ranges — recycling must be
 indistinguishable from fresh allocation, byte for byte. Zeroing is one
-``memcpy`` from a cached template, which is the whole point: reuse the
-allocation, not the contents.
+in-place ``memset`` (numpy ``fill`` over the buffer), which is the whole
+point: reuse the allocation, not the contents. The pool retains only
+the buffers on its free list, at most ``max_buffers`` of them — no
+per-size zero template outlives them (reads come in dozens of sizes).
+
+Nothing is ever stored by reference to a pooled buffer: it is recycled
+(and, sanitized, poison-filled) the moment its user releases it, so
+whatever must outlive the release copies out first. Those copies are
+safety, not waste: ``OpenSegio.finalize`` materialises write units that
+own their bytes before the accumulation buffer comes back here, and
+``DataPath.read`` returns ``bytes`` of its paint buffer — for the same
+reason ``CBlockCache.put`` owns what it caches rather than aliasing a
+caller's write buffer.
 
 Under ``REPRO_SANITIZE=1`` (see :mod:`repro.sanitize`) every pool
 carries a :class:`~repro.sanitize.BufferSentry`: released buffers are
@@ -21,6 +32,8 @@ poison-filled and double-acquire/double-release/use-after-release all
 raise at the moment of detection. The sentry decision is made once at
 construction, so the unsanitized fast path pays one ``is None`` check.
 """
+
+import numpy as np
 
 from repro import sanitize
 
@@ -32,7 +45,6 @@ class BufferPool:
         self.name = name
         self.max_buffers = max(0, int(max_buffers))
         self._free = {}   # size -> [bytearray, ...]
-        self._zeros = {}  # size -> immutable zero template for re-zeroing
         self._held = 0
         self.hits = 0
         self.misses = 0
@@ -60,10 +72,7 @@ class BufferPool:
                 # Poison must be verified BEFORE re-zeroing erases the
                 # evidence of any write through a stale reference.
                 self._sentry.on_recycle(buffer)
-            zeros = self._zeros.get(size)
-            if zeros is None:
-                zeros = self._zeros[size] = bytes(size)
-            buffer[:] = zeros
+            np.frombuffer(buffer, dtype=np.uint8).fill(0)
             self.hits += 1
             if self._hit_counter is not None:
                 self._hit_counter.inc()

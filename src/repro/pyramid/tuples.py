@@ -177,12 +177,21 @@ def _decode_field(data, offset):
     raise EncodingError("unknown field tag %d" % tag)
 
 
-def encode_value(values):
-    """Encode a tuple of primitive fields to bytes."""
-    out = bytearray()
+def encode_value_into(values, out):
+    """Append the encoding of a tuple of primitive fields to ``out``.
+
+    ``out`` is the caller's bytearray: a record of many values and facts
+    is built in one buffer and turned into ``bytes`` once.
+    """
     _encode_varint(len(values), out)
     for field in values:
         _encode_field(field, out)
+
+
+def encode_value(values):
+    """Encode a tuple of primitive fields to bytes."""
+    out = bytearray()
+    encode_value_into(values, out)
     return bytes(out)
 
 
@@ -196,12 +205,17 @@ def decode_value(data, offset=0):
     return tuple(fields), offset
 
 
+def encode_fact_into(fact, out):
+    """Append one fact's serialization to the bytearray ``out``."""
+    _encode_varint(fact.seqno, out)
+    encode_value_into(fact.key, out)
+    encode_value_into(fact.value, out)
+
+
 def encode_fact(fact):
     """Serialize one fact to bytes."""
     out = bytearray()
-    _encode_varint(fact.seqno, out)
-    out.extend(encode_value(fact.key))
-    out.extend(encode_value(fact.value))
+    encode_fact_into(fact, out)
     return bytes(out)
 
 

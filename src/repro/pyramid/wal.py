@@ -10,15 +10,24 @@ union (Section 4.3).
 """
 
 from repro.errors import EncodingError
-from repro.pyramid.tuples import decode_fact, decode_value, encode_fact, encode_value
+from repro.pyramid.tuples import (
+    decode_fact,
+    decode_value,
+    encode_fact_into,
+    encode_value_into,
+)
 
 
 def encode_commit_record(relation_name, facts):
-    """Serialize one commit batch for NVRAM or a segment log record."""
+    """Serialize one commit batch for NVRAM or a segment log record.
+
+    One pass into one buffer: a raw write's bytes are copied into it
+    and once more into the immutable record, nowhere else.
+    """
     out = bytearray()
-    out.extend(encode_value((relation_name, len(facts))))
+    encode_value_into((relation_name, len(facts)), out)
     for fact in facts:
-        out.extend(encode_fact(fact))
+        encode_fact_into(fact, out)
     return bytes(out)
 
 

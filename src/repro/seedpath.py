@@ -1,7 +1,7 @@
 """Seed-path emulation: run the pipeline with pre-optimization kernels.
 
-The hot-path optimizations (full-table GF(256) kernels, batched RS
-encode with codec-owned scratch, sampled record hashing, memoryview
+The hot-path optimizations (``bytes.translate`` GF(256) kernels, batched RS
+encode into a codec-owned parity buffer, sampled record hashing, memoryview
 write splitting, one-fetch galloping dedup-run extension) replaced the
 seed implementations in place. This module patches the seed behaviours back
 in, under a context manager, for two consumers:
@@ -33,12 +33,19 @@ from repro.erasure.reed_solomon import ReedSolomon
 from repro.units import MAX_CBLOCK, SECTOR
 
 
+def _as_array(buffer):
+    """The seed kernels index with their operand: they need an ndarray."""
+    if isinstance(buffer, np.ndarray):
+        return buffer
+    return np.frombuffer(buffer, dtype=np.uint8)
+
+
 def _seed_mul_array(cls, array, scalar):
-    return cls.mul_array_reference(array, scalar)
+    return cls.mul_array_reference(_as_array(array), scalar)
 
 
-def _seed_addmul_array(cls, accumulator, array, scalar, scratch=None):
-    return cls.addmul_array_reference(accumulator, array, scalar)
+def _seed_addmul_array(cls, accumulator, array, scalar):
+    return cls.addmul_array_reference(accumulator, _as_array(array), scalar)
 
 
 def _seed_encode(self, shards):

@@ -1,14 +1,22 @@
 """Sparse byte store backing the simulated devices.
 
-Stores written extents as (start, bytearray) runs kept sorted by start
-offset. Reads assemble data across runs, zero-filling gaps (flash reads
-of never-written pages return deterministic data in practice; zeros are
-a faithful stand-in). Overlapping writes split or truncate existing
-runs, and discard punches holes.
+Stores each write as the immutable ``bytes`` it was handed, keyed by
+start offset and kept sorted. A ``bytes`` argument is stored **by
+reference** — a finalized write unit lands on its drive without being
+copied — and anything mutable (``bytearray``, ``memoryview``) is copied
+exactly once, so the caller may reuse its buffer. A stored piece is
+never extended, merged or moved: programs that abut (Purity fills an
+8 MiB allocation unit 1 MiB at a time) stay separate objects, and only
+the *view* is coalesced — ``extents()`` and ``run_count`` report
+maximal contiguous ranges, whatever pieces they are made of.
 
-Purity's own write pattern is append-only within 8 MiB allocation
-units, so runs stay few and large; the store nevertheless handles
-arbitrary overlap so tests and baselines can use it too.
+A read that falls inside one piece is one slice of it (the whole piece
+comes back as the object that was written); a read across pieces or
+holes is assembled once, holes reading as zeros (flash reads of
+never-written pages return deterministic data in practice; zeros are a
+faithful stand-in). Overlapping writes split or truncate the pieces
+beneath them, and discard punches holes; only there are surviving
+bytes re-sliced.
 """
 
 import bisect
@@ -18,17 +26,17 @@ class SparseByteStore:
     """A sparse, writable byte address space."""
 
     def __init__(self):
-        self._starts = []  # sorted run start offsets
-        self._runs = {}  # start offset -> bytearray
+        self._starts = []  # sorted piece start offsets
+        self._pieces = {}  # start offset -> bytes
 
     def __len__(self):
         """Total bytes currently stored (excludes holes)."""
-        return sum(len(run) for run in self._runs.values())
+        return sum(len(piece) for piece in self._pieces.values())
 
     @property
     def run_count(self):
-        """Number of distinct stored runs (fragmentation indicator)."""
-        return len(self._starts)
+        """Number of maximal contiguous stored ranges (fragmentation indicator)."""
+        return sum(1 for _extent in self.extents())
 
     def write(self, offset, data):
         """Write ``data`` at ``offset``, replacing anything beneath it."""
@@ -37,30 +45,18 @@ class SparseByteStore:
         if not data:
             return
         self.discard(offset, len(data))
-        # Coalesce with a run that ends exactly where this write begins.
-        index = bisect.bisect_right(self._starts, offset) - 1
-        if index >= 0:
-            prev_start = self._starts[index]
-            prev_run = self._runs[prev_start]
-            if prev_start + len(prev_run) == offset:
-                prev_run.extend(data)
-                self._maybe_merge_next(index)
-                return
         bisect.insort(self._starts, offset)
-        self._runs[offset] = bytearray(data)
-        index = self._starts.index(offset)
-        self._maybe_merge_next(index)
+        self._pieces[offset] = data if type(data) is bytes else bytes(data)
 
-    def _maybe_merge_next(self, index):
-        """Merge run at ``index`` with its successor if they now abut."""
-        if index + 1 >= len(self._starts):
-            return
+    def _first_overlapping(self, offset):
+        """Index of the first piece that can reach past ``offset``."""
+        index = bisect.bisect_right(self._starts, offset) - 1
+        if index < 0:
+            return 0
         start = self._starts[index]
-        run = self._runs[start]
-        next_start = self._starts[index + 1]
-        if start + len(run) == next_start:
-            run.extend(self._runs.pop(next_start))
-            del self._starts[index + 1]
+        if start + len(self._pieces[start]) <= offset:
+            index += 1
+        return index
 
     def read(self, offset, nbytes):
         """Read ``nbytes`` at ``offset``; holes read as zero bytes."""
@@ -68,27 +64,29 @@ class SparseByteStore:
             raise ValueError("negative offset or length")
         if nbytes == 0:
             return b""
-        out = bytearray(nbytes)
         end = offset + nbytes
-        index = bisect.bisect_right(self._starts, offset) - 1
-        if index < 0:
-            index = 0
-        while index < len(self._starts):
-            start = self._starts[index]
+        starts = self._starts
+        index = self._first_overlapping(offset)
+        parts = []
+        cursor = offset
+        while index < len(starts):
+            start = starts[index]
             if start >= end:
                 break
-            run = self._runs[start]
-            run_end = start + len(run)
-            if run_end <= offset:
-                index += 1
-                continue
-            copy_from = max(start, offset)
-            copy_to = min(run_end, end)
-            out[copy_from - offset : copy_to - offset] = run[
-                copy_from - start : copy_to - start
-            ]
+            piece = self._pieces[start]
+            piece_end = start + len(piece)
+            if start <= offset and end <= piece_end:
+                return piece[offset - start : end - start]
+            if start > cursor:
+                parts.append(bytes(start - cursor))
+                cursor = start
+            upto = min(piece_end, end)
+            parts.append(memoryview(piece)[cursor - start : upto - start])
+            cursor = upto
             index += 1
-        return bytes(out)
+        if cursor < end:
+            parts.append(bytes(end - cursor))
+        return b"".join(parts)
 
     def discard(self, offset, nbytes):
         """Punch a hole over [offset, offset+nbytes)."""
@@ -97,38 +95,38 @@ class SparseByteStore:
         if nbytes == 0:
             return
         end = offset + nbytes
-        index = bisect.bisect_right(self._starts, offset) - 1
-        if index < 0:
-            index = 0
-        while index < len(self._starts):
-            start = self._starts[index]
+        starts = self._starts
+        index = self._first_overlapping(offset)
+        while index < len(starts):
+            start = starts[index]
             if start >= end:
                 break
-            run = self._runs[start]
-            run_end = start + len(run)
-            if run_end <= offset:
-                index += 1
-                continue
-            # The run overlaps the hole; remove it and re-add survivors.
-            del self._starts[index]
-            del self._runs[start]
+            piece = self._pieces.pop(start)
+            piece_end = start + len(piece)
             if start < offset:
-                head = run[: offset - start]
-                bisect.insort(self._starts, start)
-                self._runs[start] = bytearray(head)
-                index = self._starts.index(start) + 1
-            if run_end > end:
-                tail = run[end - start :]
-                bisect.insort(self._starts, end)
-                self._runs[end] = bytearray(tail)
+                # The head survives under its old key.
+                self._pieces[start] = piece[: offset - start]
+                index += 1
+            else:
+                del starts[index]
+            if piece_end > end:
+                starts.insert(index, end)
+                self._pieces[end] = piece[end - start :]
                 break
 
     def clear(self):
         """Drop all stored data."""
         self._starts.clear()
-        self._runs.clear()
+        self._pieces.clear()
 
     def extents(self):
-        """Yield (start, length) for each stored run, in offset order."""
+        """Yield (start, length) for each maximal stored range, in offset order."""
+        run_start = run_end = None
         for start in self._starts:
-            yield start, len(self._runs[start])
+            if start != run_end:
+                if run_end is not None:
+                    yield run_start, run_end - run_start
+                run_start = start
+            run_end = start + len(self._pieces[start])
+        if run_end is not None:
+            yield run_start, run_end - run_start

@@ -90,30 +90,76 @@ def test_mul_table_matches_scalar_mul_exhaustively():
     assert np.array_equal(GF256.MUL_TABLE[1], np.arange(256, dtype=np.uint8))
 
 
+#: Kernel operand lengths: empty, one byte, odd, a chunk, a write unit less one.
+KERNEL_LENGTHS = (0, 1, 511, 4096, (1 << 20) - 1)
+
+
+def _operand_forms(rng, length):
+    """One random operand as every input form the kernels are handed.
+
+    The strided form is a column of a 2-D matrix — what a row of
+    ``matrix[:, lo:hi]`` is to ``parallel.workers`` when the matrix is
+    not row-major.
+    """
+    grid = rng.integers(0, 256, size=(length, 2), dtype=np.uint8)
+    grid[: length // 16, 0] = 0  # force the zero-element path
+    strided = grid[:, 0]
+    contiguous = np.ascontiguousarray(strided)
+    assert length < 2 or not strided.flags["C_CONTIGUOUS"]
+    data = contiguous.tobytes()
+    return contiguous, {
+        "contiguous": contiguous,
+        "strided": strided,
+        "memoryview": memoryview(bytearray(data)),
+        "bytes": data,
+    }
+
+
 def test_mul_array_matches_reference_all_scalars():
-    """The table kernel is bit-identical to the seed masked exp/log oracle."""
+    """The translate kernel is bit-identical to the seed exp/log oracle."""
     rng = np.random.default_rng(1234)
-    data = rng.integers(0, 256, size=4096, dtype=np.uint8)
-    data[:16] = 0  # force the zero-element path
-    for scalar in range(256):
-        expected = GF256.mul_array_reference(data, scalar)
-        assert np.array_equal(GF256.mul_array(data, scalar), expected)
+    for length in KERNEL_LENGTHS:
+        reference_input, forms = _operand_forms(rng, length)
+        for scalar in range(256):
+            expected = GF256.mul_array_reference(reference_input, scalar)
+            for form, operand in forms.items():
+                product = GF256.mul_array(operand, scalar)
+                assert product.dtype == np.uint8 and product.shape == (length,)
+                assert np.array_equal(product, expected), (length, scalar, form)
 
 
 def test_addmul_array_matches_reference_all_scalars():
     rng = np.random.default_rng(99)
-    data = rng.integers(0, 256, size=2048, dtype=np.uint8)
-    scratch = np.empty_like(data)
-    for scalar in range(256):
-        base = rng.integers(0, 256, size=2048, dtype=np.uint8)
-        expected = base.copy()
+    for length in KERNEL_LENGTHS:
+        reference_input, forms = _operand_forms(rng, length)
+        base = rng.integers(0, 256, size=length, dtype=np.uint8)
+        for scalar in range(256):
+            expected = base.copy()
+            GF256.addmul_array_reference(expected, reference_input, scalar)
+            for form, operand in forms.items():
+                accumulator = base.copy()
+                result = GF256.addmul_array(accumulator, operand, scalar)
+                assert result is accumulator  # in place
+                assert np.array_equal(accumulator, expected), (length, scalar, form)
+        # The operands came through untouched.
+        for operand in forms.values():
+            assert bytes(operand) == reference_input.tobytes()
+
+
+def test_addmul_product_does_not_alias_the_accumulator():
+    """a ^= a * s with one buffer on both sides is still a * (1 + s)."""
+    rng = np.random.default_rng(7)
+    data = rng.integers(0, 256, size=4096, dtype=np.uint8)
+    for scalar in (0, 1, 2, 0x53, 255):
+        accumulator = data.copy()
+        GF256.addmul_array(accumulator, accumulator, scalar)
+        expected = data.copy()
         GF256.addmul_array_reference(expected, data, scalar)
-        with_scratch = base.copy()
-        GF256.addmul_array(with_scratch, data, scalar, scratch=scratch)
-        without_scratch = base.copy()
-        GF256.addmul_array(without_scratch, data, scalar)
-        assert np.array_equal(with_scratch, expected)
-        assert np.array_equal(without_scratch, expected)
+        assert np.array_equal(accumulator, expected), scalar
+    # And mul_array never hands back memory the caller can write through.
+    product = GF256.mul_array(data, 0x53)
+    assert not np.shares_memory(product, data)
+    assert not product.flags.writeable
 
 
 @given(st.binary(min_size=1, max_size=512), element)

@@ -1,12 +1,13 @@
 """Tests for the Reed-Solomon codec, including property-based erasure
 recovery over the paper's 7+2 geometry and bit-exactness of the
-optimized (full-table, batched) encode against the seed oracle."""
+optimized (translate-table, batched) encode against the seed oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.erasure.gf256 import GF256
 from repro.erasure.reed_solomon import ReedSolomon
 from repro.errors import UncorrectableError
 
@@ -222,3 +223,36 @@ def test_general_geometries(k, m, seed):
     erased = rng.sample(range(k + m), m)
     lost = [None if index in erased else shard for index, shard in enumerate(stripe)]
     assert code.reconstruct(lost) == stripe
+
+
+def test_reconstruct_rebuilds_only_the_targets(purity_code, monkeypatch):
+    """Two empty slots, one wanted: k multiply-accumulates, not 2k.
+
+    The segment reader reads exactly k of the other k+m-1 shards, so
+    its stripes always have a second empty slot it has no use for.
+    """
+    data = make_shards(purity_code, length=96, seed=11)
+    stripe = data + purity_code.encode(data)
+    calls = []
+    addmul = GF256.addmul_array
+    monkeypatch.setattr(
+        GF256, "addmul_array",
+        lambda *args: calls.append(1) or addmul(*args),
+    )
+    for target, unread in ((2, 8), (0, 5), (8, 3), (7, 8)):
+        damaged = [
+            None if index in (target, unread) else shard
+            for index, shard in enumerate(stripe)
+        ]
+        full = purity_code.reconstruct(damaged)
+        assert len(calls) == 2 * purity_code.data_shards
+        del calls[:]
+        only = purity_code.reconstruct(damaged, targets=(target,))
+        assert len(calls) == purity_code.data_shards
+        del calls[:]
+        assert only[target] == full[target] == stripe[target]
+        assert only[unread] is None
+        # Survivors pass through as the objects they came in as.
+        for index, shard in enumerate(damaged):
+            if shard is not None:
+                assert only[index] is shard and full[index] is shard

@@ -1,6 +1,6 @@
 """Optimized hot path vs seed hot path: observable behaviour is identical.
 
-The hot-path rework (full-table GF(256), batched RS encode, sampled
+The hot-path rework (translate-table GF(256), batched RS encode, sampled
 record hashing, memoryview splitting, bulk dedup-run extension) must be
 invisible above the datapath: the same workload run on the optimized
 pipeline and on the seed pipeline (re-instated via

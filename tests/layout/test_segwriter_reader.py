@@ -73,6 +73,44 @@ def test_read_with_two_failed_drives_reconstructs(writer, reader, drives, clock)
     assert data == payload
 
 
+def test_reconstruct_chunk_rebuilds_one_shard(writer, reader, codec, geometry,
+                                              clock, monkeypatch):
+    """k survivors read, k multiply-accumulates, the target's bytes back.
+
+    ``_reconstruct_chunk`` stops reading at k survivors, so the stripe
+    it hands the codec has two empty slots; rebuilding both doubled the
+    decode work of every degraded read, read-around and hedge.
+    """
+    from repro.erasure.gf256 import GF256
+
+    payload = bytes(range(251)) * 200  # reaches into the fourth shard
+    descriptor, _offset, _ = writer.append_data(payload)
+    writer.flush()
+    advance(clock)
+    stripes = []
+    reconstruct = codec.reconstruct
+
+    def spy(shards, **kwargs):
+        stripes.append(list(shards))
+        return reconstruct(shards, **kwargs)
+
+    monkeypatch.setattr(codec, "reconstruct", spy)
+    calls = []
+    addmul = GF256.addmul_array
+    monkeypatch.setattr(
+        GF256, "addmul_array", lambda *args: calls.append(1) or addmul(*args)
+    )
+    target, within, length = 1, 100, 2000
+    data, _latency = reader._reconstruct_chunk(descriptor, 0, target, within, length)
+    assert len(calls) == geometry.data_shards
+    (stripe,) = stripes
+    assert stripe.count(None) == 2 and stripe[target] is None
+    monkeypatch.undo()
+    assert data == codec.reconstruct(stripe)[target]
+    start = target * geometry.shard_body + within
+    assert data == payload[start : start + length]
+
+
 def test_three_failures_uncorrectable(writer, reader, drives, clock):
     payload = b"gone" * 256
     descriptor, offset, _ = writer.append_data(payload)

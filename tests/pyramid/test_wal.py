@@ -1,7 +1,11 @@
 """Tests for the monotonic WAL and commit-record codec."""
 
+import hashlib
+
 import pytest
 
+from repro.pyramid import tuples as tuples_module
+from repro.pyramid import wal as wal_module
 from repro.pyramid.tuples import Fact
 from repro.pyramid.wal import (
     MonotonicWAL,
@@ -30,6 +34,62 @@ def test_commit_record_roundtrip():
     assert name == "address_map"
     assert decoded == batch
     assert end == len(encoded)
+
+
+def mixed_batch():
+    """Every field kind, nested tuples, a raw-write-shaped value, empties."""
+    return [
+        Fact(key=(3, 4096), seqno=17, value=(b"\x00\xffraw" * 40,)),
+        Fact(key=("vol\u00e9", -5, None), seqno=2 ** 40,
+             value=((1, (2, "x")), True, b"")),
+        Fact(key=(), seqno=0, value=()),
+    ]
+
+
+def test_commit_record_wire_format_is_pinned():
+    """The one-pass encoder writes the bytes the nested one wrote."""
+    encoded = encode_commit_record("raw_writes", mixed_batch())
+    assert len(encoded) == 262
+    assert hashlib.sha256(encoded).hexdigest() == (
+        "714cca6c07e73897a2f6f7f70cea90fd2701afca7f6bea98738ab66a755de982"
+    )
+    name, decoded, end = decode_commit_record(encoded)
+    assert (name, end) == ("raw_writes", len(encoded))
+    # bools travel as ints; everything else comes back as it went in.
+    expected = mixed_batch()
+    expected[1] = Fact(expected[1].key, expected[1].seqno, ((1, (2, "x")), 1, b""))
+    assert decoded == expected
+
+
+def test_commit_record_is_encoded_in_one_pass(monkeypatch):
+    """n facts -> one ``bytes``, built in one buffer: a counted guard.
+
+    The nested encoder made 1 + 3n intermediate ``bytes`` (one per
+    ``encode_value`` / ``encode_fact`` call), each copied into the next
+    buffer up — a raw write's payload moved six times. A tracemalloc
+    peak cannot see that (the intermediates die one by one), so count.
+    """
+    def forbid(name):
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("encode_commit_record called %s" % name)
+
+        monkeypatch.setattr(tuples_module, name, forbidden)
+        monkeypatch.setattr(wal_module, name, forbidden, raising=False)
+
+    forbid("encode_value")
+    forbid("encode_fact")
+    materialised = []
+
+    class CountedBytes(bytes):
+        def __new__(cls, source):
+            materialised.append(len(source))
+            return super().__new__(cls, source)
+
+    monkeypatch.setattr(wal_module, "bytes", CountedBytes, raising=False)
+    batch = mixed_batch() * 5
+    encoded = encode_commit_record("raw_writes", batch)
+    assert materialised == [len(encoded)]
+    assert len(decode_commit_record(encoded)[1]) == len(batch)
 
 
 def test_commit_persists_and_tracks_pending(wal):

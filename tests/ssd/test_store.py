@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ssd.store import SparseByteStore
+from repro.units import MIB
 
 
 def test_read_of_hole_is_zeros():
@@ -79,6 +80,46 @@ def test_empty_write_is_noop():
     store = SparseByteStore()
     store.write(5, b"")
     assert store.run_count == 0
+
+
+def test_bytes_unit_is_stored_by_reference():
+    """A finalized write unit lands without a copy and reads back as itself."""
+    store = SparseByteStore()
+    unit = bytes(range(256)) * 64
+    store.write(4096, unit)
+    assert store.read(4096, len(unit)) is unit
+    assert store.read(4096 + 10, 20) == unit[10:30]
+
+
+def test_mutable_argument_is_copied_once():
+    """The caller may reuse a bytearray/memoryview buffer after ``write``."""
+    store = SparseByteStore()
+    buffer = bytearray(b"abcdefgh")
+    store.write(0, buffer)
+    store.write(8, memoryview(buffer)[2:6])
+    buffer[:] = b"\xa5" * 8  # what the sanitizer's poison fill does
+    assert store.read(0, 12) == b"abcdefghcdef"
+    stored = store.read(0, 8)
+    assert type(stored) is bytes and store.read(0, 8) is stored  # copied once
+
+
+def test_abutting_programs_coalesce_in_view_but_never_move():
+    """Eight 1 MiB programs fill an AU: one extent, eight untouched units.
+
+    Identity, not tracemalloc: a ``realloc`` that moves a growing run
+    does not show in a tracemalloc peak.
+    """
+    store = SparseByteStore()
+    units = [bytes([index + 1]) * MIB for index in range(8)]
+    for index, unit in enumerate(units):
+        store.write(index * MIB, unit)
+    assert store.run_count == 1
+    assert list(store.extents()) == [(0, 8 * MIB)]
+    assert len(store) == 8 * MIB
+    for index, unit in enumerate(units):
+        assert store.read(index * MIB, MIB) is unit
+    # A read across the seam is still assembled correctly.
+    assert store.read(MIB - 2, 4) == b"\x01\x01\x02\x02"
 
 
 @settings(max_examples=200, deadline=None)
