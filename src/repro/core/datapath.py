@@ -158,7 +158,15 @@ class DataPath:
         #: flushing while the NVRAM mirror is torn.
         self.degrade = None
         self.logical_bytes_written = 0
+        #: Bytes written as references instead of stored. A re-ingested
+        #: tail may match the very cblock it was painted from, so on a
+        #: partial-overwrite workload part of this is the tail finding
+        #: its own source, not duplicate client data.
         self.dedup_bytes_saved = 0
+        #: Partial overwrites that replaced a longer extent at its key
+        #: and so had to write its tail back (see :meth:`_ingest`).
+        self.tails_reingested = 0
+        self.tail_bytes_reingested = 0
 
     # ------------------------------------------------------------------
     # Physical plumbing
@@ -285,43 +293,84 @@ class DataPath:
 
     def _ingest(self, medium_id, offset, data):
         # Address-map entries are keyed by (medium, start offset), so a
-        # write that starts where a longer extent starts replaces that
-        # extent wholesale. Capture the soon-to-be-shadowed tail bytes
-        # first and re-ingest them after the write — the read-modify-
-        # write half of a partial overwrite. Uniform-size rewrites never
-        # displace a tail, so the common path is untouched.
-        tail = self._displaced_tail(medium_id, offset, len(data))
+        # new extent landing on the key of a longer one replaces it
+        # wholesale — the one case where an overwrite must read to
+        # write. Every other overlap stays in the map and the read path
+        # overlays it by sequence number. Which keys this write inserts
+        # is only known per chunk, after dedup has split it, so the one
+        # range scan here just notes the extents that could lose a tail;
+        # `_process_cblock` captures a tail if it lands on one, and the
+        # captured bytes are re-ingested after the last chunk.
+        end = offset + len(data)
+        at_risk = self._at_risk_extents(medium_id, offset, end)
+        tail = bytearray()
         chunks = list(split_write(offset, data))
         blobs = self._speculate_compress(chunks)
         for index, (cblock_offset, chunk) in enumerate(chunks):
             self._process_cblock(
-                medium_id, cblock_offset, chunk,
+                medium_id, cblock_offset, chunk, at_risk, end, tail,
                 precompressed=None if blobs is None else blobs[index],
             )
-        if tail is not None:
-            tail_offset, tail_bytes = tail
-            self._ingest(medium_id, tail_offset, tail_bytes)
+        if tail:
+            self._count_tail(len(tail))
+            self._ingest(medium_id, end, bytes(tail))
 
-    def _displaced_tail(self, medium_id, offset, length):
-        """Visible bytes past ``offset+length`` that this write's extent
-        inserts would orphan: any existing extent starting inside the
-        write span may be replaced at its key, and if it extends past
-        the write it carries bytes the new extents do not. Returns
-        (offset, bytes) to re-ingest, or None when nothing is at risk.
+    def _at_risk_extents(self, medium_id, offset, end):
+        """{extent start: extent end} of the extents that start inside
+        ``[offset, end)`` and run past ``end``: a fact inserted at one
+        of these starts replaces the extent and orphans its bytes from
+        ``end`` on. Empty for uniform-size rewrites and fresh ranges.
         """
-        end = offset + length
-        tail_end = end
+        at_risk = {}
         for fact in self.tables.address_map.scan(
             (medium_id, offset), (medium_id, end - 1)
         ):
             extent_end = fact.key[1] + self._extent_logical_length(fact.value)
-            if extent_end > tail_end:
-                tail_end = extent_end
-        if tail_end == end:
-            return None
-        buffer = bytearray(tail_end - end)
-        self._paint(medium_id, end, tail_end - end, buffer, 0, 0, [0.0])
-        return end, bytes(buffer)
+            if extent_end > end:
+                at_risk[fact.key[1]] = extent_end
+        return at_risk
+
+    def _capture_tail(self, medium_id, end, at_risk, keys, tail):
+        """Extend ``tail`` (the visible bytes from ``end`` on) to the
+        end of every at-risk extent that an insert at one of ``keys``
+        is about to replace. Must run before those inserts. An insert
+        of this write changes what is visible past ``end`` only by
+        replacing an at-risk extent, whose bytes are in ``tail`` by
+        then; painting only past what ``tail`` holds therefore never
+        reads a range an earlier chunk's insert has changed.
+        """
+        for key in keys:
+            extent_end = at_risk.get(key)
+            captured = len(tail)
+            if extent_end is not None and extent_end > end + captured:
+                tail.extend(bytes(extent_end - end - captured))
+                self._paint(medium_id, end + captured, len(tail) - captured,
+                            tail, captured, 0, [0.0])
+
+    def _count_tail(self, nbytes):
+        self.tails_reingested += 1
+        self.tail_bytes_reingested += nbytes
+        PERF.incr("displaced-tail")
+        PERF.incr("displaced-tail-bytes", nbytes)
+
+    def preserve_tails(self, medium_id, offset, length, keys):
+        """Write back the tails that facts about to be inserted at
+        ``keys`` (extent starts inside ``[offset, offset+length)``)
+        would orphan — the capture of :meth:`_ingest` for a caller that
+        inserts address-map facts itself (``unmap``'s holes). The tail
+        goes back as an ordinary committed write at the range's end,
+        NVRAM first, so a crash before the caller's inserts leaves the
+        data as it was.
+        """
+        end = offset + length
+        tail = bytearray()
+        self._capture_tail(
+            medium_id, end, self._at_risk_extents(medium_id, offset, end),
+            keys, tail,
+        )
+        if tail:
+            self._count_tail(len(tail))
+            self.write(medium_id, end, bytes(tail))
 
     def _speculate_compress(self, chunks):
         """Precompress whole cblocks in the worker pool, ahead of dedup.
@@ -344,7 +393,8 @@ class DataPath:
             costs=[len(data) for data, _level in items], record=False,
         )
 
-    def _process_cblock(self, medium_id, offset, chunk, precompressed=None):
+    def _process_cblock(self, medium_id, offset, chunk, at_risk, write_end,
+                        tail, precompressed=None):
         obs = self.obs
         if self.config.inline_dedup:
             span = None
@@ -360,19 +410,32 @@ class DataPath:
                 obs.end(span, matches=len(matches))
         else:
             matches = []
+        # The extents this chunk inserts, in order: (start, stop, match),
+        # match None for a unique run. The tail capture and the inserts
+        # both read this one list, so the keys checked are the keys
+        # written.
+        inserts = []
         cursor = 0
         for match in matches:
             if match.byte_start > cursor:
-                self._store_unique(
-                    medium_id, offset + cursor, chunk[cursor : match.byte_start]
-                )
-            self._record_dedup_extent(medium_id, offset + match.byte_start, match)
+                inserts.append((cursor, match.byte_start, None))
             cursor = match.byte_start + match.byte_length
+            inserts.append((match.byte_start, cursor, match))
         if cursor < len(chunk):
-            self._store_unique(
-                medium_id, offset + cursor, chunk[cursor:],
-                precompressed=precompressed if not matches else None,
+            inserts.append((cursor, len(chunk), None))
+        if at_risk:
+            self._capture_tail(
+                medium_id, write_end, at_risk,
+                [offset + start for start, _stop, _match in inserts], tail,
             )
+        for start, stop, match in inserts:
+            if match is not None:
+                self._record_dedup_extent(medium_id, offset + start, match)
+            else:
+                self._store_unique(
+                    medium_id, offset + start, chunk[start:stop],
+                    precompressed=precompressed if not matches else None,
+                )
 
     def _store_unique(self, medium_id, offset, data, precompressed=None):
         """Compress + append one unique cblock, record its extent."""

@@ -133,7 +133,14 @@ class VolumeManager:
         return self.datapath.read(medium_id, offset, length)
 
     def unmap(self, name, offset, length):
-        """Punch a zero hole (SCSI UNMAP): insert hole extents."""
+        """Punch a zero hole (SCSI UNMAP): insert hole extents.
+
+        A hole is an address-map fact like any other, so one landing on
+        the key of a longer extent would replace it and zero its tail
+        too: the datapath writes such tails back first, as a committed
+        write, and a crash before the holes go in leaves the data
+        intact and the unmap unapplied.
+        """
         if offset % SECTOR or length % SECTOR or length <= 0:
             raise VolumeError("unmap must cover whole sectors")
         self._check_range(name, offset, length)
@@ -144,6 +151,9 @@ class VolumeManager:
             chunk = min(_HOLE_CHUNK, offset + length - cursor)
             entries.append(((medium_id, cursor), (T.EXTENT_HOLE, chunk)))
             cursor += chunk
+        self.datapath.preserve_tails(
+            medium_id, offset, length, [key[1] for key, _value in entries]
+        )
         self.pipeline.insert_meta_batch(T.ADDRESS_MAP, entries)
 
     # ------------------------------------------------------------------
