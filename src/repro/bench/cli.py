@@ -45,7 +45,7 @@ def build_parser():
                         help="run every registered bench")
     select.add_argument("--group", action="append",
                         choices=("paper_shapes", "hotpath", "chaos",
-                                 "parallel", "cluster", "service"),
+                                 "cluster", "service"),
                         help="run one group (repeatable)")
     select.add_argument("--only", action="append", metavar="NAME",
                         help="run the named bench (repeatable)")

@@ -33,7 +33,6 @@ GROUP_FILES = {
     "paper_shapes": "BENCH_paper_shapes.json",
     "hotpath": "BENCH_hotpath.json",
     "chaos": "BENCH_chaos.json",
-    "parallel": "BENCH_parallel.json",
     "cluster": "BENCH_cluster.json",
     "service": "BENCH_service.json",
 }

@@ -20,8 +20,7 @@ both by the test suite and by ``--check`` before trusting a baseline.
 SCHEMA_VERSION = 1
 
 #: Groups map one-to-one onto the repo-root artifact files.
-GROUPS = ("paper_shapes", "hotpath", "chaos", "parallel", "cluster",
-          "service")
+GROUPS = ("paper_shapes", "hotpath", "chaos", "cluster", "service")
 
 SHAPE_KINDS = ("min", "max", "band", "equal")
 

@@ -89,8 +89,6 @@ SEEDS = {
     "chaos.rebuild_throttle": 34,
     # Hot-path kernels (the paper's year, historically).
     "hotpath.kernels": 2015,
-    # Parallel pipeline: one seeded workload drives both worker counts.
-    "parallel.workload": 19,
     # Cluster layer: one op tape drives every cluster size; rebalance
     # and chaos get their own schedules (6 is a surveyed kill seed).
     "cluster.scaleout": 29,

@@ -24,11 +24,11 @@ from repro.erasure.reed_solomon import ReedSolomon
 from repro.layout.allocation import Allocator
 from repro.layout.bootregion import BootRegion
 from repro.layout.frontier import FrontierManager
+from repro.layout.pools import BufferPool
 from repro.layout.segreader import SegmentReader
 from repro.layout.segwriter import SegmentWriter
 from repro.mediums.medium import MediumTable
 from repro.obs.trace import Observability
-from repro.parallel import BufferPool, ParallelExecutor
 from repro.sim.clock import SimClock
 from repro.sim.rand import RandomStream
 from repro.ssd.shelf import Shelf
@@ -123,18 +123,9 @@ class PurityArray:
         self.segreader.obs = self.obs
         for drive in self.drives.values():
             drive.obs = self.obs
-        #: Deterministic fan-out for CPU-bound stages, plus recycled
-        #: scratch buffers for the flush and read paths. Wired the same
-        #: way as ``obs``: plain slots, None-safe at every call site.
-        self.parallel = ParallelExecutor(
-            workers=self.config.workers,
-            chunk_items=self.config.parallel_chunk_items,
-            min_items=self.config.parallel_min_items,
-            rs_chunk_cols=self.config.parallel_rs_chunk_cols,
-        )
-        self.parallel.obs = self.obs
-        self.datapath.parallel = self.parallel
-        self.segwriter.parallel = self.parallel
+        #: Recycled scratch buffers for the flush and read paths. Wired
+        #: the same way as ``obs``: plain slots, None-safe at every call
+        #: site.
         self.segwriter.buffer_pool = BufferPool(
             self.config.segio_buffer_pool, metrics=self.obs.metrics,
             name="pool.segio",

@@ -77,18 +77,10 @@ class ArrayConfig:
     pyramid_fanout: int = 8
     #: Controller DRAM cache: decompressed cblocks kept hot.
     cblock_cache_entries: int = 256
-    #: Worker processes for CPU-bound stage fan-out (compression, RS
-    #: encode, scrub verify). ``None`` defers to ``$REPRO_WORKERS``;
-    #: 0 runs everything serially in-process. Output is byte-identical
-    #: at any setting.
-    workers: int | None = None
-    #: Items per parallel map chunk (fixed-size, worker-count
-    #: independent, so the task list is a pure function of the input).
-    parallel_chunk_items: int = 2
-    #: Minimum items before speculative compression fans out.
-    parallel_min_items: int = 4
-    #: Column width of one RS encode chunk during segio flush.
-    parallel_rs_chunk_cols: int = 128 * KIB
+    #: Host worker processes. The array's CPU stages are serial calls,
+    #: so 0 is the only legal value; the field stays so that callers
+    #: that pin it keep constructing.
+    workers: int = 0
     #: Recycled segio payload buffers kept by the flush-path pool.
     segio_buffer_pool: int = 4
     #: Recycled read paint buffers kept by the read-path pool.
@@ -126,11 +118,11 @@ class ArrayConfig:
             raise ValueError("drive capacity must be a whole number of AUs")
         if not 0.0 < self.nvram_high_watermark <= 1.0:
             raise ValueError("nvram_high_watermark must be in (0, 1]")
-        if self.workers is not None and self.workers < 0:
-            raise ValueError("workers must be >= 0 (or None for the env)")
-        if min(self.parallel_chunk_items, self.parallel_min_items,
-               self.parallel_rs_chunk_cols) < 1:
-            raise ValueError("parallel chunk knobs must be >= 1")
+        if self.workers != 0:
+            raise ValueError(
+                "workers must be 0: the worker pool was removed and every "
+                "stage runs serially (got %r)" % (self.workers,)
+            )
         if min(self.segio_buffer_pool, self.read_buffer_pool) < 0:
             raise ValueError("buffer pool sizes must be >= 0")
         if min(self.read_retry_limit, self.suspect_retry_limit) < 0:

@@ -25,7 +25,6 @@ from repro.dedup.inline import InlineDeduper
 from repro.errors import SnapshotError, VolumeError
 from repro.layout.segment import SegmentDescriptor
 from repro.mediums.medium import MEDIUM_NONE
-from repro.parallel.workers import compress_cblocks
 from repro.perf import PERF
 from repro.units import MAX_CBLOCK, SECTOR
 
@@ -148,9 +147,6 @@ class DataPath:
         #: Observability handle (see :mod:`repro.obs`); the array wires
         #: its own in. None-safe: standalone datapaths trace nothing.
         self.obs = None
-        #: Parallel executor (see :mod:`repro.parallel`); None-safe —
-        #: standalone datapaths compress serially inline.
-        self.parallel = None
         #: Recycled read paint buffers; None-safe (fresh bytearrays).
         self.read_pool = None
         #: Optional :class:`repro.degrade.DegradeEngine`; wired by the
@@ -304,12 +300,9 @@ class DataPath:
         end = offset + len(data)
         at_risk = self._at_risk_extents(medium_id, offset, end)
         tail = bytearray()
-        chunks = list(split_write(offset, data))
-        blobs = self._speculate_compress(chunks)
-        for index, (cblock_offset, chunk) in enumerate(chunks):
+        for cblock_offset, chunk in split_write(offset, data):
             self._process_cblock(
-                medium_id, cblock_offset, chunk, at_risk, end, tail,
-                precompressed=None if blobs is None else blobs[index],
+                medium_id, cblock_offset, chunk, at_risk, end, tail
             )
         if tail:
             self._count_tail(len(tail))
@@ -372,29 +365,8 @@ class DataPath:
             self._count_tail(len(tail))
             self.write(medium_id, end, bytes(tail))
 
-    def _speculate_compress(self, chunks):
-        """Precompress whole cblocks in the worker pool, ahead of dedup.
-
-        Speculative: a chunk's blob is adopted only when inline dedup
-        leaves the entire chunk unique — exactly the case where the
-        serial path would compress the identical bytes, so adoption is
-        byte-for-byte equivalent. The map runs with ``record=False``
-        (no spans, no counters) so traces stay byte-identical across
-        worker counts; at ``workers=0`` it never runs at all.
-        """
-        executor = self.parallel
-        if (executor is None or not self.config.inline_compression
-                or not executor.should_speculate(len(chunks))):
-            return None
-        level = self.config.compression_level
-        items = [(bytes(chunk), level) for _offset, chunk in chunks]
-        return executor.map(
-            "parallel.compress", compress_cblocks, items,
-            costs=[len(data) for data, _level in items], record=False,
-        )
-
     def _process_cblock(self, medium_id, offset, chunk, at_risk, write_end,
-                        tail, precompressed=None):
+                        tail):
         obs = self.obs
         if self.config.inline_dedup:
             span = None
@@ -432,12 +404,10 @@ class DataPath:
             if match is not None:
                 self._record_dedup_extent(medium_id, offset + start, match)
             else:
-                self._store_unique(
-                    medium_id, offset + start, chunk[start:stop],
-                    precompressed=precompressed if not matches else None,
-                )
+                self._store_unique(medium_id, offset + start,
+                                   chunk[start:stop])
 
-    def _store_unique(self, medium_id, offset, data, precompressed=None):
+    def _store_unique(self, medium_id, offset, data):
         """Compress + append one unique cblock, record its extent."""
         compressor = self.compressor if self.config.inline_compression else None
         if compressor is None:
@@ -448,10 +418,7 @@ class DataPath:
         tracing = obs is not None and obs.tracing
         span = obs.begin("compress", nbytes=len(data)) if tracing else None
         with PERF.timer("compress"):
-            if precompressed is not None:
-                blob, codec_id = precompressed
-            else:
-                blob, codec_id = build_cblock(data, compressor)
+            blob, codec_id = build_cblock(data, compressor)
         if span is not None:
             obs.end(span, stored=len(blob))
         span = obs.begin("segio-append", nbytes=len(blob)) if tracing else None

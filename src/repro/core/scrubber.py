@@ -15,7 +15,6 @@ scrub repairs as it refreshes.
 from dataclasses import dataclass, field
 
 from repro.errors import VolumeError
-from repro.parallel.workers import verify_stripes
 
 
 @dataclass
@@ -108,7 +107,6 @@ class Scrubber:
         report.segments_scanned += 1
         corrupt = False
         worn = False
-        stripes = []  # complete stripes, parity-checked in one batch below
         for segio in range(geometry.segios_per_segment):
             written = self._segio_state(descriptor, geometry, segio)
             if written == "unwritten":
@@ -138,34 +136,11 @@ class Scrubber:
                 erase_block = drive.geometry.erase_block_of(offset)
                 if drive.wear.wear_fraction(erase_block) > self.WEAR_REFRESH_THRESHOLD:
                     worn = True
-            if all(body is not None for body in bodies):
-                stripes.append(tuple(bodies))
-        for ok in self._verify_stripes(stripes):
-            if not ok:
+            if (all(body is not None for body in bodies)
+                    and not array.codec.verify(bodies)):
                 report.parity_mismatches += 1
                 corrupt = True
         return corrupt or worn
-
-    def _verify_stripes(self, stripes):
-        """Parity-check complete stripes, batched per segment.
-
-        The drive reads above stay serial and in their original order
-        (they mutate sim state); only the pure verify math fans out
-        through the array's parallel executor when one is wired.
-        """
-        if not stripes:
-            return []
-        array = self.array
-        codec = array.codec
-        executor = getattr(array, "parallel", None)
-        if executor is None:
-            return [codec.verify(list(stripe)) for stripe in stripes]
-        items = [(codec.data_shards, codec.parity_shards, stripe)
-                 for stripe in stripes]
-        costs = [sum(len(body) for body in stripe) for stripe in stripes]
-        return executor.map(
-            "parallel.scrub-verify", verify_stripes, items, costs=costs
-        )
 
     def _segio_state(self, descriptor, geometry, segio):
         """Classify one segio: "written", "unwritten", or "corrupt".

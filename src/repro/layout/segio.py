@@ -134,15 +134,12 @@ class OpenSegio:
         if self._buffer_pool is not None:
             self._buffer_pool.release(buffer)
 
-    def finalize(self, codec, parallel=None):
+    def finalize(self, codec):
         """Seal the segio; returns the write units to put on each drive.
 
         ``codec`` is the Reed–Solomon codec for this geometry. Returns a
         list of ``total_shards`` byte strings, each exactly one write
         unit (replicated header + shard body), data shards first.
-        ``parallel`` (a :class:`repro.parallel.ParallelExecutor`) fans
-        the parity encode out over column chunks; the bytes are
-        identical with or without it.
         """
         self._check_open()
         self.finalized = True
@@ -155,10 +152,7 @@ class OpenSegio:
         data_shards = self.geometry.data_shards
         payload_view = np.frombuffer(self._payload, dtype=np.uint8)
         matrix = payload_view.reshape(data_shards, payload_view.size // data_shards)
-        if parallel is not None:
-            parity = parallel.rs_encode(codec, matrix)
-        else:
-            parity = codec.encode_stripes(matrix)
+        parity = codec.encode_stripes(matrix)
         write_units = []
         all_shards = [matrix[index] for index in range(data_shards)]
         all_shards.extend(parity[index] for index in range(len(parity)))

@@ -56,14 +56,13 @@ class SegmentWriter:
         #: Observability handle (see :mod:`repro.obs`); wired by the
         #: array, None-safe for standalone writers.
         self.obs = None
-        #: Parallel executor for the RS encode fan-out and the buffer
-        #: pool recycling segio payloads; both wired by the array and
-        #: None-safe for standalone writers.
-        self.parallel = None
         #: Optional :class:`repro.degrade.DegradeEngine`; wired by the
         #: array. Flushes that skip failed drives charge the stripe to
         #: the repair-debt ledger so rebuild knows what it owes.
         self.degrade = None
+        #: :class:`repro.layout.pools.BufferPool` recycling segio
+        #: payloads; wired by the array, None-safe for standalone
+        #: writers.
         self.buffer_pool = None
         self._segment_ids = itertools.count(1)
         self._descriptor = None
@@ -216,7 +215,7 @@ class SegmentWriter:
                 cp.hit("segwriter.pre-flush", descriptor=segio.descriptor)
             encode_span = obs.begin("rs-encode") if tracing else None
             with PERF.timer("segio-flush"):
-                write_units = segio.finalize(self.codec, parallel=self.parallel)
+                write_units = segio.finalize(self.codec)
             if encode_span is not None:
                 obs.end(encode_span, shards=len(write_units))
         except BaseException:

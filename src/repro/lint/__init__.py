@@ -21,11 +21,10 @@ Since puritylint v2 the per-file rules are joined by *whole-program*
 rules (:class:`~repro.lint.rule.ProjectRule`): a project symbol/import/
 call graph (:mod:`repro.lint.graph`) classifies functions into
 execution domains (:mod:`repro.lint.domains`) and powers the
-interprocedural checks — worker-purity propagation, the cross-domain
-shared-state detector, nondeterministic set iteration, and full
-name-registry reconciliation. An incremental file-hash cache
-(:mod:`repro.lint.cache`, ``.lint-cache.json``) keeps the
-whole-program pass fast on warm runs.
+interprocedural checks — the cross-domain shared-state detector,
+nondeterministic set iteration, and full name-registry reconciliation.
+An incremental file-hash cache (:mod:`repro.lint.cache`,
+``.lint-cache.json``) keeps the whole-program pass fast on warm runs.
 
 Run it as ``python -m repro.lint src tests`` (exit 0 means clean), or
 drive it from tests via :func:`run_lint` — which is exactly what the

@@ -5,7 +5,7 @@ Usage::
     python -m repro.lint src tests              # human output, exit 0/1
     python -m repro.lint src --format json      # stable JSON report
     python -m repro.lint --list-rules           # the rule catalogue
-    python -m repro.lint --explain worker-transitive-purity
+    python -m repro.lint --explain cross-domain-shared-state
     python -m repro.lint src --rules wall-clock-purity,no-bare-except
     python -m repro.lint src --write-baseline   # freeze current findings
 

@@ -3,9 +3,6 @@
 The determinism contract is enforced differently depending on *where*
 code runs, not just what it does:
 
-* ``worker`` — reachable from a ``@pure_worker`` fan-out root. Runs in
-  forked pool processes, so any module-level state it writes diverges
-  silently between serial and pooled runs.
 * ``sim-callback`` — scheduled onto the simulated clock via
   ``call_at``/``call_in``. Ordering is the event queue's, so shared
   state written here interleaves with the main line.
@@ -16,23 +13,19 @@ code runs, not just what it does:
   perf domain, reused by the hot-path rule).
 * ``main`` — everything else (the single-threaded simulation line).
 
-Closures are computed by BFS over resolved call edges, with the call
-path back to the domain root retained so findings can say *why* a
-function is in the worker domain ("reachable via compress_cblocks ->
-_compressor").
+Closures are computed by BFS over resolved call edges.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.lint.graph import ProjectGraph
 
 #: Modules whose functions sit on the per-I/O hot path.
 HOT_SUBSYSTEMS = ("repro.layout", "repro.erasure", "repro.compression")
 
-WORKER = "worker"
 SIM_CALLBACK = "sim-callback"
 CLUSTER_HANDLER = "cluster-handler"
 HOT = "hot"
@@ -42,32 +35,22 @@ FunctionKey = Tuple[str, str]  # (module, qualname)
 
 
 class DomainMap:
-    """Domain membership plus root paths for every src function."""
+    """Domain membership for every src function."""
 
     def __init__(self, graph: ProjectGraph):
         self.graph = graph
         #: (module, qualname) -> set of domain names (never includes
         #: ``main``; absence of all others means main).
         self.domains: Dict[FunctionKey, Set[str]] = {}
-        #: (module, qualname) -> human-readable call path from the
-        #: domain root, for the worker domain ("root -> a -> b").
-        self.worker_paths: Dict[FunctionKey, List[str]] = {}
-        #: Worker roots: the ``@pure_worker``-decorated functions.
-        self.worker_roots: Set[FunctionKey] = set()
         self._build()
 
     # -- construction ---------------------------------------------------
 
     def _build(self) -> None:
-        worker_roots = []
         callback_roots = []
         handler_roots = []
         for module, qualname, info in self.graph.iter_functions():
             key = (module, qualname)
-            if any(dec.split(".")[-1] == "pure_worker"
-                   for dec in info["decorators"]):
-                worker_roots.append(key)
-                self.worker_roots.add(key)
             if module.startswith("repro.cluster") \
                     and qualname.split(".")[-1].startswith("handle_"):
                 handler_roots.append(key)
@@ -79,15 +62,13 @@ class DomainMap:
                 if resolved is not None:
                     callback_roots.append(resolved)
 
-        self._close_over(worker_roots, WORKER, track_paths=True)
         self._close_over(callback_roots, SIM_CALLBACK)
         self._close_over(handler_roots, CLUSTER_HANDLER)
 
     def _add(self, key: FunctionKey, domain: str) -> None:
         self.domains.setdefault(key, set()).add(domain)
 
-    def _close_over(self, roots: List[FunctionKey], domain: str,
-                    track_paths: bool = False) -> None:
+    def _close_over(self, roots: List[FunctionKey], domain: str) -> None:
         """BFS the call graph from ``roots``, tagging every reachable
         function with ``domain``."""
         queue = deque()
@@ -95,8 +76,6 @@ class DomainMap:
             if domain in self.domains.get(root, ()):
                 continue
             self._add(root, domain)
-            if track_paths:
-                self.worker_paths[root] = [root[1]]
             queue.append(root)
         while queue:
             module, qualname = queue.popleft()
@@ -110,9 +89,6 @@ class DomainMap:
                 if domain in self.domains.get(resolved, ()):
                     continue
                 self._add(resolved, domain)
-                if track_paths:
-                    parent = self.worker_paths.get((module, qualname), [])
-                    self.worker_paths[resolved] = parent + [resolved[1]]
                 queue.append(resolved)
 
     def _function_info(self, module: str, qualname: str):
@@ -134,17 +110,6 @@ class DomainMap:
         if domain == MAIN:
             return not self.domains.get((module, qualname))
         return domain in self.domains.get((module, qualname), ())
-
-    def worker_path(self, module: str, qualname: str) -> Optional[str]:
-        """"root -> ... -> func" for worker-domain members, else None."""
-        path = self.worker_paths.get((module, qualname))
-        if path is None:
-            return None
-        return " -> ".join(path)
-
-    def worker_members(self) -> List[FunctionKey]:
-        return sorted(key for key, domains in self.domains.items()
-                      if WORKER in domains)
 
 
 def build_domains(graph: ProjectGraph) -> DomainMap:

@@ -1,16 +1,15 @@
 """The whole-program symbol/import/call graph behind the project rules.
 
-Per-file AST rules cannot see that a ``@pure_worker`` function calls a
-helper in another module that mutates a module-level dict — the
-decorated function is only pure if its *transitive callees* are. This
-module builds the project-wide view those rules need:
+Per-file AST rules cannot see that a sim callback calls a helper in
+another module that mutates a module-level dict the main line also
+writes — that is a property of the *transitive callees*. This module
+builds the project-wide view those rules need:
 
 * one :func:`extract_summary` per file — imports (absolute and
   relative, resolved to dotted module names), module-level constants
   (with enough structure to fold string registries), every function
-  with its decorators, call sites, module-state writes, impurity
-  markers (wall clock, global RNG, environment, obs singletons),
-  set-iteration sites, and instrumentation-name call shapes;
+  with its decorators, call sites, module-state writes, set-iteration
+  sites, and instrumentation-name call shapes;
 * a :class:`ProjectGraph` that indexes summaries by dotted module name
   and resolves names across files — through plain imports,
   from-imports, package ``__init__`` re-exports, and ``self.``/``cls.``
@@ -35,11 +34,9 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.lint.astutil import ImportMap, attr_chain
 from repro.lint.cache import load_cache, save_cache, source_hash
-from repro.lint.rules.randomness import GLOBAL_DRAWS
-from repro.lint.rules.wallclock import DATETIME_ATTRS, WALL_CLOCK_ATTRS
 
 #: Bump when the summary shape changes; invalidates every cache entry.
-GRAPH_FORMAT = 1
+GRAPH_FORMAT = 2
 
 #: Container methods that mutate their receiver in place.
 MUTATOR_METHODS = frozenset({
@@ -48,24 +45,15 @@ MUTATOR_METHODS = frozenset({
 })
 
 #: Constant kinds that are module-level *mutable* state when bound at
-#: module scope (the shared-state and purity rules key off these).
+#: module scope (the shared-state rule keys off these).
 MUTABLE_KINDS = frozenset({"set", "dict", "list", "bytearray", "instance"})
 
 #: Constant kinds whose iteration order is the hash order of the run.
 SET_KINDS = frozenset({"set", "frozenset"})
 
-#: Obs singletons: (module, name) pairs whose use inside a worker-domain
-#: function leaks host-side shared state into "pure" results.
-OBS_SINGLETONS = frozenset({
-    ("repro.perf", "PERF"),
-    ("repro.obs.trace", "NULL_OBS"),
-    ("repro.obs", "NULL_OBS"),
-})
-
 #: Instrumentation call shapes (mirrors rules/registry_sync.py).
 _METRIC_METHODS = frozenset({"counter", "gauge", "histogram", "series"})
 _METRIC_RECEIVERS = frozenset({"metrics", "registry"})
-_PARALLEL_RECEIVERS = frozenset({"parallel", "executor"})
 
 _PRINTF_SPEC = re.compile(r"%[-+ #0-9.]*[srdifxXo%]")
 
@@ -289,8 +277,6 @@ def _name_site_kind(node: ast.Call) -> Optional[str]:
         return "event"
     if method == "hit":
         return "crashpoint"
-    if method == "map" and _receiver_last_name(node) in _PARALLEL_RECEIVERS:
-        return "stage"
     if method in _METRIC_METHODS \
             and _receiver_last_name(node) in _METRIC_RECEIVERS:
         return "metric"
@@ -431,7 +417,6 @@ def _extract_function(func: ast.AST, qualname: str, imports: ImportMap,
     calls: List[List[Any]] = []
     callback_refs: List[List[Any]] = []
     writes: List[List[Any]] = []
-    impurities: List[List[Any]] = []
     set_iterations: List[List[Any]] = []
     name_sites: List[Dict[str, Any]] = []
 
@@ -469,25 +454,6 @@ def _extract_function(func: ast.AST, qualname: str, imports: ImportMap,
         elif is_module_mutable(head):
             # ``OBJ.attr = ...`` on a module-level instance/container.
             writes.append([None, head, lineno])
-
-    time_aliases = imports.module_aliases("time")
-    datetime_aliases = imports.module_aliases("datetime")
-    datetime_classes = set(imports.from_imports("datetime"))
-    random_aliases = imports.module_aliases("random")
-    numpy_random_aliases = imports.module_aliases("numpy.random")
-    os_aliases = imports.module_aliases("os")
-    from_time_wall = {
-        local for local, original in imports.from_imports("time").items()
-        if original in WALL_CLOCK_ATTRS
-    }
-    from_random_draws = {
-        local for local, original in imports.from_imports("random").items()
-        if original in GLOBAL_DRAWS
-    }
-    obs_singletons = {
-        local for local, (source, original) in imports.names.items()
-        if (source, original) in OBS_SINGLETONS
-    }
 
     for node in _own_nodes(func):
         if isinstance(node, ast.Assign):
@@ -529,38 +495,6 @@ def _extract_function(func: ast.AST, qualname: str, imports: ImportMap,
                 if parts is not None:
                     name_sites.append({"kind": site_kind, "parts": parts,
                                        "lineno": node.lineno})
-        elif isinstance(node, ast.Attribute):
-            base = node.value
-            if isinstance(base, ast.Name):
-                if base.id in time_aliases \
-                        and node.attr in WALL_CLOCK_ATTRS:
-                    impurities.append(["wall-clock",
-                                       "time.%s" % node.attr, node.lineno])
-                elif base.id in random_aliases \
-                        and node.attr in GLOBAL_DRAWS:
-                    impurities.append(["rng", "random.%s" % node.attr,
-                                       node.lineno])
-                elif base.id in numpy_random_aliases:
-                    impurities.append(["rng", "numpy.random.%s" % node.attr,
-                                       node.lineno])
-                elif (base.id in datetime_aliases
-                        or base.id in datetime_classes) \
-                        and node.attr in DATETIME_ATTRS:
-                    impurities.append(["wall-clock",
-                                       "%s.%s" % (base.id, node.attr),
-                                       node.lineno])
-                elif base.id in os_aliases \
-                        and node.attr in ("environ", "getenv", "urandom"):
-                    kind = "rng" if node.attr == "urandom" else "env"
-                    impurities.append([kind, "os.%s" % node.attr,
-                                       node.lineno])
-        elif isinstance(node, ast.Name):
-            if node.id in from_time_wall:
-                impurities.append(["wall-clock", node.id, node.lineno])
-            elif node.id in from_random_draws:
-                impurities.append(["rng", node.id, node.lineno])
-            elif node.id in obs_singletons and node.id not in locals_:
-                impurities.append(["obs-singleton", node.id, node.lineno])
 
     for expr, lineno in _iteration_candidates(func):
         classified = _classify_iteration(expr)
@@ -580,7 +514,6 @@ def _extract_function(func: ast.AST, qualname: str, imports: ImportMap,
         "calls": calls,
         "callback_refs": callback_refs,
         "writes": writes,
-        "impurities": impurities,
         "set_iterations": set_iterations,
         "name_sites": name_sites,
     }
@@ -652,19 +585,13 @@ def extract_summary(rel_path: str, source: str,
             info["lineno"] = stmt.lineno
             summary["constants"][stmt.target.id] = info
 
-    # Merge relative-import resolution back into the import map
-    # (ImportMap skips level>0 imports; summaries must not).
-    merged_imports = imports
-    for local, pair in summary["from_imports"].items():
-        merged_imports.names[local] = (pair[0], pair[1])
-
     def visit_scope(body: Iterable[ast.stmt], prefix: str,
                     class_name: Optional[str]) -> None:
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qualname = prefix + node.name if prefix else node.name
                 summary["functions"][qualname] = _extract_function(
-                    node, qualname, merged_imports, summary["constants"])
+                    node, qualname, imports, summary["constants"])
                 if class_name is not None:
                     summary["classes"].setdefault(class_name, []).append(
                         node.name)

@@ -5,7 +5,6 @@ from repro.lint.rules import (
     exports,
     hotpath,
     iteration,
-    purity,
     randomness,
     registry_sync,
     registry_usage,
@@ -13,7 +12,6 @@ from repro.lint.rules import (
     simclock,
     timeouts,
     wallclock,
-    workers,
 )
 
 __all__ = [
@@ -21,7 +19,6 @@ __all__ = [
     "exports",
     "hotpath",
     "iteration",
-    "purity",
     "randomness",
     "registry_sync",
     "registry_usage",
@@ -29,5 +26,4 @@ __all__ = [
     "simclock",
     "timeouts",
     "wallclock",
-    "workers",
 ]

@@ -13,8 +13,6 @@ registries, so drift is a lint failure instead of a confusing report:
 * ``<metrics|registry>.counter/gauge/histogram/series("name")``
                                          -> ``METRIC_NAMES``
 * ``<cp>.hit("name", ...)``              -> ``CRASHPOINTS``
-* ``<parallel|executor>.map("name", ...)``
-                                         -> ``repro.parallel.names.STAGE_NAMES``
 
 Non-literal names are skipped (they cannot be resolved statically), as
 are the registry modules themselves and :mod:`repro.perf` counters
@@ -32,14 +30,10 @@ METRIC_METHODS = frozenset({"counter", "gauge", "histogram", "series"})
 #: (Excludes PERF — repro.perf counters are a wall-clock-side namespace.)
 METRIC_RECEIVERS = frozenset({"metrics", "registry"})
 
-#: Receivers whose map() calls target the ParallelExecutor.
-PARALLEL_RECEIVERS = frozenset({"parallel", "executor"})
-
 #: The registry modules themselves (definitions, not call sites).
 REGISTRY_FILES = frozenset({
     "src/repro/obs/names.py",
     "src/repro/faults/plan.py",
-    "src/repro/parallel/names.py",
 })
 
 
@@ -71,14 +65,12 @@ class NameRegistrySync(Rule):
         if self._registries is None:
             from repro.faults.plan import CRASHPOINTS
             from repro.obs.names import EVENT_NAMES, METRIC_NAMES, SPAN_NAMES
-            from repro.parallel.names import STAGE_NAMES
 
             self._registries = {
                 "span": frozenset(SPAN_NAMES),
                 "event": frozenset(EVENT_NAMES),
                 "metric": frozenset(METRIC_NAMES),
                 "crashpoint": frozenset(CRASHPOINTS),
-                "stage": frozenset(STAGE_NAMES),
             }
         return self._registries
 
@@ -110,13 +102,6 @@ class NameRegistrySync(Rule):
                     yield self._drift(ctx, node, "crashpoint", name,
                                       registries["crashpoint"],
                                       "repro.faults.plan.CRASHPOINTS")
-            elif method == "map":
-                recv = receiver_last_name(node)
-                if recv in PARALLEL_RECEIVERS \
-                        and name not in registries.get("stage", frozenset()):
-                    yield self._drift(ctx, node, "stage", name,
-                                      registries.get("stage", frozenset()),
-                                      "repro.parallel.names.STAGE_NAMES")
             elif method in METRIC_METHODS:
                 recv = receiver_last_name(node)
                 if recv in METRIC_RECEIVERS \

@@ -33,7 +33,6 @@ REGISTRIES = (
     ("event", "repro.obs.names", "EVENT_NAMES"),
     ("metric", "repro.obs.names", "METRIC_NAMES"),
     ("crashpoint", "repro.faults.plan", "CRASHPOINTS"),
-    ("stage", "repro.parallel.names", "STAGE_NAMES"),
 )
 
 
@@ -45,8 +44,8 @@ class RegistryResolution(ProjectRule):
                "the registries, and every registry entry must be used")
     rationale = (
         "The obs registries (repro.obs.names, repro.faults.plan\n"
-        "CRASHPOINTS, repro.parallel.names) are the contract between\n"
-        "instrumented call sites and report joins. The per-file rule\n"
+        "CRASHPOINTS) are the contract between instrumented call\n"
+        "sites and report joins. The per-file rule\n"
         "catches literal typos; this rule folds assembled names\n"
         "(f-strings, %-formats, constant references) project-wide and\n"
         "resolves them the same way, and then reconciles the other\n"

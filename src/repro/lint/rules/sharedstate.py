@@ -4,8 +4,6 @@ A module-level mutable written from exactly one execution domain is a
 (possibly ugly) cache. The same binding written from *two* domains is a
 race against the determinism contract:
 
-* main + worker: the serial path mutates the shared module, the pooled
-  path mutates a fork's copy — same seed, different bytes.
 * any cluster message handler: every in-process ``ArrayNode`` shares
   the interpreter, so a module-level write from ``handle_*`` is state
   shared between nodes that are modelled as separate machines.
@@ -19,7 +17,7 @@ of an offending binding so a pragma must be argued for at each one.
 """
 
 from repro.lint.domains import (CLUSTER_HANDLER, MAIN, SIM_CALLBACK,
-                                WORKER, build_domains)
+                                build_domains)
 from repro.lint.rule import ProjectRule, register
 
 
@@ -28,13 +26,12 @@ class CrossDomainSharedState(ProjectRule):
 
     id = "cross-domain-shared-state"
     summary = ("module-level mutables must not be written from more "
-               "than one execution domain (main/worker/sim-callback/"
+               "than one execution domain (main/sim-callback/"
                "cluster-handler)")
     rationale = (
-        "Execution domains have different sharing semantics: worker code\n"
-        "runs in forked pool processes (writes hit the fork's copy),\n"
-        "cluster handle_* methods run in every in-process node (writes\n"
-        "are accidentally cross-node), sim callbacks interleave at the\n"
+        "Execution domains have different sharing semantics: cluster\n"
+        "handle_* methods run in every in-process node (writes are\n"
+        "accidentally cross-node), sim callbacks interleave at the\n"
         "event queue's pleasure. A module-level mutable written from two\n"
         "of these worlds — or from any cluster handler at all — is\n"
         "shared state whose final value depends on which world ran,\n"
@@ -46,10 +43,8 @@ class CrossDomainSharedState(ProjectRule):
         "def record(key):         # called from the main line\n"
         "    _SEEN.add(key)\n"
         "\n"
-        "@pure_worker\n"
-        "def scan(chunk):         # ...and from the worker domain\n"
-        "    _SEEN.add(chunk.key) # -> cross-domain-shared-state\n"
-        "    return summarize(chunk)\n"
+        "def on_tick(key):        # ...and from a clock.call_at callback\n"
+        "    _SEEN.add(key)       # -> cross-domain-shared-state\n"
     )
 
     def check_project(self, graph):
@@ -70,14 +65,9 @@ class CrossDomainSharedState(ProjectRule):
             for writer_domains, _, _, _ in sites:
                 union.update(writer_domains)
             union.discard("hot")  # hot is a perf tag, not a sharing domain
-            cross = len(union & {MAIN, WORKER, SIM_CALLBACK,
-                                 CLUSTER_HANDLER}) > 1
+            cross = len(union & {MAIN, SIM_CALLBACK, CLUSTER_HANDLER}) > 1
             handler_write = CLUSTER_HANDLER in union
             if not cross and not handler_write:
-                continue
-            if union == {WORKER}:
-                # All-worker writes are worker-transitive-purity's
-                # finding; do not report the same sites twice.
                 continue
             reason = ("is written from domains {%s}"
                       % ", ".join(sorted(union)))

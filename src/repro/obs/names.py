@@ -35,8 +35,6 @@ SPAN_NAMES = frozenset({
     "scrub.run",
     "recovery",
     "rebuild",
-    # parallel fan-out (one span per ordered map, any worker count)
-    "parallel.map",
     # cluster layer (see repro.cluster): client-operation roots; the
     # wrapped array's io.* spans nest under these via the shared
     # TraceBuffer, so one trace crosses the client→MDM→node hop.
@@ -57,7 +55,6 @@ EVENT_NAMES = frozenset({
     "fault",
     "drive.replace",
     "degrade.transition",
-    "parallel.pool_broken",
     # cluster layer: membership transitions (alive/suspect/dead/
     # rejoin), stale-epoch rejections seen by the client, timed
     # partitions, and per-volume replica-refresh copy completions.
@@ -96,10 +93,6 @@ METRIC_NAMES = frozenset({
     # degradation ladder / repair debt (see repro.degrade.ladder)
     "degrade.transitions",
     "degrade.write_through",
-    "parallel.pool_broken",
-    "parallel.maps",
-    "parallel.items",
-    "parallel.chunks",
     "pool.segio.hits",
     "pool.segio.misses",
     "pool.read.hits",

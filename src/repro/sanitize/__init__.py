@@ -1,48 +1,30 @@
 """Runtime sanitizer mode: checks static analysis cannot prove.
 
-``REPRO_SANITIZE=1`` arms TSan-style instrumentation at the two places
-the determinism contract depends on runtime discipline that no AST rule
-can verify:
+``REPRO_SANITIZE=1`` arms TSan-style instrumentation where the
+determinism contract depends on runtime discipline that no AST rule can
+verify — the **buffer lifecycle** (:class:`BufferSentry`, wired into
+:class:`repro.layout.pools.BufferPool`): released buffers are
+poison-filled (``0xA5``); a recycled buffer whose poison was disturbed
+means someone wrote through a stale reference (use-after-release), a
+buffer released twice or handed out twice is caught by identity, all
+raised as :class:`SanitizeError` at the moment of detection.
 
-* **Buffer lifecycle** (:class:`BufferSentry`, wired into
-  :class:`repro.parallel.pools.BufferPool`): released buffers are
-  poison-filled (``0xA5``); a recycled buffer whose poison was
-  disturbed means someone wrote through a stale reference
-  (use-after-release), a buffer released twice or handed out twice is
-  caught by identity, all raised as :class:`SanitizeError` at the
-  moment of detection.
-* **Fork-pool boundary** (:func:`run_chunk_checked`, wired into the
-  executor's serial path): in pooled runs, chunks and results cross a
-  pickle boundary, so workers *cannot* mutate inputs or alias them
-  into results. The serial path has no such physics — a worker that
-  mutates its chunk or returns an input object works at ``workers=0``
-  and silently diverges at ``workers=2``. Sanitize mode gives the
-  serial path the pool's semantics: inputs are identity-snapshotted
-  before the call and verified after, and mutable result elements may
-  not *be* input objects.
-
-The checks cost real work (poison fills, per-item id scans), so they
-are opt-in via the environment and read once per object construction —
-the hot path stays branchless when sanitizing is off.
-:mod:`repro.sanitize.hashseed` adds the third leg: a subprocess
-double-run under two ``PYTHONHASHSEED`` values asserting byte-identical
-traces.
+The checks cost real work (poison fills), so they are opt-in via the
+environment and read once per object construction — the hot path stays
+branchless when sanitizing is off. :mod:`repro.sanitize.hashseed` adds
+the second leg: a subprocess double-run under two ``PYTHONHASHSEED``
+values asserting byte-identical traces.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, List
+from typing import Dict
 
 #: The fill byte for released buffers. Chosen non-zero (fresh buffers
 #: are zeroed) and asymmetric (0xA5 = 0b10100101) so neither "all
 #: zeros" nor "all ones" bugs masquerade as intact poison.
 POISON = 0xA5
-
-#: Result element types a worker may legitimately share with its input
-#: (immutable, so aliasing cannot diverge serial vs pooled).
-_IMMUTABLE = (bytes, str, int, float, bool, complex, frozenset,
-              type(None))
 
 
 def enabled() -> bool:
@@ -60,8 +42,7 @@ class SanitizeError(AssertionError):
 
 
 class BufferSentry:
-    """Lifecycle tracker for one :class:`~repro.parallel.pools.
-    BufferPool`.
+    """Lifecycle tracker for one :class:`~repro.layout.pools.BufferPool`.
 
     Tracks live and released buffers by identity (strong references are
     kept to released buffers so CPython cannot recycle an id and fake a
@@ -111,43 +92,9 @@ class BufferSentry:
         buffer[:] = bytes([POISON]) * len(buffer)
 
 
-def run_chunk_checked(func: Callable[[List[Any]], List[Any]],
-                      chunk: List[Any]) -> List[Any]:
-    """Run one worker chunk with the pool's sharing semantics enforced.
-
-    Pooled execution pickles ``chunk`` out and the result back, so the
-    worker *cannot* mutate the caller's chunk or return objects that
-    alias it. The serial path shares memory; this wrapper re-imposes
-    the boundary: the chunk's length and item identities must be
-    unchanged by the call, and no mutable result element may be an
-    input object.
-    """
-    input_ids = [id(item) for item in chunk]
-    result = func(chunk)
-    after_ids = [id(item) for item in chunk]
-    if after_ids != input_ids:
-        raise SanitizeError(
-            "sanitize[fork-boundary]: worker %r mutated its input chunk "
-            "(item identities changed); pooled runs ship a pickled copy "
-            "and would diverge" % getattr(func, "__name__", func))
-    if isinstance(result, list):
-        input_id_set = set(input_ids)
-        for index, element in enumerate(result):
-            if id(element) in input_id_set \
-                    and not isinstance(element, _IMMUTABLE):
-                raise SanitizeError(
-                    "sanitize[fork-boundary]: worker %r returned input "
-                    "object (result[%d]) by reference; pooled runs "
-                    "return a pickled copy, so later mutation would "
-                    "diverge serial vs pooled"
-                    % (getattr(func, "__name__", func), index))
-    return result
-
-
 __all__ = [
     "POISON",
     "BufferSentry",
     "SanitizeError",
     "enabled",
-    "run_chunk_checked",
 ]

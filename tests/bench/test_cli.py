@@ -27,7 +27,7 @@ def test_list_shows_the_registry(capsys):
     assert "raid_ablation" in out and "hotpath" in out
     assert "service" in out
     assert "[quick]" in out
-    assert len(out.strip().splitlines()) == 24
+    assert len(out.strip().splitlines()) == 23
 
 
 def test_no_selection_runs_nothing(tmp_path, capsys):

@@ -36,7 +36,6 @@ EXPECTED_BENCHES = {
     "chaos",
     "chaos_degraded",
     "hotpath",
-    "parallel",
     "cluster",
     "service",
 }

@@ -18,6 +18,29 @@ def test_clean_array_scrubs_without_rewrites(array, volume, stream):
     assert report.segments_rewritten == 0
 
 
+def test_scrub_flags_a_silently_corrupted_shard(array, volume, stream):
+    """A parity shard whose bytes changed with no media error reads back
+    clean, so only the stripe's parity check can catch it: one mismatch,
+    and the segment is marked for rewrite."""
+    array.write(volume, 0, unique_bytes(16 * KIB, stream))
+    array.drain()
+    geometry = array.config.segment_geometry
+    segment_id = next(fact.key[0] for fact in array.tables.segments.scan())
+    placements = array.datapath.descriptor_for(segment_id).placements
+    drive_name, au_index = placements[geometry.data_shards]
+    offset = geometry.device_offset(
+        au_index * geometry.au_size, 0, geometry.wu_header_size
+    )
+    store = array.drives[drive_name].store
+    store.write(offset, bytes(b ^ 0xFF for b in store.read(offset, 64)))
+    from repro.core.scrubber import ScrubReport
+
+    report = ScrubReport()
+    assert array.scrubber._scrub_segment(segment_id, geometry, report)
+    assert report.corrupt_shards == 0
+    assert report.parity_mismatches == 1
+
+
 def test_scrub_detects_and_repairs_worn_flash(array, volume, stream):
     """Worn blocks past rating + long retention lose pages; scrubbing
     rewrites them before the application ever sees an error."""

@@ -97,9 +97,8 @@ KERNEL_LENGTHS = (0, 1, 511, 4096, (1 << 20) - 1)
 def _operand_forms(rng, length):
     """One random operand as every input form the kernels are handed.
 
-    The strided form is a column of a 2-D matrix — what a row of
-    ``matrix[:, lo:hi]`` is to ``parallel.workers`` when the matrix is
-    not row-major.
+    The strided form is a column of a 2-D matrix — what a row of a
+    matrix that is not row-major is to ``ReedSolomon.encode_stripes``.
     """
     grid = rng.integers(0, 256, size=(length, 2), dtype=np.uint8)
     grid[: length // 16, 0] = 0  # force the zero-element path

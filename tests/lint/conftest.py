@@ -26,8 +26,8 @@ def project_lint(tmp_path):
     """Copy a multi-file fixture directory into a fake repo and run
     whole-program rules over it.
 
-    ``project_lint("project_purity", ["worker-transitive-purity"])``
-    copies every ``.py`` under ``fixtures/project_purity/`` to
+    ``project_lint("project_sharedstate", ["cross-domain-shared-state"])``
+    copies every ``.py`` under ``fixtures/project_sharedstate/`` to
     ``<tmp>/src/repro/<same relative path>`` and lints the fake repo's
     ``src`` tree with exactly the named rules.
     """

@@ -25,7 +25,3 @@ def read_path(obs, faults):
 
 def bind_pool(metrics, name):
     return metrics.counter("%s.hits" % name)
-
-
-def fan_out(parallel, chunks):
-    return parallel.map("parallel.compress", chunks)

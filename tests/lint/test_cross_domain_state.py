@@ -5,16 +5,17 @@ from tests.lint.conftest import assert_all_suppressed, assert_clean
 RULE = "cross-domain-shared-state"
 
 
-def test_flags_main_plus_worker_writes(project_lint):
+def test_flags_main_plus_sim_callback_writes(project_lint):
     result = project_lint("project_sharedstate", [RULE])
     seen = [f for f in result.findings if "'_SEEN'" in f.message]
     # Both write sites of the offending binding are reported: the main
-    # write in state_mod and the worker write in worker_mod.
+    # write in state_mod and the callback write in timer_mod.
     assert len(seen) == 2
     paths = sorted(f.path for f in seen)
     assert paths[0].endswith("state_mod.py")
-    assert paths[1].endswith("worker_mod.py")
-    assert all("main" in f.message and "worker" in f.message for f in seen)
+    assert paths[1].endswith("timer_mod.py")
+    assert all("main" in f.message and "sim-callback" in f.message
+               for f in seen)
 
 
 def test_flags_any_cluster_handler_write(project_lint):

@@ -1,25 +1,10 @@
 """Unit tests for execution-domain classification."""
 
-from repro.lint.domains import (CLUSTER_HANDLER, HOT, SIM_CALLBACK, WORKER,
+from repro.lint.domains import (CLUSTER_HANDLER, HOT, SIM_CALLBACK,
                                 build_domains)
 from repro.lint.graph import build_graph_from_sources
 
 SOURCES = {
-    "src/repro/workers_mod.py": (
-        "def pure_worker(func):\n"
-        "    func.__pure_worker__ = True\n"
-        "    return func\n"
-        "\n"
-        "@pure_worker\n"
-        "def root(items):\n"
-        "    return [helper(item) for item in items]\n"
-        "\n"
-        "def helper(item):\n"
-        "    return leaf(item)\n"
-        "\n"
-        "def leaf(item):\n"
-        "    return item\n"
-    ),
     "src/repro/sched.py": (
         "def arm(sim):\n"
         "    sim.call_at(5, on_timer)\n"
@@ -48,22 +33,6 @@ SOURCES = {
 
 def domain_map():
     return build_domains(build_graph_from_sources(SOURCES))
-
-
-def test_worker_closure_spans_transitive_callees():
-    domains = domain_map()
-    for qualname in ("root", "helper", "leaf"):
-        assert WORKER in domains.domains_of("repro.workers_mod", qualname)
-    # The decorator helper itself is not in the worker closure.
-    assert WORKER not in domains.domains_of("repro.workers_mod",
-                                            "pure_worker")
-
-
-def test_worker_path_traces_back_to_the_root():
-    domains = domain_map()
-    assert domains.worker_path("repro.workers_mod", "leaf") \
-        == "root -> helper -> leaf"
-    assert ("repro.workers_mod", "root") in domains.worker_roots
 
 
 def test_sim_callback_closure_from_call_at_reference():

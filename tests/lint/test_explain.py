@@ -15,13 +15,13 @@ def explain(rule_id):
 
 
 def test_explain_known_rule():
-    code, text = explain("worker-transitive-purity")
+    code, text = explain("registry-resolution")
     assert code == 0
-    assert "worker-transitive-purity" in text
+    assert "registry-resolution" in text
     assert "Why:" in text
     assert "Example (violates the rule):" in text
     assert "Suppress with:" in text
-    assert "allow[worker-transitive-purity]" in text
+    assert "allow[registry-resolution]" in text
 
 
 def test_explain_marks_whole_program_rules():

@@ -91,21 +91,21 @@ def test_fold_string_collection_follows_cross_module_concat():
 def test_decorator_chains_are_recorded_dotted():
     graph = build_graph_from_sources({
         "src/repro/w.py": (
-            "import repro.parallel.workers as workers\n"
-            "from repro.parallel.workers import pure_worker\n"
+            "import functools\n"
+            "from functools import cache\n"
             "\n"
-            "@pure_worker\n"
+            "@cache\n"
             "def plain(items):\n"
             "    return items\n"
             "\n"
-            "@workers.pure_worker\n"
+            "@functools.lru_cache(maxsize=8)\n"
             "def dotted(items):\n"
             "    return items\n"
         ),
     })
     functions = graph.by_module["repro.w"]["functions"]
-    assert "pure_worker" in functions["plain"]["decorators"]
-    assert "workers.pure_worker" in functions["dotted"]["decorators"]
+    assert "cache" in functions["plain"]["decorators"]
+    assert "functools.lru_cache" in functions["dotted"]["decorators"]
 
 
 def test_non_src_files_contribute_only_string_literals():

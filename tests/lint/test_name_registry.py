@@ -26,19 +26,6 @@ def test_pragma_suppressed(lint_fixture):
     assert_all_suppressed(lint_fixture("name_registry_pragma.py", RULE))
 
 
-def test_stage_violation_with_nearest_name_hint(lint_fixture):
-    result = lint_fixture("name_registry_stage_violation.py", RULE)
-    assert len(result.findings) == 1
-    message = result.findings[0].message
-    assert "'parallel.compres'" in message
-    assert "repro.parallel.names.STAGE_NAMES" in message
-    assert "'parallel.compress'" in message  # did-you-mean hint
-
-
-def test_stage_clean_skips_dynamic_and_foreign_receivers(lint_fixture):
-    assert_clean(lint_fixture("name_registry_stage_clean.py", RULE))
-
-
 def test_registries_cover_each_other():
     """Plan-schedulable crashpoints are a subset of the full registry."""
     from repro.faults.plan import CRASHPOINT_CHOICES, CRASHPOINTS
@@ -46,7 +33,6 @@ def test_registries_cover_each_other():
     assert set(CRASHPOINT_CHOICES) <= set(CRASHPOINTS)
     # Registry names are unique and non-empty.
     from repro.obs.names import EVENT_NAMES, METRIC_NAMES, SPAN_NAMES
-    from repro.parallel.names import STAGE_NAMES
 
-    for registry in (SPAN_NAMES, EVENT_NAMES, METRIC_NAMES, STAGE_NAMES):
+    for registry in (SPAN_NAMES, EVENT_NAMES, METRIC_NAMES):
         assert registry and all(name.strip() for name in registry)

@@ -15,7 +15,7 @@ import pytest
 pytest.importorskip("mypy")
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
-PACKAGES = ["repro.lint", "repro.parallel", "repro.obs", "repro.sanitize"]
+PACKAGES = ["repro.lint", "repro.obs", "repro.sanitize"]
 
 
 def test_strict_packages_typecheck():

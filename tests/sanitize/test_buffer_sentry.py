@@ -3,7 +3,7 @@
 import pytest
 
 from repro import sanitize
-from repro.parallel.pools import BufferPool
+from repro.layout.pools import BufferPool
 
 
 @pytest.fixture

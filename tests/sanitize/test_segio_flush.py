@@ -10,7 +10,7 @@ instead of owning its bytes reads back as 0xA5 — loudly, here.
 import pytest
 
 from repro.layout.segment import SegioHeader
-from repro.parallel.pools import BufferPool
+from repro.layout.pools import BufferPool
 from repro.sim.rand import RandomStream
 from repro.units import KIB
 from tests.layout.conftest import (  # noqa: F401  (fixtures, by name)
