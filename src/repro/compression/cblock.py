@@ -11,8 +11,8 @@ data.
 
 from repro.compression.engine import best_effort_compress, decompress_payload
 from repro.errors import EncodingError
-from repro.pyramid.tuples import decode_value, encode_value
 from repro.units import MAX_CBLOCK, SECTOR
+from repro.wire import decode_value, encode_value
 
 
 def split_write(offset, data, max_cblock=MAX_CBLOCK):

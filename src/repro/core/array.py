@@ -82,7 +82,6 @@ class PurityArray:
             self.drives,
             avoid_policy=self._avoid_policy,
             health=self.health,
-            config=self.config,
         )
         self.tables = TableSet(fanout=self.config.pyramid_fanout)
         self.pipeline = CommitPipeline(

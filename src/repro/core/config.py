@@ -9,20 +9,10 @@ identical code paths.
 
 from dataclasses import dataclass, field
 
-from repro.units import GIB, KIB, MIB, MICROSECOND, MILLISECOND
+from repro.layout.segment import SegmentGeometry
+from repro.ssd.geometry import SSDGeometry
+from repro.units import GIB, KIB, MIB, MILLISECOND
 
-# Degraded-mode knobs are defined BEFORE the geometry imports below:
-# importing repro.layout pulls in segreader, which reads these constants
-# back out of this (then partially initialised) module.
-
-#: Device-level re-reads of a corrupted page before falling back to
-#: parity reconstruction.
-READ_RETRY_LIMIT = 2
-#: Fail-fast retry budget once a drive is already suspect: retrying a
-#: sick drive mostly burns latency, reconstruction is cheaper.
-SUSPECT_RETRY_LIMIT = 1
-#: Base host-side backoff before a read retry; doubles per attempt.
-READ_RETRY_BACKOFF = 250 * MICROSECOND
 #: Predicted direct-read wait beyond which a hedged read fires. Sits
 #: above the natural program-interference stall (2.5 ms) so fault-free
 #: runs never hedge, and well below an injected stall storm (10 ms).
@@ -34,9 +24,6 @@ REBUILD_RATE_THROTTLED = 4.0
 REBUILD_BURST = 8
 #: Foreground read latencies kept in the governor's sliding SLO window.
 SLO_WINDOW_READS = 128
-
-from repro.layout.segment import SegmentGeometry  # noqa: E402
-from repro.ssd.geometry import SSDGeometry  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -85,12 +72,6 @@ class ArrayConfig:
     segio_buffer_pool: int = 4
     #: Recycled read paint buffers kept by the read-path pool.
     read_buffer_pool: int = 8
-    #: Device re-reads of a corrupted page before reconstruction.
-    read_retry_limit: int = READ_RETRY_LIMIT
-    #: Retry budget once the target drive is suspect.
-    suspect_retry_limit: int = SUSPECT_RETRY_LIMIT
-    #: Base backoff before a read retry (doubles per attempt).
-    read_retry_backoff: float = READ_RETRY_BACKOFF
     #: Race parity reconstruction against slow/suspect direct reads.
     hedge_reads: bool = True
     #: Predicted direct-read wait that triggers a hedged read.
@@ -125,10 +106,6 @@ class ArrayConfig:
             )
         if min(self.segio_buffer_pool, self.read_buffer_pool) < 0:
             raise ValueError("buffer pool sizes must be >= 0")
-        if min(self.read_retry_limit, self.suspect_retry_limit) < 0:
-            raise ValueError("retry limits must be >= 0")
-        if self.read_retry_backoff < 0:
-            raise ValueError("read_retry_backoff must be >= 0")
         if self.hedge_deadline <= 0:
             raise ValueError("hedge_deadline must be > 0")
         if self.rebuild_slo_p99 is not None and self.rebuild_slo_p99 <= 0:

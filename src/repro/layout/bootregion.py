@@ -12,8 +12,8 @@ the "< 1 % of writes" claim can be measured.
 """
 
 from repro.errors import RecoveryError
-from repro.pyramid.tuples import decode_value, encode_value
 from repro.units import MILLISECOND
+from repro.wire import decode_value, encode_value
 
 
 class BootRegion:

@@ -16,8 +16,8 @@ Payload addressing: a byte of segment payload lives at
 from dataclasses import dataclass
 
 from repro.errors import EncodingError
-from repro.pyramid.tuples import decode_value, encode_value
 from repro.units import KIB, MIB
+from repro.wire import decode_value, encode_value
 
 #: Magic prefix identifying a valid write-unit header.
 WU_MAGIC = b"PSEG"

@@ -13,14 +13,19 @@ unit yields the self-describing segio headers, from which segments, log
 records, and sequence bounds are rediscovered.
 """
 
-from repro.core.config import (
-    READ_RETRY_BACKOFF,
-    READ_RETRY_LIMIT,
-    SUSPECT_RETRY_LIMIT,
-)
 from repro.errors import DeviceFailedError, UncorrectableError
 from repro.layout.segment import SegioHeader
 from repro.perf import PERF
+from repro.units import MICROSECOND
+
+#: Device-level re-reads of a corrupted page before falling back to
+#: parity reconstruction.
+READ_RETRY_LIMIT = 2
+#: Fail-fast retry budget once a drive is already suspect: retrying a
+#: sick drive mostly burns latency, reconstruction is cheaper.
+SUSPECT_RETRY_LIMIT = 1
+#: Base host-side backoff before a read retry; doubles per attempt.
+READ_RETRY_BACKOFF = 250 * MICROSECOND
 
 
 class DriveRetryStats:
@@ -42,8 +47,7 @@ class DriveRetryStats:
 class SegmentReader:
     """Read path over striped segments."""
 
-    def __init__(self, geometry, codec, drives, avoid_policy=None, health=None,
-                 config=None):
+    def __init__(self, geometry, codec, drives, avoid_policy=None, health=None):
         self.geometry = geometry
         self.codec = codec
         self.drives = drives  # name -> SimulatedSSD
@@ -59,16 +63,6 @@ class SegmentReader:
         #: array. When set, slow/suspect direct reads race parity
         #: reconstruction and adopt whichever finishes first.
         self.hedge = None
-        # Retry/backoff knobs come from ArrayConfig (documented there);
-        # standalone readers without a config get the same defaults.
-        if config is not None:
-            self.corruption_retries = config.read_retry_limit
-            self.suspect_retries = config.suspect_retry_limit
-            self.retry_backoff = config.read_retry_backoff
-        else:
-            self.corruption_retries = READ_RETRY_LIMIT
-            self.suspect_retries = SUSPECT_RETRY_LIMIT
-            self.retry_backoff = READ_RETRY_BACKOFF
         self.direct_reads = 0
         self.reconstructed_reads = 0
         #: Device reads issued through the retry loop, every attempt
@@ -120,9 +114,9 @@ class SegmentReader:
         total_latency = result.latency
         if health is not None and result.unscheduled_stall:
             health.note_stalled(drive.name)
-        budget = self.corruption_retries
+        budget = READ_RETRY_LIMIT
         if health is not None and health.is_suspect(drive.name):
-            budget = self.suspect_retries
+            budget = SUSPECT_RETRY_LIMIT
         attempts = 0
         while result.corrupted and attempts < budget:
             if health is not None:
@@ -131,7 +125,7 @@ class SegmentReader:
                 break  # the health monitor auto-failed it under us
             self.stats_for(drive.name).attempts += 1
             PERF.incr("segread-retry")
-            backoff = self.retry_backoff * (2 ** attempts)
+            backoff = READ_RETRY_BACKOFF * (2 ** attempts)
             attempts += 1
             result = drive.read(offset, length)
             self.device_reads += 1

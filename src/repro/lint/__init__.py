@@ -8,23 +8,16 @@ stay in sync with their registries. ``repro.lint`` enforces them
 mechanically:
 
 * a :class:`~repro.lint.rule.Rule` registry of repo-specific AST checks
-  (``python -m repro.lint --list-rules``);
+  (``python -m repro.lint --list-rules``), one of which holds the
+  package stack to a strictly downward import order
+  (:mod:`repro.lint.rules.layering`);
 * per-line suppression pragmas — ``# lint: allow[<rule-id>] reason`` —
   that require a human-readable reason string (and a rule id that
   actually exists);
-* a committed JSON baseline for grandfathered findings (kept empty;
-  see ``lint-baseline.json`` at the repo root);
 * deterministic human and ``--format json`` reports (the same tree
   always produces byte-identical output).
 
-Since puritylint v2 the per-file rules are joined by *whole-program*
-rules (:class:`~repro.lint.rule.ProjectRule`): a project symbol/import/
-call graph (:mod:`repro.lint.graph`) classifies functions into
-execution domains (:mod:`repro.lint.domains`) and powers the
-interprocedural checks — the cross-domain shared-state detector,
-nondeterministic set iteration, and full name-registry reconciliation.
-An incremental file-hash cache (:mod:`repro.lint.cache`,
-``.lint-cache.json``) keeps the whole-program pass fast on warm runs.
+Every rule looks at one file at a time; there is no whole-program pass.
 
 Run it as ``python -m repro.lint src tests`` (exit 0 means clean), or
 drive it from tests via :func:`run_lint` — which is exactly what the
@@ -34,8 +27,7 @@ rationale and a minimal violating example.
 """
 
 from repro.lint.engine import LintResult, iter_python_files, run_lint
-from repro.lint.rule import (Finding, ProjectRule, Rule, all_rules,
-                             get_rule)
+from repro.lint.rule import Finding, Rule, all_rules, get_rule
 
 # Importing the rules package registers every built-in rule.
 from repro.lint import rules as _rules  # noqa: F401  (import-for-effect)
@@ -43,7 +35,6 @@ from repro.lint import rules as _rules  # noqa: F401  (import-for-effect)
 __all__ = [
     "Finding",
     "LintResult",
-    "ProjectRule",
     "Rule",
     "all_rules",
     "get_rule",

@@ -17,7 +17,11 @@ class ImportMap:
         self.modules = {}
         #: local alias -> (module, original name) for from-imports
         self.names = {}
+        #: Every import statement, top-level or function-local.
+        self.statements = []
         for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                self.statements.append(node)
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     local = alias.asname or alias.name.split(".", 1)[0]
@@ -42,26 +46,6 @@ class ImportMap:
             for local, (source, original) in self.names.items()
             if source == module or source.startswith(module + ".")
         }
-
-
-def call_name(node):
-    """The called name for ``Name(...)`` calls, else None."""
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id
-    return None
-
-
-def attr_chain(node):
-    """``a.b.c`` -> ["a", "b", "c"]; None if not a pure name chain."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        parts.reverse()
-        return parts
-    return None
 
 
 def receiver_last_name(node):

@@ -2,8 +2,7 @@
 
 One :class:`FileContext` is built per file (source, AST, pragmas,
 repo-relative path) and handed to every applicable rule. Findings come
-back sorted, pragma suppression applied, ready for the baseline filter
-and the reporters.
+back sorted, pragma suppression applied, ready for the reporters.
 
 Directory walks skip ``__pycache__``, hidden directories, and any
 directory named ``fixtures`` — the lint test suite keeps deliberately
@@ -16,7 +15,7 @@ import os
 
 from repro.lint import pragma as pragma_mod
 from repro.lint.astutil import ImportMap
-from repro.lint.rule import ERROR, Finding, all_rules
+from repro.lint.rule import Finding, all_rules, rule_ids
 
 SKIP_DIR_NAMES = {"__pycache__", "fixtures", "build", "dist"}
 
@@ -52,24 +51,8 @@ class FileContext:
         """Under the shipped package (src/repro/...)."""
         return self.parts[:2] == ("src", "repro")
 
-    @property
-    def in_tests(self):
-        return self.parts[:1] == ("tests",)
-
-    @property
-    def in_benchmarks(self):
-        return self.parts[:1] == ("benchmarks",)
-
-    def in_subsystem(self, *names):
-        """Under src/repro/<any of names>/ (or the module file itself)."""
-        if not self.in_src or len(self.parts) < 3:
-            return False
-        return self.parts[2] in names or any(
-            self.parts[2] == name + ".py" for name in names
-        )
-
     def snippet(self, line):
-        """The stripped source line (1-based), for reports and baselines."""
+        """The stripped source line (1-based), for reports."""
         if 1 <= line <= len(self.lines):
             return self.lines[line - 1].strip()
         return ""
@@ -130,154 +113,68 @@ def iter_python_files(paths, root=None):
 class LintResult:
     """The outcome of one lint run."""
 
-    def __init__(self, findings, suppressed_count, checked_files,
-                 grandfathered=(), stale_baseline=()):
-        #: Findings surviving pragmas and the baseline, sorted.
+    def __init__(self, findings, suppressed_count, checked_files):
+        #: Findings surviving pragmas, sorted.
         self.findings = findings
         self.suppressed_count = suppressed_count
         self.checked_files = checked_files
-        self.grandfathered = list(grandfathered)
-        self.stale_baseline = list(stale_baseline)
-
-    @property
-    def errors(self):
-        return [f for f in self.findings if f.severity == ERROR]
-
-    @property
-    def advice(self):
-        return [f for f in self.findings if f.severity != ERROR]
 
     @property
     def ok(self):
-        """Clean: no error-severity findings (advice never gates)."""
-        return not self.errors
+        return not self.findings
 
     def exit_code(self):
         return 0 if self.ok else 1
 
 
-def load_context(path, root):
-    """Build a :class:`FileContext`; returns ``(ctx, parse_error)``.
+def known_pragma_ids():
+    """Every rule id a pragma may legitimately name."""
+    return frozenset(rule_ids()) | {"parse-error", "bad-pragma",
+                                    "unknown-pragma-rule"}
 
-    Exactly one of the pair is None: a file that fails to parse yields
-    a single ``parse-error`` finding — syntactically broken source
-    can't be vouched for.
+
+def lint_file(path, root=None, rules=None):
+    """Lint one file; returns (findings, suppressed).
+
+    A file that fails to parse yields a single ``parse-error`` finding:
+    syntactically broken source can't be vouched for. Malformed pragmas
+    and pragmas naming unknown rule ids are findings regardless of
+    which rules were selected — a pragma that could never suppress
+    anything is drift, not a suppression.
     """
+    root = root or find_root()
+    rules = rules if rules is not None else all_rules()
     rel = _rel_path(path, root)
     with open(path, encoding="utf-8") as handle:
         source = handle.read()
     try:
         tree = ast.parse(source, filename=rel)
     except SyntaxError as exc:
-        return None, Finding(
-            path=rel,
-            line=exc.lineno or 1,
-            col=(exc.offset or 1) - 1,
-            rule="parse-error",
-            message="file does not parse: %s" % exc.msg,
-            severity=ERROR,
-        )
-    return FileContext(path, rel, source, tree), None
-
-
-def check_context(ctx, rules):
-    """Raw findings for one context: per-file rules + pragma hygiene.
-
-    Project rules are skipped here (they run once over the graph);
-    malformed pragmas and pragmas naming unknown rule ids are findings
-    regardless of which rules were selected — a pragma that could never
-    suppress anything is drift, not a suppression.
-    """
+        return [Finding(path=rel, line=exc.lineno or 1,
+                        col=(exc.offset or 1) - 1, rule="parse-error",
+                        message="file does not parse: %s" % exc.msg)], 0
+    ctx = FileContext(path, rel, source, tree)
     raw = []
     for rule in rules:
-        if not rule.project and rule.applies_to(ctx):
+        if rule.applies_to(ctx):
             raw.extend(rule.check(ctx))
     raw.extend(pragma_mod.malformed_findings(ctx, ctx.malformed_pragmas))
     raw.extend(pragma_mod.unknown_rule_findings(ctx, known_pragma_ids()))
-    return raw
+    findings = [f for f in raw if not pragma_mod.suppressed(ctx.pragmas, f)]
+    return findings, len(raw) - len(findings)
 
 
-def known_pragma_ids():
-    """Every rule id a pragma may legitimately name."""
-    from repro.lint.rule import rule_ids
-
-    return frozenset(rule_ids()) | {"parse-error", "bad-pragma",
-                                    "unknown-pragma-rule"}
-
-
-def lint_file(path, root=None, rules=None):
-    """Lint one file with the per-file rules; (findings, suppressed)."""
+def run_lint(paths, root=None, rules=None):
+    """Lint ``paths`` with ``rules`` (default: all); a :class:`LintResult`."""
     root = root or find_root()
     rules = rules if rules is not None else all_rules()
-    ctx, parse_error = load_context(path, root)
-    if parse_error is not None:
-        return [parse_error], 0
-    findings = []
-    suppressed = 0
-    for finding in check_context(ctx, rules):
-        if pragma_mod.suppressed(ctx.pragmas, finding):
-            suppressed += 1
-        else:
-            findings.append(finding)
-    return findings, suppressed
-
-
-def run_lint(paths, root=None, rules=None, baseline=None, cache_path=None):
-    """Lint ``paths`` with ``rules`` (default: all) against ``baseline``.
-
-    ``baseline`` is a loaded baseline dict (see :mod:`repro.lint.baseline`)
-    or None for no grandfathering. When any selected rule is a
-    :class:`~repro.lint.rule.ProjectRule`, the whole-program graph is
-    built over every linted file (``cache_path`` points at the
-    incremental summary cache; None builds cold) and the project rules
-    run once over it. Pragma suppression applies uniformly: a project
-    finding is suppressed by a pragma at its reported line, same as a
-    per-file finding. Returns a :class:`LintResult`.
-    """
-    from repro.lint.baseline import empty_baseline, split_by_baseline, \
-        stale_entries
-
-    root = root or find_root()
-    rules = rules if rules is not None else all_rules()
-    baseline = baseline if baseline is not None else empty_baseline()
-    project_rules = [rule for rule in rules if rule.project]
     files = iter_python_files(paths, root=root)
-
-    contexts = {}
-    raw = []
-    for path in files:
-        ctx, parse_error = load_context(path, root)
-        if parse_error is not None:
-            raw.append(parse_error)
-            continue
-        contexts[ctx.rel_path] = ctx
-        raw.extend(check_context(ctx, rules))
-
-    if project_rules:
-        from repro.lint.graph import build_graph_from_sources
-
-        graph = build_graph_from_sources(
-            {rel: ctx.source for rel, ctx in contexts.items()},
-            trees={rel: ctx.tree for rel, ctx in contexts.items()},
-            cache_path=cache_path,
-        )
-        for rule in project_rules:
-            raw.extend(rule.check_project(graph))
-
     findings = []
     suppressed = 0
-    for finding in raw:
-        ctx = contexts.get(finding.path)
-        if ctx is not None and pragma_mod.suppressed(ctx.pragmas, finding):
-            suppressed += 1
-        else:
-            findings.append(finding)
+    for path in files:
+        file_findings, file_suppressed = lint_file(path, root=root,
+                                                   rules=rules)
+        findings.extend(file_findings)
+        suppressed += file_suppressed
     findings.sort()
-    new, grandfathered = split_by_baseline(findings, baseline)
-    return LintResult(
-        new,
-        suppressed,
-        len(files),
-        grandfathered=grandfathered,
-        stale_baseline=stale_entries(findings, baseline),
-    )
+    return LintResult(findings, suppressed, len(files))

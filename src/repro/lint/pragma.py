@@ -18,7 +18,7 @@ finding so it cannot silently rot.
 
 import re
 
-from repro.lint.rule import ERROR, Finding
+from repro.lint.rule import Finding
 
 PRAGMA = re.compile(
     r"#\s*lint:\s*allow\[(?P<rules>[a-z0-9\-_,\s]+)\]\s*(?P<reason>.*)$"
@@ -86,7 +86,6 @@ def unknown_rule_findings(ctx, known_ids):
                     message="pragma names unknown rule id %r; it can "
                             "never suppress anything (see --list-rules "
                             "for the catalogue)" % rule_id,
-                    severity=ERROR,
                     snippet=line.strip(),
                 ))
     return findings
@@ -102,7 +101,6 @@ def malformed_findings(ctx, malformed):
             rule="bad-pragma",
             message="pragma has no reason string; write "
                     "'# lint: allow[<rule-id>] why this is intentional'",
-            severity=ERROR,
             snippet=text,
         )
         for lineno, text in malformed

@@ -14,11 +14,8 @@ def render_json(result):
     """The whole result as one stable JSON document (with newline)."""
     document = {
         "checked_files": result.checked_files,
-        "errors": len(result.errors),
-        "advice": len(result.advice),
+        "errors": len(result.findings),
         "suppressed": result.suppressed_count,
-        "grandfathered": len(result.grandfathered),
-        "stale_baseline": [list(entry) for entry in result.stale_baseline],
         "findings": [finding.to_dict() for finding in result.findings],
         "ok": result.ok,
     }
@@ -29,43 +26,26 @@ def render_human(result):
     """Readable report: one block per finding plus a summary line."""
     lines = []
     for finding in result.findings:
-        tag = "advice" if finding.severity != "error" else "error"
         lines.append(
-            "%s: %s [%s] %s"
-            % (finding.location(), tag, finding.rule, finding.message)
+            "%s: error [%s] %s"
+            % (finding.location(), finding.rule, finding.message)
         )
         if finding.snippet:
             lines.append("    %s" % finding.snippet)
-        if tag == "error":
-            lines.append(
-                "    suppress with: # lint: allow[%s] <reason>" % finding.rule
-            )
-    if result.stale_baseline:
-        lines.append("stale baseline entries (no longer produced; drop them):")
-        for rule, path, snippet in result.stale_baseline:
-            lines.append("    [%s] %s: %s" % (rule, path, snippet))
-    lines.append(
-        "%d files checked: %d error(s), %d advice, "
-        "%d pragma-suppressed, %d baselined"
-        % (
-            result.checked_files,
-            len(result.errors),
-            len(result.advice),
-            result.suppressed_count,
-            len(result.grandfathered),
+        lines.append(
+            "    suppress with: # lint: allow[%s] <reason>" % finding.rule
         )
+    lines.append(
+        "%d files checked: %d error(s), %d pragma-suppressed"
+        % (result.checked_files, len(result.findings),
+           result.suppressed_count)
     )
     return "\n".join(lines) + "\n"
 
 
 def render_explain(rule):
     """``--explain <rule-id>`` output: rationale plus a fixture example."""
-    lines = [
-        "%s (%s%s)" % (rule.id, rule.severity,
-                       ", whole-program" if rule.project else ""),
-        "",
-        rule.summary,
-    ]
+    lines = [rule.id, "", rule.summary]
     if rule.rationale:
         lines.append("")
         lines.append("Why:")
@@ -83,8 +63,5 @@ def render_explain(rule):
 
 
 def render_rule_list(rules):
-    """``--list-rules`` output: id, severity, one-line summary."""
-    lines = []
-    for rule in rules:
-        lines.append("%-22s %-7s %s" % (rule.id, rule.severity, rule.summary))
-    return "\n".join(lines) + "\n"
+    """``--list-rules`` output: id and one-line summary."""
+    return "".join("%-22s %s\n" % (rule.id, rule.summary) for rule in rules)

@@ -1,12 +1,8 @@
 """Rule base class, the Finding record, and the rule registry.
 
-A rule is a stateless object with an ``id``, a ``severity`` and a
-``check(ctx)`` generator. Severities:
-
-* ``error`` — a violated invariant; fails the run unless pragma'd or
-  baselined.
-* ``advice`` — a heads-up (e.g. a probable hot-path copy); reported but
-  never affects the exit code.
+A rule is a stateless object with an ``id`` and a ``check(ctx)``
+generator. Every finding is an error: a violated invariant fails the
+run unless a pragma with a reason suppresses it.
 
 Rules register themselves via the :func:`register` decorator at import
 time; :func:`all_rules` hands the engine one instance of each, sorted
@@ -14,10 +10,6 @@ by id so every run visits rules in the same order.
 """
 
 from dataclasses import dataclass, field
-
-
-ERROR = "error"
-ADVICE = "advice"
 
 
 @dataclass(frozen=True, order=True)
@@ -29,12 +21,8 @@ class Finding:
     col: int
     rule: str
     message: str
-    severity: str = ERROR
+    severity: str = "error"   # the one severity; kept in the JSON report
     snippet: str = field(default="", compare=False)
-
-    def key(self):
-        """Baseline identity: survives pure line-number drift."""
-        return (self.rule, self.path, self.snippet)
 
     def location(self):
         return "%s:%d" % (self.path, self.line)
@@ -55,7 +43,7 @@ class Rule:
     """Base class for AST lint rules.
 
     Subclasses set ``id`` (kebab-case), ``summary`` (one line for
-    ``--list-rules``), ``severity``, and implement :meth:`check`.
+    ``--list-rules``), and implement :meth:`check`.
     :meth:`applies_to` gates whole files cheaply before any AST walk.
     ``rationale`` and ``example`` feed ``--explain <rule-id>``: the
     rationale says why the invariant exists, the example is a minimal
@@ -64,10 +52,6 @@ class Rule:
 
     id = None
     summary = ""
-    severity = ERROR
-    #: Whole-program rule? Project rules run once over the graph, not
-    #: per file (see :class:`ProjectRule`).
-    project = False
     #: Multi-line prose for ``--explain``: why this invariant matters.
     rationale = ""
     #: A minimal violating snippet for ``--explain``.
@@ -83,7 +67,7 @@ class Rule:
 
     # -- helpers shared by every concrete rule --------------------------
 
-    def finding(self, ctx, node, message, severity=None):
+    def finding(self, ctx, node, message):
         """Build a Finding anchored at ``node`` (any ast node)."""
         line = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0)
@@ -93,40 +77,7 @@ class Rule:
             col=col,
             rule=self.id,
             message=message,
-            severity=severity if severity is not None else self.severity,
             snippet=ctx.snippet(line),
-        )
-
-
-class ProjectRule(Rule):
-    """Base class for whole-program rules.
-
-    Project rules see the :class:`~repro.lint.graph.ProjectGraph`
-    instead of one file at a time: they run once per lint invocation,
-    after every file context is built, and may report findings in any
-    file. Pragma suppression still applies at the reported line.
-    """
-
-    project = True
-
-    def check(self, ctx):  # pragma: no cover - project rules never run here
-        return iter(())
-
-    def check_project(self, graph):
-        """Yield :class:`Finding`s for the whole project graph."""
-        raise NotImplementedError
-
-    def project_finding(self, graph, rel_path, lineno, message,
-                        col=0, severity=None):
-        """Build a Finding anchored in any file the graph covers."""
-        return Finding(
-            path=rel_path,
-            line=lineno,
-            col=col,
-            rule=self.id,
-            message=message,
-            severity=severity if severity is not None else self.severity,
-            snippet=graph.snippet(rel_path, lineno),
         )
 
 

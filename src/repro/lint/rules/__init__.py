@@ -3,27 +3,19 @@
 from repro.lint.rules import (
     excepts,
     exports,
-    hotpath,
-    iteration,
+    layering,
     randomness,
     registry_sync,
-    registry_usage,
-    sharedstate,
     simclock,
-    timeouts,
     wallclock,
 )
 
 __all__ = [
     "excepts",
     "exports",
-    "hotpath",
-    "iteration",
+    "layering",
     "randomness",
     "registry_sync",
-    "registry_usage",
-    "sharedstate",
     "simclock",
-    "timeouts",
     "wallclock",
 ]

@@ -12,7 +12,7 @@ the compressed bit pattern at a fixed stride, without decompressing.
 
 from repro.errors import EncodingError
 from repro.metadata.bitpack import BitReader, BitWriter
-from repro.pyramid.tuples import decode_value, encode_value
+from repro.wire import decode_value, encode_value
 
 
 def _index_width(base_count):

@@ -2,11 +2,10 @@
 
 Python's one sanctioned source of run-to-run nondeterminism is string
 hash randomization: iterate a set (or pre-3.7 dict) and the order — and
-anything downstream of it — moves with ``PYTHONHASHSEED``. The static
-``nondeterministic-iteration`` rule catches the iterations it can see;
-this harness proves the end-to-end property the rules exist to protect:
-**the same seeded run produces byte-identical traces and metrics under
-two different hash seeds**.
+anything downstream of it — moves with ``PYTHONHASHSEED``. No static
+rule can see every such iteration, so this harness checks the
+end-to-end property instead: **the same seeded run produces
+byte-identical traces and metrics under two different hash seeds**.
 
 The run under test executes in a fresh subprocess per hash seed
 (``PYTHONHASHSEED`` only takes effect at interpreter start), prints its

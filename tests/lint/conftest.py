@@ -17,34 +17,8 @@ FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 #: Default in-fake-repo destination per rule, for rules that scope by path.
 RULE_DESTINATIONS = {
-    "hot-path-copy": "src/repro/layout/fixture_mod.py",
+    "layering": "src/repro/layout/fixture_mod.py",
 }
-
-
-@pytest.fixture
-def project_lint(tmp_path):
-    """Copy a multi-file fixture directory into a fake repo and run
-    whole-program rules over it.
-
-    ``project_lint("project_sharedstate", ["cross-domain-shared-state"])``
-    copies every ``.py`` under ``fixtures/project_sharedstate/`` to
-    ``<tmp>/src/repro/<same relative path>`` and lints the fake repo's
-    ``src`` tree with exactly the named rules.
-    """
-
-    def run(fixture_dir, rule_ids, cache_path=None):
-        (tmp_path / "pyproject.toml").write_text("[project]\nname = 'fake'\n")
-        source_dir = FIXTURES / fixture_dir
-        for path in sorted(source_dir.rglob("*.py")):
-            rel = path.relative_to(source_dir)
-            target = tmp_path / "src" / "repro" / rel
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(path.read_text())
-        rules = [get_rule(rule_id) for rule_id in rule_ids]
-        return run_lint([str(tmp_path / "src")], root=str(tmp_path),
-                        rules=rules, cache_path=cache_path)
-
-    return run
 
 
 @pytest.fixture

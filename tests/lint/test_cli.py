@@ -16,7 +16,7 @@ EXPECTED_RULES = {
     "stable-export",
     "name-registry-sync",
     "no-bare-except",
-    "hot-path-copy",
+    "layering",
     "sim-clock-monotonic",
 }
 
@@ -98,17 +98,3 @@ def test_missing_path_is_a_usage_error(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as excinfo:
         run_cli(["no-such-dir"])
     assert excinfo.value.code == 2
-
-
-def test_write_baseline_then_clean_run(tmp_path, monkeypatch):
-    build_repo(tmp_path)
-    monkeypatch.chdir(tmp_path)
-    code, out = run_cli(["src", "--write-baseline"])
-    assert code == 0 and "2 finding(s)" in out
-    # The default baseline is picked up automatically on the next run.
-    code, out = run_cli(["src"])
-    assert code == 0
-    assert "2 baselined" in out
-    # And --no-baseline sees the findings again.
-    code, _ = run_cli(["src", "--no-baseline"])
-    assert code == 1

@@ -2,16 +2,14 @@
 
 Every invariant the rule set encodes (no wall clock on the data path,
 seeded randomness everywhere, order-stable exports, registry-synced
-instrumentation names, no swallowed failures) holds for the tree as
-committed, with an **empty** baseline: nothing is grandfathered, and
-every suppression in the tree is a pragma carrying a reason.
+instrumentation names, no swallowed failures, strictly downward
+imports) holds for the tree as committed: every suppression in the
+tree is a pragma carrying a reason.
 """
 
-import json
 import pathlib
 
 from repro.lint import run_lint
-from repro.lint.baseline import load_baseline
 
 REPO = pathlib.Path(__file__).resolve().parent.parent.parent
 
@@ -22,22 +20,13 @@ def test_repo_is_lint_clean():
     )
     formatted = "\n".join(
         "%s: [%s] %s" % (f.location(), f.rule, f.message)
-        for f in result.errors
+        for f in result.findings
     )
-    assert not result.errors, "the repo must self-lint clean:\n" + formatted
+    assert not result.findings, "the repo must self-lint clean:\n" + formatted
     # A meaningful number of files was actually checked.
     assert result.checked_files > 150
 
 
 def test_benchmarks_are_lint_clean_too():
     result = run_lint([str(REPO / "benchmarks")], root=str(REPO))
-    assert not result.errors, [f.to_dict() for f in result.errors]
-
-
-def test_committed_baseline_is_empty():
-    """Policy: the baseline mechanism exists, the parking lot stays empty."""
-    baseline = load_baseline(str(REPO / "lint-baseline.json"))
-    assert baseline["findings"] == []
-    # And the committed file is the canonical empty form, byte for byte.
-    text = (REPO / "lint-baseline.json").read_text()
-    assert json.loads(text) == {"findings": []}
+    assert not result.findings, [f.to_dict() for f in result.findings]
