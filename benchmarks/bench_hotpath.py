@@ -6,8 +6,6 @@ pass replaced and the end-to-end pipeline built from them:
 * GF(256): masked exp/log reference vs ``bytes.translate`` (mul, addmul);
 * Reed-Solomon encode: seed allocating encode vs translate-table encode
   vs the batched ``encode_stripes`` entry point the segio flush uses;
-* dedup hashing: copying bytes slices vs memoryview slices vs
-  sampled-only record hashing;
 * end-to-end write/read throughput of a dedup-heavy workload on the
   seed pipeline (re-instated via ``repro.seedpath.seed_pipeline``) and
   on the optimized pipeline.
@@ -30,12 +28,11 @@ from repro.bench import Metric, bench_seed, register, shape_max, shape_min
 from repro.core.array import PurityArray
 from repro.core.config import ArrayConfig
 from repro.core.telemetry import format_perf_report, perf_report, reset_perf_counters
-from repro.dedup.hashing import sampled_sector_hashes, sector_hash, sector_hashes
 from repro.erasure.gf256 import GF256
 from repro.erasure.reed_solomon import ReedSolomon
 from repro.seedpath import seed_pipeline
 from repro.sim.rand import RandomStream
-from repro.units import KIB, MIB, SECTOR
+from repro.units import KIB, MIB
 
 SEED = bench_seed("hotpath.kernels")  # the paper's year; all else derives
 
@@ -142,38 +139,6 @@ def bench_rs_encode():
     }
 
 
-def bench_hashing():
-    stream = RandomStream(SEED)
-    data = stream.randbytes(64 * KIB)
-    repeats = MICRO_REPEATS
-
-    def run_seed():
-        # Seed shape: a copying bytes slice per sector, every sector
-        # hashed twice (lookup pass + full record pass).
-        for _ in range(repeats):
-            blob = bytes(data)
-            for offset in range(0, len(blob), SECTOR):
-                sector_hash(blob[offset : offset + SECTOR])
-            for offset in range(0, len(blob), SECTOR):
-                sector_hash(blob[offset : offset + SECTOR])
-
-    def run_memoryview():
-        # Optimized lookup pass + sampled-only record pass.
-        for _ in range(repeats):
-            sector_hashes(data)
-            sampled_sector_hashes(data, 8)
-
-    seed_time = _best_of(3, run_seed)
-    optimized_time = _best_of(3, run_memoryview)
-    return {
-        "data_bytes": 64 * KIB,
-        "repeats": repeats,
-        "seed_ms": seed_time * 1e3,
-        "optimized_ms": optimized_time * 1e3,
-        "speedup": seed_time / optimized_time,
-    }
-
-
 # ----------------------------------------------------------------------
 # End-to-end pipeline
 
@@ -261,7 +226,6 @@ def run_all():
         "seed": SEED,
         "gf256": bench_gf256(),
         "rs_encode": bench_rs_encode(),
-        "hashing": bench_hashing(),
         "e2e": bench_e2e(),
     }
     results["perf_report"] = perf_report()
@@ -286,10 +250,6 @@ def summarize(results):
             results["rs_encode"]["stripes_speedup"],
             results["rs_encode"]["reference_ms"],
             results["rs_encode"]["stripes_ms"]),
-        "dedup hashing          %6.2fx  (%.2f ms -> %.2f ms)" % (
-            results["hashing"]["speedup"],
-            results["hashing"]["seed_ms"],
-            results["hashing"]["optimized_ms"]),
         "e2e write path         %6.2fx  (%.1f MB/s -> %.1f MB/s)" % (
             results["e2e"]["write_speedup"],
             results["e2e"]["seed"]["write_mb_per_s"],
@@ -316,8 +276,6 @@ def collect():
         Metric("gf256_mul_speedup",
                results["gf256"]["mul_array"]["speedup"], "x",
                shape_min(1.5, paper="bytes.translate GF(256) multiply"), **wall),
-        Metric("hashing_speedup", results["hashing"]["speedup"], "x",
-               shape_min(1.5, paper="zero-copy + sampled hashing"), **wall),
         Metric("e2e_write_speedup", results["e2e"]["write_speedup"], "x",
                shape_min(1.2, paper="whole write path gains"), **wall),
         Metric("e2e_data_reduction",
@@ -355,7 +313,6 @@ def test_hotpath_speedups(once):
     assert results["rs_encode"]["speedup"] > 2.0
     assert results["rs_encode"]["stripes_speedup"] > 2.0
     assert results["gf256"]["mul_array"]["speedup"] > 1.5
-    assert results["hashing"]["speedup"] > 1.5
     assert results["e2e"]["write_speedup"] > 1.2
 
 

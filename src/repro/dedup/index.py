@@ -69,6 +69,33 @@ class DedupIndex:
     def lookup(self, sector_hash_value):
         """Location for a hash, or None; promotes hot hashes."""
         self.lookups += 1
+        return self._hit(sector_hash_value)
+
+    def probe(self, hashes, start):
+        """``lookup`` of ``hashes[start:]`` up to and including the first
+        hit, in one call: (position of that hit, its location), or
+        (``len(hashes)``, None) when every one misses.
+
+        Each miss passed over counts in ``lookups`` as its own
+        ``lookup`` would, and the hit gets ``lookup``'s bookkeeping
+        unchanged (hit count, promotion, tier LRU). A miss changes
+        nothing else, so asking each position in turn while both tiers
+        stand still is exactly the per-position ``lookup`` sequence —
+        including a hash that an earlier promotion evicted from the
+        frequent tier, which is simply absent when its turn comes.
+        """
+        frequent = self._frequent
+        recent = self._recent
+        for position in range(start, len(hashes)):
+            value = hashes[position]
+            if value in frequent or value in recent:
+                self.lookups += position - start + 1
+                return position, self._hit(value)
+        self.lookups += len(hashes) - start
+        return len(hashes), None
+
+    def _hit(self, sector_hash_value):
+        """Hit bookkeeping for a hash, or None when no tier holds it."""
         location = self._frequent.get(sector_hash_value)
         if location is not None:
             self._frequent.move_to_end(sector_hash_value)

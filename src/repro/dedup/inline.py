@@ -8,12 +8,16 @@ backward, so duplicate runs of at least ``min_run_sectors`` (8 by
 default = 4 KiB) are detected regardless of how they align with the
 sampling grid.
 
-Hot-path shape: the candidate cblock is fetched once per anchor and
-every compare is a ``bytes`` slice against a ``bytes`` slice (memcmp;
-``memoryview.__eq__`` walks element by element). Extension gallops —
-1, 2, 4, ... sectors, then halves inside the first chunk that differs —
-so an anchor that goes nowhere costs a few sector compares and a real
-run costs O(run), never O(cblock). The per-sector eager matcher it
+Hot-path shape: a write's sectors are hashed in one vectorised pass and
+the index is probed for the next sector it holds, so a miss costs two
+dict membership tests. The candidate cblock is fetched once per anchor
+and every compare is a ``bytes`` slice against a ``bytes`` slice
+(memcmp; ``memoryview.__eq__`` walks element by element). Extension
+gallops — 1, 2, 4, ... sectors, then halves inside the first chunk that
+differs — and the forward walk is skipped when the one sector a match
+would need ahead of the anchor differs, so an anchor that goes nowhere
+costs a few sector compares and a real run costs O(run), never
+O(cblock). The per-sector eager matcher it
 replaced survives as :meth:`InlineDeduper.find_matches_reference`, the
 oracle the tests (and ``repro.seedpath``) hold it to.
 """
@@ -21,7 +25,7 @@ oracle the tests (and ``repro.seedpath``) hold it to.
 import time
 from dataclasses import dataclass
 
-from repro.dedup.hashing import sector_hash, sector_hashes
+from repro.dedup.hashing import sector_hashes
 from repro.perf import PERF
 from repro.units import SECTOR
 
@@ -100,35 +104,34 @@ class InlineDeduper:
     def find_matches(self, data):
         """Duplicate runs in ``data``; non-overlapping, sorted, verified.
 
-        Sectors are hashed lazily: the cursor jumps over the interior of
-        every emitted match, so an exact-duplicate cblock costs roughly
-        one digest instead of one per sector. The match set is identical
-        to eager hashing — the cursor only ever consults the hash at its
-        own position.
+        Every sector is hashed in one vectorised pass, then
+        :meth:`DedupIndex.probe` moves the cursor straight to the next
+        sector whose hash the index holds, counting the misses it
+        passes as per-sector lookups would. Each hit is an anchor:
+        verified and extended as below, after which the cursor jumps
+        past an emitted match or steps one sector on. Matches, counters
+        and the sequence of hashes asked are those of
+        :meth:`find_matches_reference`, so the anchors — one
+        ``fetch_cblock`` each — are the ones per-sector lookups find.
+        Nothing here keeps a view of ``data`` past the call.
         """
-        view = memoryview(data)
-        if len(view) % SECTOR:
-            raise ValueError(
-                "data length %d is not a sector multiple" % len(view)
-            )
-        total = len(view) // SECTOR
-        lookup = self.index.lookup
         # lint: allow[wall-clock-purity] host-side perf accounting (charged to PERF); never enters sim state
         monotonic_ns = time.monotonic_ns
         # The clock is read per call and per index hit, never per
         # sector: "hash" is the call's time outside anchor handling.
         call_ns = monotonic_ns()
+        hashes = sector_hashes(data)
+        total = len(hashes)
+        probe = self.index.probe
         verify_ns = 0
         incoming = None  # the write as bytes, materialized at the first hit
         matches = []
         claimed_until = 0  # first sector not covered by an emitted match
         cursor = 0
         while cursor < total:
-            at = cursor * SECTOR
-            location = lookup(sector_hash(view[at : at + SECTOR]))
+            cursor, location = probe(hashes, cursor)
             if location is None:
-                cursor += 1
-                continue
+                break
             anchor_ns = monotonic_ns()
             if incoming is None:
                 incoming = bytes(data)
@@ -159,8 +162,10 @@ class InlineDeduper:
     def _verified_run(self, incoming, anchor, floor, location):
         """[start, end) of the byte-verified run through sector ``anchor``,
         or None when the anchor itself does not match (hash collision or
-        stale location). ``floor`` caps the backward walk at the end of
-        the previous emitted match; the cblock is fetched exactly once.
+        stale location). A run that cannot reach ``min_run_sectors`` may
+        come back cut short: it is discarded either way. ``floor`` caps
+        the backward walk at the end of the previous emitted match; the
+        cblock is fetched exactly once.
         """
         sector_index = location.sector_index
         stored = self.fetch_cblock(location) if sector_index >= 0 else None
@@ -176,10 +181,20 @@ class InlineDeduper:
             stored, stored_at, incoming, at,
             min(anchor - floor, sector_index), forward=False,
         )
+        limit = min(len(incoming) // SECTOR - anchor,
+                    len(stored) // SECTOR - sector_index) - 1
+        # The run is a match only if it reaches ``need`` sectors ahead,
+        # so one compare there settles most futile anchors without the
+        # forward walk; what such an anchor returns is merely too short.
+        need = self.min_run_sectors - 1 - behind
+        if need > 0:
+            near = at + need * SECTOR
+            stored_near = stored_at + need * SECTOR
+            if need > limit or (stored[stored_near : stored_near + SECTOR]
+                                != incoming[near : near + SECTOR]):
+                return anchor - behind, anchor + 1
         ahead = _agreeing_sectors(
-            stored, stored_at + SECTOR, incoming, at + SECTOR,
-            min(len(incoming) // SECTOR - anchor,
-                len(stored) // SECTOR - sector_index) - 1,
+            stored, stored_at + SECTOR, incoming, at + SECTOR, limit,
             forward=True,
         )
         return anchor - behind, anchor + 1 + ahead

@@ -5,7 +5,8 @@ gallops over ``bytes`` slices; the reference verifies one sector per
 fetch. On a seeded corpus built to be mostly *futile* anchors (stored
 cblocks share a small pool of filler sectors, as the benchmark's
 generators do) plus every shape of true run, both must return the same
-matches, counters and ``index.lookup`` sequence. The guard then counts
+matches, counters, ``lookups`` and sequence of hashes asked (through
+``lookup`` or ``probe``). The guard then counts
 fetches and bytes sliced — no wall clock — so a futile anchor cannot
 quietly go back to costing O(cblock).
 """
@@ -30,15 +31,21 @@ CASES_PER_KIND = 120
 
 
 class RecordingIndex(DedupIndex):
-    """A DedupIndex that remembers every hash it was asked about."""
+    """A DedupIndex that remembers every hash it was asked about, one
+    per ``lookup`` and one per position a ``probe`` passes or stops at."""
 
-    def __init__(self):
-        super().__init__(promote_hits=2)
+    def __init__(self, promote_hits=2, **capacities):
+        super().__init__(promote_hits=promote_hits, **capacities)
         self.asked = []
 
     def lookup(self, sector_hash_value):
         self.asked.append(sector_hash_value)
         return super().lookup(sector_hash_value)
+
+    def probe(self, hashes, start):
+        position, location = super().probe(hashes, start)
+        self.asked.extend(hashes[start : position + 1])
+        return position, location
 
 
 def cut(data, first, last):
@@ -118,6 +125,7 @@ def run_matcher(case, kind, reference):
         "matches_found": deduper.matches_found,
         "false_hash_hits": deduper.false_hash_hits,
         "asked": index.asked,
+        "lookups": index.lookups,
         "hits": index.hits,
     }
 
@@ -193,6 +201,38 @@ def test_named_scenarios_match_reference():
                 assert outcome["matches_found"] >= 1, name
 
 
+def test_promotion_that_evicts_a_later_candidate_turns_it_into_a_miss():
+    """A one-entry frequent tier holds the hash of a run further on in
+    the chunk. The chunk's first anchor is promoted on its hit and
+    evicts it, so by the time the cursor reaches that run its hash is a
+    miss — the live path must ask about it and get None, as the
+    reference does, not remember it as present from the start."""
+    early = unique_sectors(16, salt=40)
+    late = unique_sectors(16, salt=41)
+    early_hash = sector_hash(cut(early, 0, 1))
+    late_hash = sector_hash(cut(late, 0, 1))
+    incoming = cut(early, 0, 4) + unique_sectors(4, salt=42) + late
+
+    def make_case():
+        store = {1: early, 2: late}
+        index = RecordingIndex(promote_hits=1, frequent_capacity=1)
+        index.record(late_hash, DedupLocation(2, 0, len(late), 0))
+        assert index.lookup(late_hash) is not None  # promoted: frequent
+        index.record(early_hash, DedupLocation(1, 0, len(early), 0))
+        index.asked.clear()
+        return store, index, incoming, 8
+
+    for kind in sorted(INPUT_KINDS):
+        outcome = assert_same_as_reference(make_case, kind, kind)
+        # The early anchor is too short to match; the late run would
+        # match, had its hash not been evicted before the cursor got there.
+        assert outcome["matches"] == [], kind
+        assert outcome["hits"] == 2, kind  # the set-up lookup + the anchor
+        assert outcome["asked"][0] == early_hash, kind
+        assert outcome["asked"][8] == late_hash, kind
+        assert outcome["lookups"] == 1 + len(incoming) // SECTOR, kind
+
+
 # ----------------------------------------------------------------------
 # Counted cost: fetches and bytes sliced out of the stored cblock
 
@@ -241,6 +281,22 @@ def test_futile_anchor_costs_one_fetch_and_a_few_sector_compares():
     assert sliced <= 32 * 3 * SECTOR
     longer = stored + unique_sectors(192, salt=32)
     assert counted_run(longer, incoming, 1)[1:3] == (fetches, sliced)
+
+
+def test_a_run_that_stops_short_of_a_match_skips_the_forward_walk():
+    """The generators' filler shape: each anchor agrees for three more
+    sectors, then stops short of the 8-sector minimum. One compare at
+    the furthest sector a match would need settles it — the anchor, one
+    sector behind, that one — where walking ahead took five more."""
+    stored = unique_sectors(64, salt=38)
+    incoming = b"".join(
+        cut(stored, 8 * k, 8 * k + 4) + unique_sectors(4, salt=50 + k)
+        for k in range(8)
+    )
+    matches, fetches, sliced, index = counted_run(stored, incoming, 8)
+    assert matches == []
+    assert index.hits == fetches == 8
+    assert sliced <= 8 * 3 * SECTOR
 
 
 def test_real_run_costs_its_length_not_the_cblocks():
