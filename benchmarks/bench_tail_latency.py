@@ -136,8 +136,8 @@ def test_read_around_writes_flattens_tail(once):
         rows,
         title="Tail latency: read around busy-writing drives "
               "(30%% writes, %d ops)" % OPERATIONS))
-    # Per-stage wall-time breakdown of the two workloads just driven.
-    emit("tail_latency_perf_stages", format_perf_report())
+    # Cache, retry and health event counters of the two workloads.
+    emit("tail_latency_perf_counters", format_perf_report())
     # Per-stage *simulated* latency from the trace of the scheduler-on
     # run, plus the sampled queue-depth / cache-hit series.
     emit("tail_latency_obs_stages", per_stage_table(array_on.obs.records))

@@ -1,18 +1,17 @@
 """Baseline comparison: the perf-regression gate behind ``--check``.
 
-``bench-baseline.json`` commits one value per metric (plus its
-tolerance). A ``--check`` run re-measures, then fails when:
+``bench-baseline.json`` commits one value per metric. A ``--check``
+run re-measures, then fails when:
 
 * any metric's paper *shape* breaks (direction/band violated), or
-* a metric drifts from its baseline value by more than its tolerance
+* a metric drifts from its baseline value by more than the tolerance
   band, or
 * a bench or metric present in the baseline disappears entirely.
 
-Tolerances are per-metric: deterministic metrics default to a tight
-band (same seed should reproduce them almost exactly; the slack only
-absorbs intentional cross-platform float noise), wall-clock-derived
-metrics to a wide one (machine speed is not a regression). A metric
-record may pin its own ``tolerance_pct`` to override either default.
+Every row is a sim-clock or counted quantity, so one band fits all:
+the same seed reproduces each value exactly, and the slack only absorbs
+intentional cross-platform float noise. Host wall time is never gated
+here; ``benchmarks/perf`` measures it.
 
 New metrics that are not yet in the baseline are reported but never
 fatal — you add them by re-running ``--write-baseline``.
@@ -20,9 +19,8 @@ fatal — you add them by re-running ``--write-baseline``.
 
 import json
 
-#: Default relative tolerance bands, in percent.
-DETERMINISTIC_TOLERANCE_PCT = 10.0
-WALL_CLOCK_TOLERANCE_PCT = 60.0
+#: Relative tolerance band, in percent, for every baseline row.
+TOLERANCE_PCT = 10.0
 
 BASELINE_FILENAME = "bench-baseline.json"
 
@@ -34,14 +32,8 @@ def baseline_from_documents(documents):
         for bench in documents[group]["benches"]:
             for metric in bench["metrics"]:
                 key = "%s.%s" % (bench["bench"], metric["metric"])
-                entry = {
-                    "value": metric["value"],
-                    "unit": metric["unit"],
-                    "deterministic": metric["deterministic"],
-                }
-                if metric.get("tolerance_pct") is not None:
-                    entry["tolerance_pct"] = metric["tolerance_pct"]
-                metrics[key] = entry
+                metrics[key] = {"value": metric["value"],
+                                "unit": metric["unit"]}
     return {
         "schema_version": documents[sorted(documents)[0]]["schema_version"],
         "metrics": metrics,
@@ -57,15 +49,6 @@ def write_baseline(baseline, path):
 def load_baseline(path):
     with open(path) as handle:
         return json.load(handle)
-
-
-def tolerance_for(entry):
-    """The relative tolerance band (in percent) for a baseline entry."""
-    if entry.get("tolerance_pct") is not None:
-        return float(entry["tolerance_pct"])
-    if entry.get("deterministic", True):
-        return DETERMINISTIC_TOLERANCE_PCT
-    return WALL_CLOCK_TOLERANCE_PCT
 
 
 class Deviation:
@@ -87,12 +70,8 @@ class Deviation:
         return "%s [%s] %s: %s" % (marker, self.kind, self.key, self.message)
 
 
-def compare(documents, baseline, max_regression_pct=None):
-    """All deviations between fresh documents and a committed baseline.
-
-    ``max_regression_pct``, when given, overrides every per-metric
-    tolerance with one global cap (the CI gate's ``-N%`` knob).
-    """
+def compare(documents, baseline):
+    """All deviations between fresh documents and a committed baseline."""
     deviations = []
     fresh = {}
     ran_benches = set()
@@ -121,9 +100,6 @@ def compare(documents, baseline, max_regression_pct=None):
                     "missing", key, "metric present in baseline but not "
                     "produced by this run"))
             continue
-        tolerance = tolerance_for(entry)
-        if max_regression_pct is not None:
-            tolerance = min(tolerance, float(max_regression_pct))
         base_value = entry["value"]
         value = metric["value"]
         if base_value == 0:
@@ -131,12 +107,12 @@ def compare(documents, baseline, max_regression_pct=None):
             drift_pct = 0.0 if drift_ok else float("inf")
         else:
             drift_pct = abs(value - base_value) / abs(base_value) * 100.0
-            drift_ok = drift_pct <= tolerance
+            drift_ok = drift_pct <= TOLERANCE_PCT
         if not drift_ok:
             deviations.append(Deviation(
                 "regression", key,
                 "measured %s vs baseline %s (%.1f%% drift, tolerance "
-                "%.0f%%)" % (value, base_value, drift_pct, tolerance),
+                "%.0f%%)" % (value, base_value, drift_pct, TOLERANCE_PCT),
             ))
     for key in sorted(fresh):
         if key not in base_metrics:

@@ -28,7 +28,7 @@ from repro.bench.runner import (
     summary_lines,
     write_documents,
 )
-from repro.bench.schema import validate_document
+from repro.bench.schema import GROUPS, validate_document
 
 EXPERIMENTS_FILENAME = "EXPERIMENTS.md"
 #: Where a ``--check`` run's fresh documents go by default (gitignored).
@@ -44,8 +44,7 @@ def build_parser():
     select.add_argument("--all", action="store_true",
                         help="run every registered bench")
     select.add_argument("--group", action="append",
-                        choices=("paper_shapes", "hotpath", "chaos",
-                                 "cluster", "service"),
+                        choices=GROUPS,
                         help="run one group (repeatable)")
     select.add_argument("--only", action="append", metavar="NAME",
                         help="run the named bench (repeatable)")
@@ -57,9 +56,6 @@ def build_parser():
                         help="where BENCH_*.json land (default: repo root; "
                              "%s/ with --check, which leaves the committed "
                              "files alone)" % CHECK_OUT_DIR)
-    parser.add_argument("--timings", action="store_true",
-                        help="include wall-clock stage timings in the JSON "
-                             "(breaks byte-for-byte determinism)")
     gate = parser.add_argument_group("regression gate")
     gate.add_argument("--check", action="store_true",
                       help="compare fresh results against the baseline; "
@@ -67,9 +63,6 @@ def build_parser():
     gate.add_argument("--baseline", default=baseline_mod.BASELINE_FILENAME,
                       metavar="PATH", help="baseline file for --check / "
                                            "--write-baseline")
-    gate.add_argument("--max-regression", type=float, default=None,
-                      metavar="PCT", help="cap every tolerance band at PCT "
-                                          "percent for this check")
     gate.add_argument("--write-baseline", action="store_true",
                       help="adopt the fresh results as the new baseline")
     doc = parser.add_argument_group("documentation")
@@ -122,8 +115,7 @@ def main(argv=None):
         def progress(spec):
             print("running %s ..." % spec.name, flush=True)
 
-        documents = run_specs(specs, include_timings=options.timings,
-                              progress=progress)
+        documents = run_specs(specs, progress=progress)
         for document in documents.values():
             validate_document(document)
         paths = write_documents(
@@ -142,8 +134,7 @@ def main(argv=None):
 
     if options.check:
         baseline = baseline_mod.load_baseline(options.baseline)
-        deviations = baseline_mod.compare(
-            documents, baseline, max_regression_pct=options.max_regression)
+        deviations = baseline_mod.compare(documents, baseline)
         for deviation in deviations:
             print(deviation.render())
         fatal = baseline_mod.fatal_deviations(deviations)

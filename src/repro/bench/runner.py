@@ -1,13 +1,9 @@
 """The deterministic benchmark runner.
 
-Runs registered benches one at a time, brackets each with a
-:mod:`repro.perf` counter reset so the per-bench stage table is clean,
-and assembles the schema-versioned group documents the CLI writes to
-the repo root. Wall-clock stage timings are *excluded* from the emitted
-JSON by default (mirroring :mod:`repro.obs.export`): two same-seed runs
-must produce byte-identical deterministic documents, and host wall time
-is the one thing a replay cannot reproduce. ``include_timings=True``
-adds the wall columns back for interactive profiling.
+Runs registered benches one at a time, each under freshly reset
+:mod:`repro.perf` counters, and assembles the schema-versioned group
+documents the CLI writes to the repo root. Nothing here reads the host
+clock: two same-seed runs produce byte-identical documents.
 
 Benches that trace an array can hand their span records to
 :func:`obs_stage_rows`, which rolls them into the same per-stage
@@ -25,13 +21,12 @@ from repro.bench.schema import (
     group_document,
 )
 from repro.bench.seeds import ROOT_SEED
-from repro.perf import perf_report, reset_perf_counters
+from repro.perf import reset_perf_counters
 from repro.sim.distributions import percentile
 
 #: group -> repo-root artifact filename.
 GROUP_FILES = {
     "paper_shapes": "BENCH_paper_shapes.json",
-    "hotpath": "BENCH_hotpath.json",
     "chaos": "BENCH_chaos.json",
     "cluster": "BENCH_cluster.json",
     "service": "BENCH_service.json",
@@ -66,12 +61,11 @@ def obs_stage_rows(records):
 class CollectedBench:
     """The outcome of one bench run, pre-serialization."""
 
-    __slots__ = ("spec", "metrics", "stages", "obs_stages")
+    __slots__ = ("spec", "metrics", "obs_stages")
 
-    def __init__(self, spec, metrics, stages, obs_stages):
+    def __init__(self, spec, metrics, obs_stages):
         self.spec = spec
         self.metrics = metrics
-        self.stages = stages
         self.obs_stages = obs_stages
 
     @property
@@ -79,11 +73,11 @@ class CollectedBench:
         return all(metric.passed for metric in self.metrics)
 
     def record(self):
-        return bench_record(self.spec, self.metrics, stages=self.stages,
+        return bench_record(self.spec, self.metrics,
                             obs_stages=self.obs_stages)
 
 
-def run_bench(spec, include_timings=False):
+def run_bench(spec):
     """Run one bench under clean perf counters; returns CollectedBench.
 
     The collector may return a bare metric list, or a
@@ -100,25 +94,16 @@ def run_bench(spec, include_timings=False):
         metrics = result
     if not metrics:
         raise ValueError("bench %r returned no metrics" % spec.name)
-    report = perf_report()
-    stages = {}
-    for stage in sorted(report["stages"]):
-        row = report["stages"][stage]
-        entry = {"calls": row["calls"]}
-        if include_timings:
-            entry["total_ms"] = round(row["total_ms"], 3)
-            entry["mean_us"] = round(row["mean_us"], 3)
-        stages[stage] = entry
-    return CollectedBench(spec, metrics, stages or None, obs_stages)
+    return CollectedBench(spec, metrics, obs_stages)
 
 
-def run_specs(specs, include_timings=False, progress=None):
+def run_specs(specs, progress=None):
     """Run many specs; returns group -> document mapping."""
     by_group = {}
     for spec in specs:
         if progress is not None:
             progress(spec)
-        collected = run_bench(spec, include_timings=include_timings)
+        collected = run_bench(spec)
         by_group.setdefault(spec.group, []).append(collected.record())
     return {
         group: group_document(group, records, ROOT_SEED)

@@ -17,10 +17,10 @@ in 2-9x"), or an exact invariant ("zero application-visible errors").
 both by the test suite and by ``--check`` before trusting a baseline.
 """
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Groups map one-to-one onto the repo-root artifact files.
-GROUPS = ("paper_shapes", "hotpath", "chaos", "cluster", "service")
+GROUPS = ("paper_shapes", "chaos", "cluster", "service")
 
 SHAPE_KINDS = ("min", "max", "band", "equal")
 
@@ -113,17 +113,13 @@ def round_value(value):
 class Metric:
     """One measured quantity plus the paper shape it must satisfy."""
 
-    __slots__ = ("name", "value", "unit", "shape", "deterministic",
-                 "tolerance_pct")
+    __slots__ = ("name", "value", "unit", "shape")
 
-    def __init__(self, name, value, unit, shape=None, deterministic=True,
-                 tolerance_pct=None):
+    def __init__(self, name, value, unit, shape=None):
         self.name = name
         self.value = round_value(value)
         self.unit = unit
         self.shape = shape
-        self.deterministic = deterministic
-        self.tolerance_pct = tolerance_pct
 
     @property
     def passed(self):
@@ -134,17 +130,14 @@ class Metric:
             "metric": self.name,
             "value": self.value,
             "unit": self.unit,
-            "deterministic": self.deterministic,
             "passed": self.passed,
         }
         if self.shape is not None:
             record["shape"] = self.shape
-        if self.tolerance_pct is not None:
-            record["tolerance_pct"] = self.tolerance_pct
         return record
 
 
-def bench_record(spec, metrics, stages=None, obs_stages=None):
+def bench_record(spec, metrics, obs_stages=None):
     """The per-bench JSON object inside a group document."""
     record = {
         "bench": spec.name,
@@ -154,8 +147,6 @@ def bench_record(spec, metrics, stages=None, obs_stages=None):
         "metrics": [metric.record() for metric in metrics],
         "passed": all(metric.passed for metric in metrics),
     }
-    if stages:
-        record["stages"] = stages
     if obs_stages:
         record["obs_stages"] = obs_stages
     return record
@@ -184,7 +175,7 @@ def _require(condition, message):
 
 def validate_metric(record, where):
     _require(isinstance(record, dict), "%s: metric must be an object" % where)
-    for field in ("metric", "value", "unit", "deterministic", "passed"):
+    for field in ("metric", "value", "unit", "passed"):
         _require(field in record, "%s: missing field %r" % (where, field))
     _require(isinstance(record["metric"], str) and record["metric"],
              "%s: metric name must be a non-empty string" % where)
@@ -193,8 +184,6 @@ def validate_metric(record, where):
              "%s: value must be a JSON number" % where)
     _require(isinstance(record["unit"], str),
              "%s: unit must be a string" % where)
-    _require(isinstance(record["deterministic"], bool),
-             "%s: deterministic must be a bool" % where)
     _require(isinstance(record["passed"], bool),
              "%s: passed must be a bool" % where)
     shape = record.get("shape")

@@ -87,8 +87,6 @@ SEEDS = {
     "chaos.traced": 9,
     "chaos.stall_storm": 33,
     "chaos.rebuild_throttle": 34,
-    # Hot-path kernels (the paper's year, historically).
-    "hotpath.kernels": 2015,
     # Cluster layer: one op tape drives every cluster size; rebalance
     # and chaos get their own schedules (6 is a surveyed kill seed).
     "cluster.scaleout": 29,

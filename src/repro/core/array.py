@@ -32,6 +32,21 @@ from repro.obs.trace import Observability
 from repro.sim.clock import SimClock
 from repro.sim.rand import RandomStream
 from repro.ssd.shelf import Shelf
+from repro.units import MILLISECOND
+
+#: Recycled segio payload buffers kept by the flush-path pool.
+SEGIO_BUFFER_POOL = 4
+#: Recycled read paint buffers kept by the read-path pool.
+READ_BUFFER_POOL = 8
+#: Predicted direct-read wait beyond which a hedged read fires. Sits
+#: above the natural program-interference stall (2.5 ms) so fault-free
+#: runs never hedge, and well below an injected stall storm (10 ms).
+HEDGE_DEADLINE = 5 * MILLISECOND
+#: Rebuild governor token rates, in segment evacuations per sim second.
+REBUILD_RATE_FULL = 64.0
+REBUILD_RATE_THROTTLED = 4.0
+#: Foreground read latencies kept in the governor's sliding SLO window.
+SLO_WINDOW_READS = 128
 
 
 class PurityArray:
@@ -126,11 +141,11 @@ class PurityArray:
         #: the same way as ``obs``: plain slots, None-safe at every call
         #: site.
         self.segwriter.buffer_pool = BufferPool(
-            self.config.segio_buffer_pool, metrics=self.obs.metrics,
+            SEGIO_BUFFER_POOL, metrics=self.obs.metrics,
             name="pool.segio",
         )
         self.datapath.read_pool = BufferPool(
-            self.config.read_buffer_pool, metrics=self.obs.metrics,
+            READ_BUFFER_POOL, metrics=self.obs.metrics,
             name="pool.read",
         )
         self._write_latency = self.obs.metrics.histogram("io.write.latency")
@@ -145,7 +160,7 @@ class PurityArray:
         self.segwriter.degrade = self.degrade
         self.segreader.hedge = HedgePolicy(
             self.clock,
-            self.config.hedge_deadline,
+            HEDGE_DEADLINE,
             health=self.health,
             obs=self.obs,
             enabled=self.config.hedge_reads,
@@ -153,10 +168,10 @@ class PurityArray:
         self.rebuild_governor = RebuildGovernor(
             self.clock,
             slo_p99=self.config.rebuild_slo_p99,
-            full_rate=self.config.rebuild_rate_full,
-            throttled_rate=self.config.rebuild_rate_throttled,
+            full_rate=REBUILD_RATE_FULL,
+            throttled_rate=REBUILD_RATE_THROTTLED,
             burst=self.config.rebuild_burst,
-            window=self.config.slo_window_reads,
+            window=SLO_WINDOW_READS,
             obs=self.obs,
         )
         # A controller booting onto substrate evidence of damage starts

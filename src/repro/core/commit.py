@@ -33,6 +33,8 @@ from repro.pyramid.wal import MonotonicWAL, encode_commit_record
 #: Facts per patch log record; large patches are chunked so each record
 #: fits comfortably inside a segio's log region.
 PATCH_CHUNK_FACTS = 64
+#: Seal memtables and drain once NVRAM passes this fill fraction.
+NVRAM_HIGH_WATERMARK = 0.5
 
 
 class CommitPipeline:
@@ -193,7 +195,7 @@ class CommitPipeline:
 
     def _maybe_drain(self):
         used = self.wal.nvram.bytes_used
-        if used > self.config.nvram_high_watermark * self.wal.nvram.capacity_bytes:
+        if used > NVRAM_HIGH_WATERMARK * self.wal.nvram.capacity_bytes:
             self.drain()
 
     def after_raw_write_processed(self):

@@ -129,17 +129,13 @@ class DataPath:
         self.segwriter = segwriter
         self.segreader = segreader
         self.config = config
-        self.compressor = ZlibCompressor(config.compression_level)
+        self.compressor = ZlibCompressor()
         self.compression_stats = CompressionStats()
         self.dedup_index = DedupIndex(
             recent_capacity=config.dedup_recent_capacity,
             frequent_capacity=config.dedup_frequent_capacity,
         )
-        self.deduper = InlineDeduper(
-            self.dedup_index,
-            self._fetch_cblock,
-            min_run_sectors=config.dedup_min_run_sectors,
-        )
+        self.deduper = InlineDeduper(self.dedup_index, self._fetch_cblock)
         self._cblock_cache = CBlockCache(config.cblock_cache_entries)
         self._descriptor_cache = {}
         #: Fault-injection crashpoint router (see :mod:`repro.faults`).
@@ -255,10 +251,9 @@ class DataPath:
         if obs is not None and obs.tracing:
             span = obs.begin("nvram-commit", nbytes=len(data))
         try:
-            with PERF.timer("nvram-commit"):
-                _fact, latency = self.pipeline.commit_raw_write(
-                    medium_id, offset, data
-                )
+            _fact, latency = self.pipeline.commit_raw_write(
+                medium_id, offset, data
+            )
         except BaseException:
             if span is not None:
                 obs.end(span, crashed=True)
@@ -417,16 +412,14 @@ class DataPath:
         obs = self.obs
         tracing = obs is not None and obs.tracing
         span = obs.begin("compress", nbytes=len(data)) if tracing else None
-        with PERF.timer("compress"):
-            blob, codec_id = build_cblock(data, compressor)
+        blob, codec_id = build_cblock(data, compressor)
         if span is not None:
             obs.end(span, stored=len(blob))
         span = obs.begin("segio-append", nbytes=len(blob)) if tracing else None
         try:
-            with PERF.timer("segio-append"):
-                descriptor, payload_offset, flush_latency = (
-                    self.segwriter.append_data(blob)
-                )
+            descriptor, payload_offset, flush_latency = (
+                self.segwriter.append_data(blob)
+            )
         except BaseException:
             if span is not None:
                 obs.end(span, crashed=True)
@@ -452,9 +445,9 @@ class DataPath:
         default rate) were never going to be recorded, so hashing them
         here would be pure waste.
         """
-        with PERF.timer("hash"):
-            sampled = sampled_sector_hashes(data, self.config.dedup_sample_every)
-        for sector, value in sampled:
+        for sector, value in sampled_sector_hashes(
+            data, self.config.dedup_sample_every
+        ):
             self.dedup_index.record(
                 value,
                 DedupLocation(segment_id, payload_offset, stored_length, sector),

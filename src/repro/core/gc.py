@@ -286,7 +286,7 @@ class GarbageCollector:
         min_run = (
             min_run_sectors
             if min_run_sectors is not None
-            else self.array.config.dedup_min_run_sectors
+            else datapath.deduper.min_run_sectors
         )
         # Canonical map: sector hash -> (cblock key, sector index).
         canonical_sectors = {}

@@ -8,40 +8,25 @@ availability accounting.
 
 from dataclasses import dataclass
 
-# The hot-path perf-counter layer lives in :mod:`repro.perf` (below
-# every subsystem, so erasure/dedup/layout can feed it without import
-# cycles); this is its public face alongside the rest of telemetry.
+# The event-counter layer lives in :mod:`repro.perf` (below every
+# subsystem, so dedup/layout/faults can feed it without import cycles);
+# this is its public face alongside the rest of telemetry, as is the
+# health monitor's SUSPECT grade.
+from repro.core.health import SUSPECT  # noqa: F401  (re-exported)
 from repro.perf import (  # noqa: F401  (re-exported)
-    PERF,
     PerfCounters,
     format_perf_report,
     perf_report,
     reset_perf_counters,
 )
-# Degraded-mode telemetry: per-drive retry accounting lives on the
-# segment reader, health grades on the monitor; both re-exported here
-# as the public faces of the fault/retry counters.
-from repro.core.health import (  # noqa: F401  (re-exported)
-    FAILED,
-    HEALTHY,
-    SUSPECT,
-    DriveHealthMonitor,
-)
-from repro.layout.segreader import DriveRetryStats  # noqa: F401  (re-exported)
 
 __all__ = [
-    # re-exports: the perf-counter layer's public face
-    "PERF",
+    # re-exports
     "PerfCounters",
+    "SUSPECT",
     "format_perf_report",
     "perf_report",
     "reset_perf_counters",
-    # re-exports: degraded-mode telemetry
-    "FAILED",
-    "HEALTHY",
-    "SUSPECT",
-    "DriveHealthMonitor",
-    "DriveRetryStats",
     # this module's own public surface
     "degraded_mode_report",
     "ReductionReport",

@@ -19,14 +19,12 @@ would need ahead of the anchor differs, so an anchor that goes nowhere
 costs a few sector compares and a real run costs O(run), never
 O(cblock). The per-sector eager matcher it
 replaced survives as :meth:`InlineDeduper.find_matches_reference`, the
-oracle the tests (and ``repro.seedpath``) hold it to.
+oracle the tests hold it to.
 """
 
-import time
 from dataclasses import dataclass
 
 from repro.dedup.hashing import sector_hashes
-from repro.perf import PERF
 from repro.units import SECTOR
 
 
@@ -115,15 +113,9 @@ class InlineDeduper:
         ``fetch_cblock`` each — are the ones per-sector lookups find.
         Nothing here keeps a view of ``data`` past the call.
         """
-        # lint: allow[wall-clock-purity] host-side perf accounting (charged to PERF); never enters sim state
-        monotonic_ns = time.monotonic_ns
-        # The clock is read per call and per index hit, never per
-        # sector: "hash" is the call's time outside anchor handling.
-        call_ns = monotonic_ns()
         hashes = sector_hashes(data)
         total = len(hashes)
         probe = self.index.probe
-        verify_ns = 0
         incoming = None  # the write as bytes, materialized at the first hit
         matches = []
         claimed_until = 0  # first sector not covered by an emitted match
@@ -132,11 +124,9 @@ class InlineDeduper:
             cursor, location = probe(hashes, cursor)
             if location is None:
                 break
-            anchor_ns = monotonic_ns()
             if incoming is None:
                 incoming = bytes(data)
             run = self._verified_run(incoming, cursor, claimed_until, location)
-            verify_ns += monotonic_ns() - anchor_ns
             if run is None:
                 self.false_hash_hits += 1
                 cursor += 1
@@ -155,8 +145,6 @@ class InlineDeduper:
                 cursor = run_end
             else:
                 cursor += 1
-        PERF.add_time("hash", monotonic_ns() - call_ns - verify_ns)
-        PERF.add_time("dedup-verify", verify_ns)
         return matches
 
     def _verified_run(self, incoming, anchor, floor, location):
@@ -204,26 +192,23 @@ class InlineDeduper:
 
         Hashes every sector up front and verifies one sector — one
         ``fetch_cblock`` — at a time. Same matches, counters and
-        ``index.lookup`` sequence as the live path; only tests and
-        ``repro.seedpath`` call it.
+        ``index.lookup`` sequence as the live path; only tests call it.
         """
         view = memoryview(data)
-        with PERF.timer("hash"):
-            hashes = sector_hashes(view)
+        hashes = sector_hashes(view)
         total = len(hashes)
 
         def verified(location, sector):
-            with PERF.timer("dedup-verify"):
-                if location.sector_index < 0:
-                    return False
-                stored = self.fetch_cblock(location)
-                start = location.sector_index * SECTOR
-                return (
-                    stored is not None
-                    and start + SECTOR <= len(stored)
-                    and stored[start : start + SECTOR]
-                    == view[sector * SECTOR : (sector + 1) * SECTOR]
-                )
+            if location.sector_index < 0:
+                return False
+            stored = self.fetch_cblock(location)
+            start = location.sector_index * SECTOR
+            return (
+                stored is not None
+                and start + SECTOR <= len(stored)
+                and stored[start : start + SECTOR]
+                == view[sector * SECTOR : (sector + 1) * SECTOR]
+            )
 
         matches = []
         claimed_until = 0

@@ -20,8 +20,7 @@ caller's accumulator in place and allocates nothing else.
 The older masked exp/log array kernels are kept as
 ``mul_array_reference`` / ``addmul_array_reference``: they are the
 oracle the property tests check the translate kernels against
-bit-for-bit, and what :mod:`repro.seedpath` patches back in for the
-hot-path benchmark's seed mode.
+bit-for-bit.
 """
 
 import numpy as np

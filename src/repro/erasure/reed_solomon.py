@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.erasure.gf256 import GF256
 from repro.errors import UncorrectableError
-from repro.perf import PERF
 
 
 def _vandermonde(rows, cols):
@@ -87,9 +86,8 @@ class ReedSolomon:
         """
         self._check_data_shards(shards)
         length = len(shards[0])
-        with PERF.timer("rs-encode"):
-            parity = self._encode_arrays(shards, length)
-            return [row.tobytes() for row in parity]
+        parity = self._encode_arrays(shards, length)
+        return [row.tobytes() for row in parity]
 
     def encode_stripes(self, data_matrix):
         """Batched encode: (k, L) uint8 matrix in, (m, L) parity out.
@@ -105,8 +103,7 @@ class ReedSolomon:
                 "expected a (%d, L) data matrix, got shape %r"
                 % (self.data_shards, getattr(matrix, "shape", None))
             )
-        with PERF.timer("rs-encode"):
-            return self._encode_arrays(list(matrix), matrix.shape[1])
+        return self._encode_arrays(list(matrix), matrix.shape[1])
 
     def encode_reference(self, shards):
         """Seed implementation (allocating exp/log kernels): the oracle."""
@@ -163,13 +160,12 @@ class ReedSolomon:
             raise UncorrectableError(
                 "only %d shards survive, need %d" % (len(chosen), self.data_shards)
             )
-        with PERF.timer("rs-decode"):
-            rows = self._decode_rows_for(chosen, missing)
-            # A survivor may feed several rebuilt shards: convert once.
-            survivors = [GF256.as_bytes(shards[index]) for index in chosen]
-            for index, row in zip(missing, rows):
-                if targets is None or index in targets:
-                    result[index] = self._rebuild_shard(row, survivors, length)
+        rows = self._decode_rows_for(chosen, missing)
+        # A survivor may feed several rebuilt shards: convert once.
+        survivors = [GF256.as_bytes(shards[index]) for index in chosen]
+        for index, row in zip(missing, rows):
+            if targets is None or index in targets:
+                result[index] = self._rebuild_shard(row, survivors, length)
         return result
 
     @staticmethod

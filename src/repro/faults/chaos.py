@@ -202,10 +202,9 @@ class ChaosHarness:
         self._collect_ladder_states()
         shelf, boot_region, clock = self.array.crash()
         before = clock.now
-        with PERF.timer("chaos-recovery"):
-            array, _report = PurityArray.recover(
-                self.config, shelf, boot_region, clock, obs=self.obs
-            )
+        array, _report = PurityArray.recover(
+            self.config, shelf, boot_region, clock, obs=self.obs
+        )
         downtime = clock.now - before
         self.report.recoveries += 1
         self.report.downtimes.append(downtime)

@@ -18,7 +18,6 @@ import itertools
 from repro.errors import AllocationError, OutOfSpaceError
 from repro.layout.segio import OpenSegio
 from repro.layout.segment import SegmentDescriptor
-from repro.perf import PERF
 
 
 class SegmentWriter:
@@ -214,8 +213,7 @@ class SegmentWriter:
             if cp is not None:
                 cp.hit("segwriter.pre-flush", descriptor=segio.descriptor)
             encode_span = obs.begin("rs-encode") if tracing else None
-            with PERF.timer("segio-flush"):
-                write_units = segio.finalize(self.codec)
+            write_units = segio.finalize(self.codec)
             if encode_span is not None:
                 obs.end(encode_span, shards=len(write_units))
         except BaseException:

@@ -2,7 +2,7 @@
 
 A finding is suppressed by a pragma comment **with a reason**::
 
-    value = time.monotonic_ns()  # lint: allow[wall-clock-purity] perf accounting only
+    except AllocationError:  # lint: allow[no-bare-except] already released
 
 The pragma may sit on the offending line or, when the line is too long
 already, alone on the line directly above::

@@ -36,7 +36,7 @@ LAYERS = (
     ("faults",),
     ("cluster",),
     ("service",),
-    ("analysis", "baselines", "bench", "lint", "seedpath", "workloads"),
+    ("analysis", "baselines", "bench", "lint", "workloads"),
 )
 
 #: Importable from any layer; outside the order.

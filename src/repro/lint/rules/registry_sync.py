@@ -27,7 +27,8 @@ from repro.lint.rule import Rule, register
 METRIC_METHODS = frozenset({"counter", "gauge", "histogram", "series"})
 
 #: Receivers whose counter()/gauge() calls target the MetricsRegistry.
-#: (Excludes PERF — repro.perf counters are a wall-clock-side namespace.)
+#: (Excludes PERF — repro.perf event counters are free-form names that
+#: join the registry snapshot under ``perf.counter.*``.)
 METRIC_RECEIVERS = frozenset({"metrics", "registry"})
 
 #: The registry modules themselves (definitions, not call sites).

@@ -2,10 +2,9 @@
 
 Same seed must mean byte-identical traces, which dies the moment any
 ``src/repro`` module reads wall-clock time — simulated time comes from
-:class:`repro.sim.clock.SimClock` and nothing else. The only sanctioned
-home for wall time is :mod:`repro.perf` (host-side stage timers whose
-numbers are explicitly excluded from deterministic exports); tests and
-benchmarks are out of scope entirely.
+:class:`repro.sim.clock.SimClock` and nothing else. No file in
+``src/repro`` is exempt: host time is measured only from outside the
+program, by ``benchmarks/perf``; tests and benchmarks are out of scope.
 
 Flagged: any *reference* to ``time.time/monotonic/monotonic_ns/
 perf_counter[_ns]/process_time[_ns]/time_ns/sleep``, ``datetime.now/
@@ -28,36 +27,30 @@ WALL_CLOCK_ATTRS = frozenset({
 
 DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
 
-#: src/repro files allowed to read the host clock.
-ALLOWED_FILES = frozenset({
-    "src/repro/perf.py",
-})
-
-
 @register
 class WallClockPurity(Rule):
 
     id = "wall-clock-purity"
-    summary = ("no wall-clock reads in src/repro outside perf.py; "
-               "sim time comes from SimClock")
+    summary = ("no wall-clock reads anywhere in src/repro; sim time comes "
+               "from SimClock, host time is measured in benchmarks/perf")
     rationale = (
         "Same seed must mean byte-identical traces and metrics, so the\n"
-        "host's clock can never influence the data path: any timestamp\n"
+        "host's clock can never influence the program: any timestamp\n"
         "that reaches a trace, an export, or a control decision must\n"
-        "come from the simulated SimClock. Wall-clock reads are allowed\n"
-        "only in repro/perf.py (host-side profiling, explicitly outside\n"
-        "the determinism contract)."
+        "come from the simulated SimClock. Host time is measured only\n"
+        "in benchmarks/perf, which wraps the program from outside."
     )
     example = (
         "import time\n"
         "\n"
         "def flush(segio):\n"
-        "    started = time.monotonic()   # wall clock on the data path\n"
-        "    ...                          # fix: clock.now (sim time)\n"
+        "    started = time.monotonic()   # wall clock in the program\n"
+        "    ...                          # fix: clock.now (sim time), or\n"
+        "                                 # time it from benchmarks/perf\n"
     )
 
     def applies_to(self, ctx):
-        return ctx.in_src and ctx.rel_path not in ALLOWED_FILES
+        return ctx.in_src
 
     def check(self, ctx):
         time_aliases = ctx.imports.module_aliases("time")
@@ -70,7 +63,7 @@ class WallClockPurity(Rule):
                         yield self.finding(
                             ctx, node,
                             "wall-clock import 'from time import %s'; use the "
-                            "sim clock (or move the timing into repro.perf)"
+                            "sim clock (host timing belongs in benchmarks/perf)"
                             % alias.name,
                         )
             elif isinstance(node, ast.Attribute):

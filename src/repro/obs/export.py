@@ -2,9 +2,8 @@
 
 Every record is one line of ``json.dumps(..., sort_keys=True)`` with
 fixed separators, so two runs from the same seed produce byte-identical
-files. Metric exports exclude the :mod:`repro.perf` wall-clock stage
-timings by default — host wall time is the one thing a replay cannot
-reproduce — while keeping every sim-time number and event count.
+files: every metric is a sim-time number or an event count, and the
+program never reads the host clock.
 """
 
 import json
@@ -26,9 +25,9 @@ def trace_text(obs):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def metrics_lines(obs, include_wall_time=False):
+def metrics_lines(obs):
     """Metric snapshot as JSONL records, one per metric."""
-    snapshot = obs.metrics.snapshot(include_wall_time=include_wall_time)
+    snapshot = obs.metrics.snapshot()
     lines = []
     for name in sorted(snapshot["counters"]):
         lines.append(_dumps({"type": "counter", "name": name,
@@ -42,15 +41,11 @@ def metrics_lines(obs, include_wall_time=False):
     for name in sorted(snapshot["series"]):
         lines.append(_dumps({"type": "series", "name": name,
                              "points": snapshot["series"][name]}))
-    perf_stages = snapshot.get("perf.stage", {})
-    for name in sorted(perf_stages):
-        lines.append(_dumps({"type": "perf-stage", "name": name,
-                             **perf_stages[name]}))
     return lines
 
 
-def metrics_text(obs, include_wall_time=False):
-    lines = metrics_lines(obs, include_wall_time=include_wall_time)
+def metrics_text(obs):
+    lines = metrics_lines(obs)
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -61,10 +56,10 @@ def write_trace(obs, path):
     return path
 
 
-def write_metrics(obs, path, include_wall_time=False):
+def write_metrics(obs, path):
     """Write the metrics JSONL; returns the path."""
     with open(path, "w") as handle:
-        handle.write(metrics_text(obs, include_wall_time=include_wall_time))
+        handle.write(metrics_text(obs))
     return path
 
 

@@ -12,18 +12,15 @@ One namespace for every number the simulation reports:
 
 Naming convention: dotted ``<subsystem>.<thing>[.<unit>]`` — e.g.
 ``io.write.latency``, ``device.queue_depth``, ``gc.segments_collected``.
-The :mod:`repro.perf` wall-clock counters join the same namespace in
-:meth:`MetricsRegistry.snapshot` under ``perf.counter.*`` and
-``perf.stage.*``; snapshots meant for deterministic export exclude the
-wall-clock stage timings (sim-time numbers replay exactly, host wall
-time does not).
+The :mod:`repro.perf` event counters join the same namespace in
+:meth:`MetricsRegistry.snapshot` under ``perf.counter.*``.
 """
 
 from repro import perf as _perf
 
 #: Histogram bucket upper bounds in seconds: 4 log-scale buckets per
-#: decade from 1 µs to ~100 s, then +inf. Fixed at import time so every
-#: histogram in every run buckets identically.
+#: decade from 1 µs to ~100 s, then +inf. Fixed when the module loads,
+#: so every histogram in every run buckets identically.
 BUCKET_BOUNDS = tuple(10.0 ** (exponent / 4.0) for exponent in range(-24, 9))
 
 
@@ -205,13 +202,11 @@ class MetricsRegistry:
 
     # -- snapshots ------------------------------------------------------
 
-    def snapshot(self, include_wall_time=True):
+    def snapshot(self):
         """Everything, as one sorted plain dict.
 
         The global :mod:`repro.perf` counters join under
-        ``perf.counter.*``; with ``include_wall_time`` the per-stage
-        wall timings join under ``perf.stage.*`` (leave it off for
-        deterministic exports — wall time is not replayable).
+        ``perf.counter.*``.
         """
         perf_report = _perf.perf_report()
         counters = {
@@ -219,7 +214,7 @@ class MetricsRegistry:
         }
         for name in sorted(perf_report["counters"]):
             counters["perf.counter.%s" % name] = perf_report["counters"][name]
-        snapshot = {
+        return {
             "counters": counters,
             "gauges": {
                 name: self._gauges[name].value for name in sorted(self._gauges)
@@ -233,12 +228,6 @@ class MetricsRegistry:
                 for name in sorted(self._series)
             },
         }
-        if include_wall_time:
-            snapshot["perf.stage"] = {
-                name: dict(row)
-                for name, row in sorted(perf_report["stages"].items())
-            }
-        return snapshot
 
     def clear(self):
         self._counters.clear()

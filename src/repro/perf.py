@@ -1,63 +1,23 @@
-"""Hot-path performance counters: monotonic-ns stage timers + counters.
+"""Hot-path event counters.
 
-The write/read pipeline brackets each stage (nvram-commit, hash,
-dedup-verify, compress, rs-encode, segio-append, ...) with a
-:meth:`PerfCounters.timer`, and caches bump named counters (cblock
-cache hits/misses/evictions/invalidations). ``perf_report()`` rolls the
-totals up into a plain dict benchmarks print and regress against.
+Caches, the health monitor, fault injection and the chaos harnesses
+bump named counters (cblock cache hits/misses/evictions/invalidations,
+read retries, injected faults, ...). ``perf_report()`` rolls the totals
+up into a plain dict benchmarks print and regress against. Counters
+only: host time is measured outside the program, by ``benchmarks/perf``.
 
-This module sits below every subsystem (it imports only the standard
-library) so the erasure, dedup, compression, and layout layers can all
-feed the same singleton without import cycles. The friendly re-exports
-live in :mod:`repro.core.telemetry`.
+This module sits below every subsystem (it imports nothing) so the
+dedup, layout, fault and observability layers can all feed the same
+singleton without import cycles. The friendly re-exports live in
+:mod:`repro.core.telemetry`.
 """
-
-import time
-
-
-class _StageTimer:
-    """Context manager charging one monotonic-ns interval to a stage."""
-
-    __slots__ = ("_perf", "_stage", "_start")
-
-    def __init__(self, perf, stage):
-        self._perf = perf
-        self._stage = stage
-
-    def __enter__(self):
-        self._start = time.monotonic_ns()
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback):
-        self._perf.add_time(self._stage, time.monotonic_ns() - self._start)
-        return False
 
 
 class PerfCounters:
-    """Per-stage wall-time totals plus named event counters."""
+    """Named event counters plus the rates derived from them."""
 
     def __init__(self):
-        self._total_ns = {}
-        self._calls = {}
         self._counters = {}
-
-    # -- timers --------------------------------------------------------
-
-    def timer(self, stage):
-        """``with PERF.timer("rs-encode"): ...`` charges the block."""
-        return _StageTimer(self, stage)
-
-    def add_time(self, stage, elapsed_ns):
-        self._total_ns[stage] = self._total_ns.get(stage, 0) + elapsed_ns
-        self._calls[stage] = self._calls.get(stage, 0) + 1
-
-    def stage_ns(self, stage):
-        return self._total_ns.get(stage, 0)
-
-    def stage_calls(self, stage):
-        return self._calls.get(stage, 0)
-
-    # -- counters ------------------------------------------------------
 
     def incr(self, name, amount=1):
         self._counters[name] = self._counters.get(name, 0) + amount
@@ -65,30 +25,17 @@ class PerfCounters:
     def counter(self, name):
         return self._counters.get(name, 0)
 
-    # -- reporting -----------------------------------------------------
-
     def report(self):
-        """Rolled-up snapshot: stages, counters, and derived rates."""
-        stages = {}
-        for stage in sorted(self._total_ns):
-            total_ns = self._total_ns[stage]
-            calls = self._calls[stage]
-            stages[stage] = {
-                "calls": calls,
-                "total_ms": total_ns / 1e6,
-                "mean_us": (total_ns / calls) / 1e3 if calls else 0.0,
-            }
+        """Rolled-up snapshot: counters and derived rates."""
         counters = {name: self._counters[name] for name in sorted(self._counters)}
         derived = {}
         hits = counters.get("cblock-cache-hit", 0)
         misses = counters.get("cblock-cache-miss", 0)
         if hits + misses:
             derived["cblock-cache-hit-rate"] = hits / (hits + misses)
-        return {"stages": stages, "counters": counters, "derived": derived}
+        return {"counters": counters, "derived": derived}
 
     def reset(self):
-        self._total_ns.clear()
-        self._calls.clear()
         self._counters.clear()
 
 
@@ -109,16 +56,9 @@ def reset_perf_counters():
 def format_perf_report(report=None):
     """Human-readable rendering of :func:`perf_report` for benchmarks."""
     report = report if report is not None else perf_report()
-    lines = ["stage                    calls     total_ms     mean_us"]
-    for stage, row in report["stages"].items():
-        lines.append(
-            "%-22s %8d %12.3f %11.3f"
-            % (stage, row["calls"], row["total_ms"], row["mean_us"])
-        )
-    if report["counters"]:
-        lines.append("counters:")
-        for name, value in report["counters"].items():
-            lines.append("  %-28s %12d" % (name, value))
+    lines = ["counters:"]
+    for name, value in report["counters"].items():
+        lines.append("  %-28s %12d" % (name, value))
     for name, value in report["derived"].items():
         lines.append("  %-28s %12.3f" % (name, value))
     return "\n".join(lines)

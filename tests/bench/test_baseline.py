@@ -13,12 +13,11 @@ from repro.bench.schema import (
 )
 
 
-def _documents(speedup=3.5, errors=0, deterministic=True):
+def _documents(speedup=3.5, errors=0):
     spec = BenchSpec("demo", "paper_shapes", "demo bench", lambda: [],
                      "benchmarks/bench_demo.py", False)
     metrics = [
-        Metric("speedup", speedup, "x", shape_min(2.0),
-               deterministic=deterministic),
+        Metric("speedup", speedup, "x", shape_min(2.0)),
         Metric("errors", errors, "count", shape_equal(0)),
     ]
     record = bench_record(spec, metrics)
@@ -77,8 +76,7 @@ def test_zero_baseline_requires_exact_zero():
 def test_missing_metric_fatal_only_when_its_bench_ran():
     documents = _documents()
     baseline = baseline_mod.baseline_from_documents(documents)
-    baseline["metrics"]["demo.vanished"] = {"value": 1.0, "unit": "x",
-                                            "deterministic": True}
+    baseline["metrics"]["demo.vanished"] = {"value": 1.0, "unit": "x"}
     deviations = baseline_mod.compare(documents, baseline)
     assert _fatal_kinds(deviations) == ["missing"]
     # A subset run that skipped the bench entirely is legitimate.
@@ -96,37 +94,3 @@ def test_new_metric_is_reported_but_not_fatal():
     assert [d.kind for d in deviations] == ["new"]
     assert baseline_mod.fatal_deviations(deviations) == []
 
-
-def test_wall_clock_metrics_get_the_wide_band():
-    noisy = _documents(speedup=3.5, deterministic=False)
-    baseline = baseline_mod.baseline_from_documents(noisy)
-    entry = baseline["metrics"]["demo.speedup"]
-    assert baseline_mod.tolerance_for(entry) == \
-        baseline_mod.WALL_CLOCK_TOLERANCE_PCT
-    # 40% drift: fine for wall clock, fatal for deterministic.
-    assert baseline_mod.compare(
-        _documents(speedup=2.1, deterministic=False), baseline) == []
-    tight = baseline_mod.baseline_from_documents(_documents(speedup=3.5))
-    assert _fatal_kinds(baseline_mod.compare(
-        _documents(speedup=2.1), tight)) == ["regression"]
-
-
-def test_max_regression_caps_every_tolerance():
-    noisy = _documents(speedup=3.5, deterministic=False)
-    baseline = baseline_mod.baseline_from_documents(noisy)
-    fresh = _documents(speedup=2.8, deterministic=False)  # 20% drift
-    assert baseline_mod.compare(fresh, baseline) == []
-    capped = baseline_mod.compare(fresh, baseline, max_regression_pct=5.0)
-    assert _fatal_kinds(capped) == ["regression"]
-
-
-def test_per_metric_tolerance_override_survives_round_trip():
-    spec = BenchSpec("demo", "paper_shapes", "demo bench", lambda: [],
-                     "benchmarks/bench_demo.py", False)
-    record = bench_record(spec, [
-        Metric("jittery", 10.0, "x", shape_min(1.0), tolerance_pct=80.0)])
-    documents = {"paper_shapes": group_document("paper_shapes", [record],
-                                                2015)}
-    baseline = baseline_mod.baseline_from_documents(documents)
-    entry = baseline["metrics"]["demo.jittery"]
-    assert baseline_mod.tolerance_for(entry) == 80.0

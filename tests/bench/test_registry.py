@@ -35,7 +35,6 @@ EXPECTED_BENCHES = {
     "raid_ablation",
     "chaos",
     "chaos_degraded",
-    "hotpath",
     "cluster",
     "service",
 }
@@ -72,9 +71,9 @@ def test_quick_subset_is_a_nonempty_proper_subset(registry):
 def test_group_filter_accepts_str_and_list(registry):
     chaos = registry.specs(group="chaos")
     assert [spec.name for spec in chaos] == ["chaos", "chaos_degraded"]
-    both = registry.specs(group=["chaos", "hotpath"])
+    both = registry.specs(group=["chaos", "service"])
     assert {spec.name for spec in both} == {"chaos", "chaos_degraded",
-                                            "hotpath"}
+                                            "service"}
 
 
 def test_every_pinned_seed_belongs_to_a_registered_bench(registry):

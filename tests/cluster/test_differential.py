@@ -101,7 +101,7 @@ def test_passthrough_records_no_cluster_metrics():
     cluster = Cluster(ClusterConfig(num_arrays=1, seed=SEED))
     cluster.create_volume("v0", 4 * RECORD)
     cluster.write("v0", 0, b"x" * RECORD)
-    snapshot = cluster.obs.metrics.snapshot(include_wall_time=False)
+    snapshot = cluster.obs.metrics.snapshot()
     for name, value in snapshot["counters"].items():
         if name.startswith("cluster."):
             assert value == 0, name

@@ -76,13 +76,11 @@ def test_split_write_validates_alignment():
     offset_sectors=st.integers(min_value=0, max_value=1000),
 )
 def test_split_write_covers_exactly(sectors, offset_sectors):
+    """The zero-copy chunks equal copied ``bytes`` slices of the write."""
     data = bytes((i % 251) for i in range(sectors * SECTOR))
     offset = offset_sectors * SECTOR
-    pieces = list(split_write(offset, data))
-    assert all(len(chunk) <= MAX_CBLOCK for _o, chunk in pieces)
-    assert all(len(chunk) % SECTOR == 0 for _o, chunk in pieces)
-    cursor = offset
-    for piece_offset, chunk in pieces:
-        assert piece_offset == cursor
-        cursor += len(chunk)
-    assert b"".join(chunk for _o, chunk in pieces) == data
+    pieces = [(at, bytes(chunk)) for at, chunk in split_write(offset, data)]
+    assert pieces == [
+        (offset + start, data[start : start + MAX_CBLOCK])
+        for start in range(0, len(data), MAX_CBLOCK)
+    ]

@@ -1,5 +1,5 @@
 """Tests for telemetry primitives: latency traces, reduction math, and
-the hot-path perf-counter layer (stage timers + cblock cache counters)."""
+the hot-path event-counter layer (cblock cache counters and friends)."""
 
 import pytest
 
@@ -76,23 +76,18 @@ def test_provisioned_with_no_data_is_infinite_thin():
 
 def test_perf_counters_timers_and_counts():
     perf = PerfCounters()
-    with perf.timer("rs-encode"):
-        pass
-    with perf.timer("rs-encode"):
-        pass
     perf.incr("cblock-cache-hit", 3)
     perf.incr("cblock-cache-miss")
     report = perf.report()
-    assert report["stages"]["rs-encode"]["calls"] == 2
-    assert report["stages"]["rs-encode"]["total_ms"] >= 0.0
     assert report["counters"]["cblock-cache-hit"] == 3
     assert report["derived"]["cblock-cache-hit-rate"] == pytest.approx(0.75)
     perf.reset()
-    assert perf.report() == {"stages": {}, "counters": {}, "derived": {}}
+    assert perf.report() == {"counters": {}, "derived": {}}
 
 
 def test_perf_report_exposes_pipeline_stages_and_cache_counters():
-    """Driving a real array populates per-stage timings and cache stats."""
+    """Driving a real array through every pipeline stage populates the
+    cache counters."""
     from repro.core.array import PurityArray
     from repro.core.config import ArrayConfig
     from repro.sim.rand import RandomStream
@@ -110,10 +105,6 @@ def test_perf_report_exposes_pipeline_stages_and_cache_counters():
     for index in range(8):
         array.read("v", index * 16 * KIB, 16 * KIB)
     report = perf_report()
-    for stage in ("nvram-commit", "hash", "compress", "segio-append",
-                  "rs-encode", "segio-flush"):
-        assert report["stages"][stage]["calls"] > 0, stage
-        assert report["stages"][stage]["total_ms"] >= 0.0
     counters = report["counters"]
     assert counters["cblock-cache-miss"] > 0
     assert counters["cblock-cache-eviction"] > 0
@@ -123,7 +114,7 @@ def test_perf_report_exposes_pipeline_stages_and_cache_counters():
     assert cache.counters()["entries"] <= config.cblock_cache_entries
     assert cache.misses > 0 and cache.evictions > 0
     text = format_perf_report(report)
-    assert "rs-encode" in text and "cblock-cache-miss" in text
+    assert "cblock-cache-miss" in text
 
 
 def test_cblock_cache_counters_and_segment_invalidation():

@@ -76,6 +76,8 @@ def test_sampled_hashes_match_full_pass():
     for sectors in (1, 7, 8, 9, 16, 63, 64, 65):
         data = random_sectors(sectors, seed=sectors)
         full = sector_hashes(data)
+        assert full == [sector_hash(data[at : at + SECTOR])
+                        for at in range(0, len(data), SECTOR)]
         for sample_every in (1, 2, 3, 8, 16, 100):
             assert sampled_sector_hashes(data, sample_every) == [
                 (sector, value)

@@ -1,16 +1,16 @@
-"""Optimized hot path vs seed hot path: observable behaviour is identical.
+"""A mixed workload reads back exactly what a flat model says it wrote.
 
-The hot-path rework (translate-table GF(256), batched RS encode, sampled
-record hashing, memoryview splitting, bulk dedup-run extension) must be
-invisible above the datapath: the same workload run on the optimized
-pipeline and on the seed pipeline (re-instated via
-``repro.seedpath.seed_pipeline``) has to return byte-identical reads
-and land on identical data-reduction accounting.
+The hot path (translate-table GF(256), batched RS encode, sampled
+record hashing, memoryview splitting, one-fetch dedup-run extension)
+must be invisible above the datapath: after writes, exact and
+misaligned duplicates, overwrites, unmap, snapshot -> clone and a drain,
+every volume reads back byte-for-byte what a per-volume ``bytearray``
+holds. Each kernel is also held to its reference implementation by the
+differential tests beside it.
 """
 
 from repro.core.array import PurityArray
 from repro.core.config import ArrayConfig
-from repro.seedpath import seed_pipeline
 from repro.sim.rand import RandomStream
 from repro.units import KIB, MIB
 
@@ -56,80 +56,54 @@ def make_workload(seed=7):
     return operations
 
 
+VOLUME_SIZE = 4 * MIB
+
+
 def run_workload(operations):
-    """Execute the workload; returns (reads dict, reduction stats)."""
+    """Execute the workload on an array and on the model; returns
+    (reads dict, model dict, array)."""
     config = ArrayConfig.small(num_drives=11, seed=11)
     array = PurityArray.create(config)
-    array.create_volume("v0", 4 * MIB)
-    created = {"v0"}
+    array.create_volume("v0", VOLUME_SIZE)
+    model = {"v0": bytearray(VOLUME_SIZE)}
+    snapshots = {}
     for op in operations:
         kind = op[0]
         if kind == "write":
             _, volume, offset, data = op
             array.write(volume, offset, data)
+            model[volume][offset : offset + len(data)] = data
         elif kind == "unmap":
             _, volume, offset, length = op
             array.unmap(volume, offset, length)
+            model[volume][offset : offset + length] = bytes(length)
         elif kind == "snapshot":
             _, volume, name = op
             array.snapshot(volume, name)
+            snapshots[volume, name] = bytes(model[volume])
         elif kind == "clone":
             _, volume, snap, new_volume = op
             array.clone(volume, snap, new_volume)
-            created.add(new_volume)
+            model[new_volume] = bytearray(snapshots[volume, snap])
         elif kind == "drain":
             array.drain()
         else:  # pragma: no cover - workload typo guard
             raise AssertionError("unknown op %r" % (kind,))
     array.datapath.drop_caches()
     reads = {}
-    for volume in sorted(created):
+    for volume in sorted(model):
         for chunk_index in range(0, 24):
             offset = chunk_index * 16 * KIB
-            reads[(volume, offset)] = array.read(volume, offset, 16 * KIB)
-    report = array.reduction_report()
-    stats = {
-        "logical_live_bytes": report.logical_live_bytes,
-        "unique_logical_bytes": report.unique_logical_bytes,
-        "physical_stored_bytes": report.physical_stored_bytes,
-        "dedup_ratio": report.dedup_ratio,
-        "compression_ratio": report.compression_ratio,
-        "data_reduction": report.data_reduction,
-        "logical_bytes_written": array.datapath.logical_bytes_written,
-        "dedup_bytes_saved": array.datapath.dedup_bytes_saved,
-        "matches_found": array.datapath.deduper.matches_found,
-    }
-    return reads, stats
+            reads[(volume, offset)] = array.read(volume, offset, 16 * KIB)[0]
+    return reads, model, array
 
 
-def test_optimized_pipeline_matches_seed_pipeline():
-    operations = make_workload()
-    optimized_reads, optimized_stats = run_workload(operations)
-    with seed_pipeline():
-        seed_reads, seed_stats = run_workload(operations)
-    assert optimized_reads.keys() == seed_reads.keys()
-    for key in optimized_reads:
-        assert optimized_reads[key] == seed_reads[key], key
-    assert optimized_stats == seed_stats
-
-
-def test_seed_pipeline_restores_optimized_kernels():
-    """Patching is scoped: the optimized implementations come back."""
-    from repro.core import datapath as datapath_module
-    from repro.erasure.gf256 import GF256
-    from repro.erasure.reed_solomon import ReedSolomon
-
-    before = (
-        GF256.__dict__["mul_array"],
-        ReedSolomon.encode,
-        datapath_module.split_write,
-    )
-    with seed_pipeline():
-        assert ReedSolomon.encode is not before[1]
-        assert datapath_module.split_write is not before[2]
-    after = (
-        GF256.__dict__["mul_array"],
-        ReedSolomon.encode,
-        datapath_module.split_write,
-    )
-    assert after == before
+def test_mixed_workload_reads_back_the_model():
+    reads, model, array = run_workload(make_workload())
+    assert sorted({volume for volume, _offset in reads}) == ["v0", "v1", "v2"]
+    for (volume, offset), data in reads.items():
+        assert data == model[volume][offset : offset + 16 * KIB], (volume,
+                                                                   offset)
+    # The duplicate rewrites were found inline, not stored again.
+    assert array.datapath.deduper.matches_found > 0
+    assert array.datapath.dedup_bytes_saved > 0

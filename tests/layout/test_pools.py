@@ -67,3 +67,24 @@ def test_zero_capacity_pool_never_holds():
     assert pool.discards == 1
     assert pool.acquire(8) is not buffer
     assert pool.misses == 2
+
+
+def test_segio_pool_recycles_across_a_real_write_stream():
+    """256 x 64 KiB writes through a real array: the flush path
+    allocates no more segio buffers than the pool holds, and steady
+    state reuses them."""
+    from repro.core.array import SEGIO_BUFFER_POOL, PurityArray
+    from repro.core.config import ArrayConfig
+    from repro.sim.rand import RandomStream
+    from repro.units import KIB, MIB
+
+    array = PurityArray.create(
+        ArrayConfig.small(drive_capacity=64 * MIB, seed=2015))
+    array.create_volume("v", 256 * 64 * KIB)
+    stream = RandomStream(2015)
+    for index in range(256):
+        array.write("v", index * 64 * KIB, stream.randbytes(64 * KIB))
+    array.drain()
+    pool = array.segwriter.buffer_pool
+    assert pool.allocations <= SEGIO_BUFFER_POOL
+    assert pool.hit_rate >= 0.9

@@ -32,8 +32,9 @@ def test_out_of_scope_in_tests_tree(lint_fixture):
     assert_clean(result)
 
 
-def test_perf_module_is_allowlisted(lint_fixture):
+def test_perf_module_is_not_exempt(lint_fixture):
+    """No file in src/repro may read the host clock, perf.py included."""
     result = lint_fixture(
         "wall_clock_violation.py", RULE, dest="src/repro/perf.py"
     )
-    assert_clean(result)
+    assert len(result.findings) == 3

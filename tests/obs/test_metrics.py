@@ -98,12 +98,3 @@ def test_snapshot_merges_perf_counters():
     assert snapshot["counters"]["perf.counter.some-hot-path-counter"] == 5
     assert snapshot["counters"]["obs.local"] == 1
 
-
-def test_snapshot_wall_time_opt_in():
-    registry = MetricsRegistry()
-    with PERF.timer("some-stage"):
-        pass
-    with_wall = registry.snapshot(include_wall_time=True)
-    without = registry.snapshot(include_wall_time=False)
-    assert "some-stage" in with_wall["perf.stage"]
-    assert "perf.stage" not in without
