@@ -19,7 +19,7 @@ from collections import OrderedDict
 from repro.compression.cblock import build_cblock, parse_cblock, split_write
 from repro.compression.engine import CompressionStats, ZlibCompressor
 from repro.core import tables as T
-from repro.dedup.hashing import sampled_sector_hashes
+from repro.dedup.hashing import HASH_BYTES, hash_values, sector_hash_vector
 from repro.dedup.index import DedupIndex, DedupLocation
 from repro.dedup.inline import InlineDeduper
 from repro.errors import SnapshotError, VolumeError
@@ -363,18 +363,26 @@ class DataPath:
     def _process_cblock(self, medium_id, offset, chunk, at_risk, write_end,
                         tail):
         obs = self.obs
+        # One hash pass per chunk: dedup probes with it, and each unique
+        # run's cblock is recorded from its slice of it.
+        vector = sector_hash_vector(chunk)
         if self.config.inline_dedup:
+            deduper = self.deduper
             span = None
             if obs is not None and obs.tracing:
                 span = obs.begin("dedup", nbytes=len(chunk))
+                fetched = deduper.anchors_fetched
+                screened = deduper.anchors_screened
             try:
-                matches = self.deduper.find_matches(chunk)
+                matches = deduper.find_matches(chunk, vector)
             except BaseException:
                 if span is not None:
                     obs.end(span, crashed=True)
                 raise
             if span is not None:
-                obs.end(span, matches=len(matches))
+                obs.end(span, matches=len(matches),
+                        fetched=deduper.anchors_fetched - fetched,
+                        screened=deduper.anchors_screened - screened)
         else:
             matches = []
         # The extents this chunk inserts, in order: (start, stop, match),
@@ -399,10 +407,13 @@ class DataPath:
             if match is not None:
                 self._record_dedup_extent(medium_id, offset + start, match)
             else:
-                self._store_unique(medium_id, offset + start,
-                                   chunk[start:stop])
+                self._store_unique(
+                    medium_id, offset + start, chunk[start:stop],
+                    vector[start // SECTOR * HASH_BYTES
+                           : stop // SECTOR * HASH_BYTES],
+                )
 
-    def _store_unique(self, medium_id, offset, data):
+    def _store_unique(self, medium_id, offset, data, vector):
         """Compress + append one unique cblock, record its extent."""
         compressor = self.compressor if self.config.inline_compression else None
         if compressor is None:
@@ -436,21 +447,22 @@ class DataPath:
         # Warm the cblock cache: freshly written data is the most likely
         # to be read (and to anchor dedup verifies) next.
         self._cblock_cache.put((descriptor.segment_id, payload_offset), data)
-        self._record_hashes(descriptor.segment_id, payload_offset, len(blob), data)
+        self._record_hashes(descriptor.segment_id, payload_offset, len(blob),
+                            vector)
 
-    def _record_hashes(self, segment_id, payload_offset, stored_length, data):
+    def _record_hashes(self, segment_id, payload_offset, stored_length, vector):
         """Record every Nth sector hash for future dedup (Section 4.7).
 
-        Only the sampled sectors are digested — the other 7/8 (at the
-        default rate) were never going to be recorded, so hashing them
-        here would be pure waste.
+        ``vector`` is the cblock's sector hashes, sliced from the pass
+        dedup already made over the chunk. Every entry shares it, so
+        dedup can rule out an anchor into this cblock without a fetch.
         """
-        for sector, value in sampled_sector_hashes(
-            data, self.config.dedup_sample_every
-        ):
+        hashes = hash_values(vector)
+        for sector in range(0, len(hashes), self.config.dedup_sample_every):
             self.dedup_index.record(
-                value,
-                DedupLocation(segment_id, payload_offset, stored_length, sector),
+                hashes[sector],
+                DedupLocation(segment_id, payload_offset, stored_length,
+                              sector, vector),
             )
 
     def _record_dedup_extent(self, medium_id, offset, match):

@@ -12,7 +12,7 @@ mediums (snapshot/volume deletion only drops *references*) and keeping
 delegation chains short enough that reads touch at most three levels.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core import tables as T
 from repro.errors import AllocationError
@@ -246,11 +246,9 @@ class GarbageCollector:
         if target is None:
             return None
         new_segment, new_offset = target
-        from repro.dedup.index import DedupLocation
-
-        return DedupLocation(
-            new_segment, new_offset, location.stored_length, location.sector_index
-        )
+        # The blob is copied verbatim, so the cblock's hashes still hold.
+        return replace(location, segment_id=new_segment,
+                       payload_offset=new_offset)
 
     def _release_segment(self, descriptor, report):
         geometry = self.array.config.segment_geometry

@@ -11,8 +11,8 @@ in both directions, detecting most duplicate sequences of at least
 
 from repro.dedup.hashing import (
     HASH_BITS,
-    sampled_sector_hashes,
     sector_hash,
+    sector_hash_vector,
     sector_hashes,
 )
 from repro.dedup.index import DedupIndex, DedupLocation
@@ -20,8 +20,8 @@ from repro.dedup.inline import DedupMatch, InlineDeduper
 
 __all__ = [
     "HASH_BITS",
-    "sampled_sector_hashes",
     "sector_hash",
+    "sector_hash_vector",
     "sector_hashes",
     "DedupIndex",
     "DedupLocation",

@@ -28,7 +28,8 @@ same on every platform and under every ``PYTHONHASHSEED``. No ndarray
 view of the caller's buffer outlives a call: a live buffer export would
 make a caller's reused ``bytearray`` impossible to resize. The sampling
 rate (which sectors get *recorded*, not which get looked up) lives in
-``ArrayConfig.dedup_sample_every``; callers pass it explicitly.
+``ArrayConfig.dedup_sample_every``; the datapath records the sampled
+rows out of the one full pass it deduplicated a chunk with.
 """
 
 import numpy as np
@@ -37,6 +38,8 @@ from repro.units import SECTOR
 
 #: Bits kept from each sector digest.
 HASH_BITS = 64
+#: Bytes per sector in a :func:`sector_hash_vector`.
+HASH_BYTES = HASH_BITS // 8
 
 _MASK = (1 << HASH_BITS) - 1
 _WORD = np.dtype("<u8")
@@ -65,8 +68,8 @@ _MULTIPLIERS = np.array(
 )
 
 
-def _hash_rows(data, step):
-    """Hashes of every ``step``-th sector of ``data``, as Python ints.
+def _hash_rows(data):
+    """Hashes of every sector of ``data``, as a uint64 ndarray.
 
     The only view of ``data`` is ``words``, a local: it is gone when
     this returns, and when it raises (a failed reshape drops its
@@ -77,15 +80,15 @@ def _hash_rows(data, step):
     except ValueError:
         raise ValueError("data length %d is not a sector multiple"
                          % memoryview(data).nbytes) from None
-    mixed = (words[::step] if step > 1 else words) * _PREMIX
+    mixed = words * _PREMIX
     del words
     mixed ^= mixed >> _SHIFT
-    return mixed.dot(_MULTIPLIERS).tolist()
+    return mixed.dot(_MULTIPLIERS)
 
 
 def sector_hash(sector_bytes):
     """64-bit hash of one 512 B sector (accepts any bytes-like)."""
-    hashes = _hash_rows(sector_bytes, 1)
+    hashes = sector_hashes(sector_bytes)
     if len(hashes) != 1:
         raise ValueError("a sector is %d bytes, got %d sectors"
                          % (SECTOR, len(hashes)))
@@ -97,17 +100,15 @@ def sector_hashes(data):
 
     ``data`` may be bytes, bytearray, or memoryview, at any alignment.
     """
-    return _hash_rows(data, 1)
+    return _hash_rows(data).tolist()
 
 
-def sampled_sector_hashes(data, sample_every):
-    """(sector_index, hash) pairs for every ``sample_every``-th sector.
+def sector_hash_vector(data):
+    """:func:`sector_hashes` packed as ``bytes``, :data:`HASH_BYTES` per
+    sector: what a stored cblock keeps of its hashes."""
+    return _hash_rows(data).tobytes()
 
-    This is the recording-side counterpart of :func:`sector_hashes`:
-    only the sampled rows go through the kernel, so recording costs
-    1/``sample_every`` of a full hash pass.
-    """
-    if sample_every < 1:
-        raise ValueError("sample_every must be positive")
-    hashes = _hash_rows(data, sample_every)
-    return list(zip(range(0, len(hashes) * sample_every, sample_every), hashes))
+
+def hash_values(vector):
+    """The hashes packed in a :func:`sector_hash_vector`, as ints."""
+    return memoryview(vector).cast("Q").tolist()

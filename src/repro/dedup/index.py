@@ -10,7 +10,7 @@ miss.
 """
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -19,13 +19,16 @@ class DedupLocation:
 
     ``segment_id``/``payload_offset``/``stored_length`` identify the
     cblock blob; ``sector_index`` is the sector's position within the
-    cblock's *logical* (decompressed) bytes.
+    cblock's *logical* (decompressed) bytes. ``cblock_hashes``, not part
+    of its identity, is the cblock's ``sector_hash_vector`` (shared by
+    every entry into the cblock), or None when unknown.
     """
 
     segment_id: int
     payload_offset: int
     stored_length: int
     sector_index: int
+    cblock_hashes: bytes = field(default=None, compare=False, repr=False)
 
     def shifted(self, delta):
         """The same cblock, ``delta`` sectors away."""
@@ -34,6 +37,7 @@ class DedupLocation:
             self.payload_offset,
             self.stored_length,
             self.sector_index + delta,
+            self.cblock_hashes,
         )
 
 
@@ -116,17 +120,6 @@ class DedupIndex:
             while len(self._frequent) > self.frequent_capacity:
                 self._frequent.popitem(last=False)
         return location
-
-    def invalidate_segment(self, segment_id):
-        """Drop entries pointing into a garbage-collected segment."""
-        for tier in (self._recent, self._frequent):
-            stale = [
-                key for key, location in tier.items()
-                if location.segment_id == segment_id
-            ]
-            for key in stale:
-                del tier[key]
-                self._hit_counts.pop(key, None)
 
     def rewrite_segment(self, old_segment_id, relocate):
         """Update entries after GC moved a segment's cblocks.

@@ -1,6 +1,8 @@
 """Garbage collection: space reclamation, sweeps, chain shortening."""
 
-from repro.units import KIB, MIB
+from repro.core import tables as T
+from repro.dedup.hashing import sector_hash_vector
+from repro.units import KIB, MIB, SECTOR
 
 from tests.core.conftest import unique_bytes
 
@@ -150,3 +152,55 @@ def test_elision_frees_space_at_merge(array, volume, stream):
     array.destroy_volume(volume)
     array.tables.address_map.flatten()
     assert address_map.stored_fact_count() < stored_before
+
+
+def assert_entries_carry_their_cblocks_hashes(datapath):
+    index = datapath.dedup_index
+    entries = [*index._recent.values(), *index._frequent.values()]
+    assert entries
+    for location in entries:
+        stored = datapath._fetch_cblock(location)
+        assert location.cblock_hashes == sector_hash_vector(stored)
+
+
+def test_relocated_cblock_keeps_its_hashes_for_dedup(array, stream):
+    """GC copies a cblock verbatim, so its index entries keep the
+    cblock's sector hashes: after the move a duplicate of it still
+    matches with one fetch, and an anchor into it that cannot grow into
+    a run costs none."""
+    array.create_volume("a", MIB)
+    array.create_volume("b", MIB)
+    kept = unique_bytes(16 * KIB, stream)
+    array.write("a", 0, kept)
+    for _round_number in range(6):
+        array.write("a", 32 * KIB, unique_bytes(16 * KIB, stream))
+    # Split by dedup into unique, reference, unique: each unique run's
+    # cblock records its own slice of the chunk's hashes.
+    array.write("b", 256 * KIB, unique_bytes(4 * KIB, stream) + kept[:8 * KIB]
+                + unique_bytes(4 * KIB, stream))
+    array.drain()
+    datapath = array.datapath
+    assert_entries_carry_their_cblocks_hashes(datapath)
+    address_map = array.tables.address_map
+    home = address_map.get((array.volumes.anchor_medium("a"), 0)).value[1]
+    array.run_gc(max_segments=50)
+    moved = address_map.get((array.volumes.anchor_medium("a"), 0)).value[1]
+    assert moved != home
+    assert_entries_carry_their_cblocks_hashes(datapath)
+    deduper = datapath.deduper
+    datapath.drop_caches()
+
+    fetched, found = deduper.anchors_fetched, deduper.matches_found
+    array.write("b", 0, kept)
+    assert deduper.matches_found == found + 1
+    assert deduper.anchors_fetched == fetched + 1
+    value = address_map.get((array.volumes.anchor_medium("b"), 0)).value
+    assert value[:2] == (T.EXTENT_DEDUP, moved)
+
+    fetched, screened = deduper.anchors_fetched, deduper.anchors_screened
+    array.write("b", 64 * KIB,
+                kept[:SECTOR] + unique_bytes(16 * KIB - SECTOR, stream))
+    assert deduper.anchors_fetched == fetched
+    assert deduper.anchors_screened == screened + 1
+    datapath.drop_caches()
+    assert array.read("b", 0, 16 * KIB)[0] == kept

@@ -123,7 +123,8 @@ def test_overlap_at_another_key_is_overlaid_not_reingested(monkeypatch):
     find_matches = datapath.deduper.find_matches
     monkeypatch.setattr(
         datapath.deduper, "find_matches",
-        lambda chunk: calls.append(len(chunk)) or find_matches(chunk),
+        lambda chunk, vector: calls.append(len(chunk))
+        or find_matches(chunk, vector),
     )
     device_reads = array.segreader.device_reads
     array.write("v", 0, new)

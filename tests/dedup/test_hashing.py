@@ -15,8 +15,9 @@ from repro.core.config import ArrayConfig
 from repro.dedup import hashing
 from repro.dedup.hashing import (
     HASH_BITS,
-    sampled_sector_hashes,
+    HASH_BYTES,
     sector_hash,
+    sector_hash_vector,
     sector_hashes,
 )
 from repro.dedup.index import DedupIndex, DedupLocation
@@ -30,6 +31,10 @@ WORDS = SECTOR // 8
 
 def random_sectors(count, seed=2015):
     return RandomStream(seed).randbytes(count * SECTOR)
+
+
+def unpacked(vector):
+    return memoryview(vector).cast("Q").tolist()
 
 
 def test_hash_fits_in_64_bits():
@@ -56,6 +61,8 @@ def test_sector_hashes_per_sector():
 def test_sector_hashes_requires_alignment():
     with pytest.raises(ValueError):
         sector_hashes(b"short")
+    with pytest.raises(ValueError):
+        sector_hash_vector(b"a" * (SECTOR + 8))
 
 
 def test_sector_hashes_accepts_memoryview_and_bytearray():
@@ -67,30 +74,26 @@ def test_sector_hashes_accepts_memoryview_and_bytearray():
         padded = bytearray(skew) + bytearray(data) + bytearray(3)
         view = memoryview(padded)[skew : skew + len(data)]
         assert sector_hashes(view) == expected, skew
-        assert sampled_sector_hashes(view, 4) == list(enumerate(expected))[::4]
+        assert unpacked(sector_hash_vector(view)) == expected, skew
         assert sector_hash(view[SECTOR : 2 * SECTOR]) == expected[1]
 
 
-def test_sampled_hashes_match_full_pass():
-    """Sampling hashes strided rows: the same values as the full pass."""
-    for sectors in (1, 7, 8, 9, 16, 63, 64, 65):
+def test_full_pass_and_vector_match_per_sector_hashes():
+    """One pass over a chunk gives each sector's own hash, and its
+    packed vector slices per sector: a unique run's slice of the
+    chunk's vector is that run's own vector."""
+    for sectors in (0, 1, 7, 8, 9, 16, 63, 64, 65):
         data = random_sectors(sectors, seed=sectors)
         full = sector_hashes(data)
         assert full == [sector_hash(data[at : at + SECTOR])
                         for at in range(0, len(data), SECTOR)]
-        for sample_every in (1, 2, 3, 8, 16, 100):
-            assert sampled_sector_hashes(data, sample_every) == [
-                (sector, value)
-                for sector, value in enumerate(full)
-                if sector % sample_every == 0
-            ]
-
-
-def test_sampled_hashes_validation():
-    with pytest.raises(ValueError):
-        sampled_sector_hashes(b"a" * SECTOR, 0)
-    with pytest.raises(ValueError):
-        sampled_sector_hashes(b"short", 8)
+        vector = sector_hash_vector(data)
+        assert len(vector) == HASH_BYTES * sectors
+        assert unpacked(vector) == full
+        for first, last in ((0, sectors), (sectors // 3, sectors - 1)):
+            run = data[first * SECTOR : last * SECTOR]
+            assert sector_hash_vector(run) \
+                == vector[first * HASH_BYTES : last * HASH_BYTES]
 
 
 def test_sampling_rate_matches_paper():
@@ -146,13 +149,13 @@ def test_no_view_of_a_bytearray_outlives_a_call():
     behind by the kernel or the matcher would make ``extend`` raise."""
     stored = random_sectors(16, seed=3)
     index = DedupIndex()
-    for sector, value in sampled_sector_hashes(stored, 8):
+    for sector, value in list(enumerate(sector_hashes(stored)))[::8]:
         index.record(value, DedupLocation(1, 0, len(stored), sector))
     deduper = InlineDeduper(index, lambda location: stored)
     for content in (stored, random_sectors(16, seed=4)):  # a hit, then none
         buffer = bytearray(content)
         sector_hashes(buffer)
-        sampled_sector_hashes(buffer, 8)
+        sector_hash_vector(buffer)
         sector_hash(memoryview(buffer)[:SECTOR])
         deduper.find_matches(buffer)
         buffer.extend(bytes(SECTOR))

@@ -60,19 +60,11 @@ def test_eviction_drops_the_hit_count_with_the_entry():
     assert len(index._hit_counts) <= index.recent_capacity
 
 
-def test_invalidate_segment():
-    index = DedupIndex()
-    index.record(1, loc(segment_id=7))
-    index.record(2, loc(segment_id=8))
-    index.invalidate_segment(7)
-    assert index.lookup(1) is None
-    assert index.lookup(2) is not None
-
-
 def test_rewrite_segment_relocates():
     index = DedupIndex()
     index.record(1, loc(segment_id=7, sector=3))
     index.record(2, loc(segment_id=7, sector=9))
+    index.record(3, loc(segment_id=8))
 
     def relocate(location):
         if location.sector_index == 9:
@@ -82,6 +74,7 @@ def test_rewrite_segment_relocates():
     index.rewrite_segment(7, relocate)
     assert index.lookup(1) == DedupLocation(20, 512, 64, 3)
     assert index.lookup(2) is None
+    assert index.lookup(3) == loc(segment_id=8)  # another segment: untouched
 
 
 def test_shifted_location():
@@ -89,6 +82,15 @@ def test_shifted_location():
     assert location.shifted(3).sector_index == 8
     assert location.shifted(-2).sector_index == 3
     assert location.shifted(0) == location
+
+
+def test_cblock_hashes_ride_along_but_are_not_identity():
+    vector = bytes(range(8)) * 4
+    location = DedupLocation(1, 0, 64, 2, vector)
+    assert location.shifted(1).cblock_hashes is vector
+    assert location == loc(sector=2)
+    assert hash(location) == hash(loc(sector=2))
+    assert repr(location) == repr(loc(sector=2))
 
 
 def test_hit_rate():

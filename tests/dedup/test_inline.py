@@ -8,7 +8,7 @@ the live matcher to the reference matcher on a seeded corpus.
 
 import pytest
 
-from repro.dedup.hashing import sector_hashes
+from repro.dedup.hashing import sector_hash_vector, sector_hashes
 from repro.dedup.index import DedupIndex, DedupLocation
 from repro.dedup.inline import InlineDeduper
 from repro.units import SECTOR
@@ -19,15 +19,20 @@ def make_store():
     return {}
 
 
-def store_cblock(store, index, segment_id, data, sample_every=8):
-    """Record a cblock the way the datapath would: every Nth hash."""
+def store_cblock(store, index, segment_id, data, sample_every=8,
+                 with_hashes=False):
+    """Record a cblock the way the datapath would: every Nth hash, each
+    entry carrying the cblock's hash vector when ``with_hashes`` (the
+    datapath always attaches it; without it the matcher fetches every
+    anchor)."""
     store[segment_id] = data
     hashes = sector_hashes(data)
+    vector = sector_hash_vector(data) if with_hashes else None
     for sector, value in enumerate(hashes):
         if sector % sample_every == 0:
             index.record(
                 value,
-                DedupLocation(segment_id, 0, len(data), sector),
+                DedupLocation(segment_id, 0, len(data), sector, vector),
             )
 
 

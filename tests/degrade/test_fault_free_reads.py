@@ -24,9 +24,12 @@ IO_SIZE = 8 * KIB
 WRITES = 256
 #: One burst of queued reads (issued at one sim instant) per this many
 #: back-to-back writes: acks take tens of microseconds, a staggered
-#: flush milliseconds, so reads land inside open program windows.
-WRITES_PER_BURST = 16
-READS_PER_BURST = 4
+#: flush milliseconds, so reads land inside open program windows. The
+#: client's reads alone must make the scenario bite: inline dedup skips
+#: the cblock fetch of an anchor its hashes rule out, so the write path
+#: adds few device reads of its own.
+WRITES_PER_BURST = 8
+READS_PER_BURST = 24
 READ_BACK = 64
 
 
@@ -75,9 +78,10 @@ def test_fault_free_mixed_run_stays_unsuspected_and_reads_each_chunk_once(
     for array in members:
         spy_on_hedges(array, outcomes)
 
-    # Database-like pages: inline dedup verifies candidates by reading
-    # earlier cblocks from inside the write path, so the array's own
-    # reads collide with its flushes too, not only the client's.
+    # Database-like pages: inline dedup still verifies the candidates
+    # its hashes cannot rule out by reading earlier cblocks from inside
+    # the write path, so a few of the array's own reads collide with its
+    # flushes too.
     data = DataGenerator("rdbms", RandomStream(42).fork("data"))
     pick = RandomStream(43)
     written = []
