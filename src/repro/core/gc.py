@@ -208,14 +208,13 @@ class GarbageCollector:
         for fact in referencing:
             key = (fact.value[2], fact.value[3])
             reference_counts[key] = reference_counts.get(key, 0) + 1
+        blobs = self._read_live_blobs(descriptor, reference_counts)
         ordered = sorted(
             reference_counts, key=lambda key: -reference_counts[key]
         )
         relocations = {}
         for payload_offset, stored_length in ordered:
-            blob, _latency = self.array.segreader.read_payload(
-                descriptor, payload_offset, stored_length
-            )
+            blob = blobs.pop((payload_offset, stored_length))
             new_descriptor, new_offset, _lat = self.array.segwriter.append_data(
                 blob
             )
@@ -227,6 +226,39 @@ class GarbageCollector:
             report.bytes_rewritten += stored_length
             self.total_bytes_rewritten += stored_length
         return relocations
+
+    def _read_live_blobs(self, descriptor, live):
+        """Read the ``live`` (payload_offset, stored_length) cblocks.
+
+        One ``read_payload`` per segio covers its live span, first live
+        byte to last, and each blob is sliced out as its own ``bytes``
+        before the span is dropped: the result holds the live bytes and
+        nothing else, and at most one span is held at a time.
+        """
+        per_segio = self.array.config.segment_geometry.payload_per_segio
+        by_segio = {}
+        for offset, length in live:
+            segio = offset // per_segio
+            if (offset + length - 1) // per_segio != segio:
+                # The writer opens a fresh segio rather than straddle one.
+                raise AssertionError(
+                    "cblock at %d (+%d) straddles segio %d" % (offset, length, segio)
+                )
+            by_segio.setdefault(segio, []).append((offset, length))
+        blobs = {}
+        for segio in sorted(by_segio):
+            cblocks = by_segio[segio]
+            start = min(offset for offset, _length in cblocks)
+            end = max(offset + length for offset, length in cblocks)
+            span, _latency = self.array.segreader.read_payload(
+                descriptor, start, end - start
+            )
+            for offset, length in cblocks:
+                blobs[(offset, length)] = bytes(
+                    span[offset - start : offset - start + length]
+                )
+            del span
+        return blobs
 
     def _repoint_extents(self, referencing, relocations):
         entries = []

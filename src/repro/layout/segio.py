@@ -153,20 +153,19 @@ class OpenSegio:
         payload_view = np.frombuffer(self._payload, dtype=np.uint8)
         matrix = payload_view.reshape(data_shards, payload_view.size // data_shards)
         parity = codec.encode_stripes(matrix)
-        write_units = []
         all_shards = [matrix[index] for index in range(data_shards)]
         all_shards.extend(parity[index] for index in range(len(parity)))
-        for shard_index, body in enumerate(all_shards):
-            header = SegioHeader(
-                segment_id=self.descriptor.segment_id,
-                segio_index=self.segio_index,
-                shard_index=shard_index,
-                placements=self.descriptor.placements,
-                data_length=self._front,
-                log_locators=tuple(self._log_locators),
-                seq_min=self._seq_min if self._seq_min is not None else 0,
-                seq_max=self._seq_max if self._seq_max is not None else -1,
-                max_record_id=self._max_record_id,
-            ).encode(self.geometry.wu_header_size)
-            write_units.append(b"".join((header, body)))
-        return write_units
+        headers = SegioHeader(
+            segment_id=self.descriptor.segment_id,
+            segio_index=self.segio_index,
+            shard_index=0,
+            placements=self.descriptor.placements,
+            data_length=self._front,
+            log_locators=tuple(self._log_locators),
+            seq_min=self._seq_min if self._seq_min is not None else 0,
+            seq_max=self._seq_max if self._seq_max is not None else -1,
+            max_record_id=self._max_record_id,
+        ).encode_replicas(self.geometry.wu_header_size, len(all_shards))
+        return [
+            b"".join((header, body)) for header, body in zip(headers, all_shards)
+        ]

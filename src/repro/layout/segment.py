@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 from repro.errors import EncodingError
 from repro.units import KIB, MIB
-from repro.wire import decode_value, encode_value
+from repro.wire import (decode_value, encode_field_into, encode_value,
+                        encode_varint)
 
 #: Magic prefix identifying a valid write-unit header.
 WU_MAGIC = b"PSEG"
@@ -139,33 +140,60 @@ class SegioHeader:
     seq_max: int
     max_record_id: int
 
-    def encode(self, header_size):
-        """Serialize, padded to exactly ``header_size`` bytes."""
+    def _fields(self):
         placements_flat = tuple(
             item for drive, au in self.placements for item in (drive, au)
         )
         locators_flat = tuple(
             item for offset, length in self.log_locators for item in (offset, length)
         )
-        body = encode_value(
-            (
-                self.segment_id,
-                self.segio_index,
-                self.shard_index,
-                placements_flat,
-                self.data_length,
-                locators_flat,
-                self.seq_min,
-                self.seq_max,
-                self.max_record_id,
-            )
+        return (
+            self.segment_id,
+            self.segio_index,
+            self.shard_index,
+            placements_flat,
+            self.data_length,
+            locators_flat,
+            self.seq_min,
+            self.seq_max,
+            self.max_record_id,
         )
+
+    @staticmethod
+    def _frame(body, header_size):
         blob = WU_MAGIC + len(body).to_bytes(4, "big") + body
         if len(blob) > header_size:
             raise EncodingError(
                 "header needs %d bytes, only %d reserved" % (len(blob), header_size)
             )
         return blob + b"\x00" * (header_size - len(blob))
+
+    def encode(self, header_size):
+        """Serialize, padded to exactly ``header_size`` bytes."""
+        return self._frame(encode_value(self._fields()), header_size)
+
+    def encode_replicas(self, header_size, shard_count):
+        """The header of each of a segio's ``shard_count`` shards.
+
+        Entry ``i`` equals ``replace(self, shard_index=i).encode(header_size)``.
+        Only ``shard_index`` differs between the replicas, so the fields
+        around it are encoded once, not once per shard.
+        """
+        fields = self._fields()
+        head = bytearray()
+        encode_varint(len(fields), head)
+        for value in fields[:2]:
+            encode_field_into(value, head)
+        tail = bytearray()
+        for value in fields[3:]:
+            encode_field_into(value, tail)
+        replicas = []
+        for shard_index in range(shard_count):
+            body = bytearray(head)
+            encode_field_into(shard_index, body)
+            body += tail
+            replicas.append(self._frame(body, header_size))
+        return replicas
 
     @classmethod
     def decode(cls, data):

@@ -59,7 +59,8 @@ def _unzigzag(value):
     return (value >> 1) ^ -(value & 1)
 
 
-def _encode_field(field, out):
+def encode_field_into(field, out):
+    """Append one tagged field to the bytearray ``out``."""
     if field is None:
         out.append(_TAG_NONE)
     elif isinstance(field, bool):
@@ -82,7 +83,7 @@ def _encode_field(field, out):
         out.append(_TAG_TUPLE)
         encode_varint(len(field), out)
         for item in field:
-            _encode_field(item, out)
+            encode_field_into(item, out)
     else:
         raise EncodingError("cannot encode field of type %s" % type(field).__name__)
 
@@ -125,7 +126,7 @@ def encode_value_into(values, out):
     """
     encode_varint(len(values), out)
     for field in values:
-        _encode_field(field, out)
+        encode_field_into(field, out)
 
 
 def encode_value(values):

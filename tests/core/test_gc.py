@@ -1,5 +1,7 @@
 """Garbage collection: space reclamation, sweeps, chain shortening."""
 
+import pytest
+
 from repro.core import tables as T
 from repro.dedup.hashing import sector_hash_vector
 from repro.units import KIB, MIB, SECTOR
@@ -204,3 +206,150 @@ def test_relocated_cblock_keeps_its_hashes_for_dedup(array, stream):
     assert deduper.anchors_screened == screened + 1
     datapath.drop_caches()
     assert array.read("b", 0, 16 * KIB)[0] == kept
+
+
+# ----------------------------------------------------------------------
+# Evacuation reads: one span read per segio, byte-identical relocations
+
+RECORD = 4 * KIB
+
+
+def churn_with_model(array, stream):
+    """Two volumes, a snapshot, a clone and dedup references spread over
+    several segments and segios, overwritten so most of it is dead.
+
+    Returns (per-volume ``bytearray`` model, per-snapshot ``bytes``).
+    """
+    model, snapshots = {}, {}
+
+    def write(name, index, data):
+        array.write(name, index * RECORD, data)
+        model[name][index * RECORD : (index + 1) * RECORD] = data
+
+    for name in ("a", "b"):
+        array.create_volume(name, MIB)
+        model[name] = bytearray(MIB)
+    for index in range(96):
+        write("a", index, unique_bytes(RECORD, stream))
+    for index in range(0, 96, 3):  # b's copies dedup onto a's cblocks
+        write("b", index, bytes(model["a"][index * RECORD : (index + 1) * RECORD]))
+    for index in range(0, 96, 2):
+        write("a", index, unique_bytes(RECORD, stream))
+    array.snapshot("a", "s")
+    snapshots[("a", "s")] = bytes(model["a"])
+    array.clone("a", "s", "c")
+    model["c"] = bytearray(snapshots[("a", "s")])
+    for _round in range(2):
+        for index in range(0, 96, 2):
+            write("a", index, unique_bytes(RECORD, stream))
+    for index in range(1, 96, 4):
+        write("c", index, unique_bytes(RECORD, stream))
+    array.drain()
+    return model, snapshots
+
+
+def assert_reads_match_model(array, model, snapshots):
+    array.datapath.drop_caches()
+    for name, expected in model.items():
+        assert array.read(name, 0, len(expected))[0] == expected, name
+    for (volume, snapshot), expected in snapshots.items():
+        medium = array.volumes._snapshot_fact(volume, snapshot).value[0]
+        assert array.datapath.read(medium, 0, len(expected))[0] == expected
+
+
+def per_cblock_reads(array):
+    """What a read_payload of each live cblock on its own returns."""
+    return {
+        (segment_id, offset, length): array.segreader.read_payload(
+            array.datapath.descriptor_for(segment_id), offset, length
+        )[0]
+        for segment_id, cblocks in array.datapath.live_cblocks_by_segment().items()
+        for offset, length in cblocks
+    }
+
+
+def record_relocations(array, monkeypatch):
+    """[(old cblock key, new cblock key, blob appended)], in append order."""
+    moves = []
+    appended = []
+    append_data = array.segwriter.append_data
+    rewrite = array.gc._rewrite_live_cblocks
+
+    def recording_append(blob):
+        appended.append(bytes(blob))
+        return append_data(blob)
+
+    def recording_rewrite(descriptor, referencing, report):
+        del appended[:]
+        relocations = rewrite(descriptor, referencing, report)
+        assert len(appended) == len(relocations)
+        for ((offset, length), target), blob in zip(relocations.items(), appended):
+            moves.append(((descriptor.segment_id, offset, length),
+                          (*target, length), blob))
+        return relocations
+
+    monkeypatch.setattr(array.segwriter, "append_data", recording_append)
+    monkeypatch.setattr(array.gc, "_rewrite_live_cblocks", recording_rewrite)
+    return moves
+
+
+def test_collect_reads_each_live_segio_once(array, stream, monkeypatch):
+    churn_with_model(array, stream)
+    per_segio = array.config.segment_geometry.payload_per_segio
+    by_segment = array.datapath.live_cblocks_by_segment()
+    victim = max(
+        (segment_id for segment_id in by_segment
+         if not array.gc._is_pinned(array.datapath.descriptor_for(segment_id))),
+        key=lambda segment_id: len(by_segment[segment_id]),
+    )
+    spans = {}
+    for offset, length in by_segment[victim]:
+        first, last = spans.get(offset // per_segio, (offset, offset + length))
+        spans[offset // per_segio] = (min(first, offset), max(last, offset + length))
+    assert len(spans) >= 2
+    assert len(by_segment[victim]) > len(spans)
+    calls = []
+    read_payload = array.segreader.read_payload
+
+    def counting_read(descriptor, payload_offset, length):
+        if descriptor.segment_id == victim:
+            calls.append((payload_offset, length))
+        return read_payload(descriptor, payload_offset, length)
+
+    monkeypatch.setattr(array.segreader, "read_payload", counting_read)
+    assert array.gc.collect_segment(victim)
+    assert sorted(calls) == sorted(
+        (first, last - first) for first, last in spans.values()
+    )
+
+
+def check_relocations(moves, before):
+    """Each appended blob is the cblock's bytes as read before GC (a
+    cblock GC already moved once may move again from its new home)."""
+    assert moves
+    expected = dict(before)
+    for old, new, blob in moves:
+        assert blob == expected[old], "cblock %r rewritten with other bytes" % (old,)
+        expected[new] = blob
+
+
+@pytest.mark.parametrize("evacuation, failed", [
+    ("gc", 0), ("gc", 1), ("gc", 2), ("rebuild", 1), ("rebuild", 2),
+])
+def test_evacuation_relocates_what_a_per_cblock_read_returns(
+    array, stream, monkeypatch, evacuation, failed
+):
+    model, snapshots = churn_with_model(array, stream)
+    placements = next(iter(array.tables.segments.scan())).value[0]
+    for drive_name, _au in placements[:failed]:
+        array.fail_drive(drive_name)
+    before = per_cblock_reads(array)
+    moves = record_relocations(array, monkeypatch)
+    if evacuation == "gc":
+        report = array.run_gc(max_segments=50)
+        assert report.segments_collected > 0
+        assert len(moves) == report.cblocks_rewritten
+    else:
+        assert array.rebuild() > 0
+    check_relocations(moves, before)
+    assert_reads_match_model(array, model, snapshots)

@@ -1,5 +1,8 @@
 """Tests for open segios (Figure 3 fill discipline)."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from repro.erasure.reed_solomon import ReedSolomon
@@ -89,6 +92,52 @@ def test_finalize_produces_striped_write_units(segio, geometry):
     # The data lands at the right place in shard bodies.
     within = offset - segio.payload_base()
     assert bodies[0][within : within + 16] == payload[:16]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_replicated_headers_match_a_per_shard_encode(geometry, descriptor, seed):
+    """finalize encodes the shared header fields once per segio; every
+    write unit must still carry exactly the bytes a per-shard encode
+    gives."""
+    rng = random.Random(seed)
+    segio_index = rng.randrange(4)
+    segio = OpenSegio(geometry, descriptor, segio_index=segio_index)
+    data_length = rng.randrange(1, 4 * KIB)
+    segio.append_data(rng.randbytes(data_length))
+    locators, seqs, record_ids = [], [], []
+    for _record in range(rng.randrange(1, 12)):
+        seq = rng.randrange(1 << 40)
+        seqs += [seq, seq + rng.randrange(1000)]
+        record_ids.append(rng.randrange(1 << 20))
+        locators.append(segio.append_log_record(
+            rng.randbytes(rng.randrange(1, 256)),
+            seq_min=seqs[-2],
+            seq_max=seqs[-1],
+            record_id=record_ids[-1],
+        ))
+    header = SegioHeader(
+        segment_id=descriptor.segment_id,
+        segio_index=segio_index,
+        shard_index=0,
+        placements=descriptor.placements,
+        data_length=data_length,
+        log_locators=tuple(locators),
+        seq_min=min(seqs),
+        seq_max=max(seqs),
+        max_record_id=max(record_ids),
+    )
+    units = segio.finalize(ReedSolomon(7, 2))
+    assert len(units) == 9
+    for shard_index, unit in enumerate(units):
+        expected = replace(header, shard_index=shard_index).encode(
+            geometry.wu_header_size
+        )
+        assert unit[: geometry.wu_header_size] == expected
+    # Past shard 63 the index needs a two-byte varint.
+    assert header.encode_replicas(geometry.wu_header_size, 70) == [
+        replace(header, shard_index=index).encode(geometry.wu_header_size)
+        for index in range(70)
+    ]
 
 
 def test_finalize_twice_rejected(segio):
