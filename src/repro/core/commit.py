@@ -159,7 +159,7 @@ class CommitPipeline:
         """Durably delete: persist the elide record, then apply it."""
         spec = self._predicate_to_spec(predicate)
         self.insert_meta(T.ELIDES, (target_name, spec), ())
-        self.tables[target_name].elide_table.insert(predicate)
+        self.tables[target_name].elide(predicate)
 
     def elide_key_range(self, target_name, lo, hi, field=0):
         """Durable range deletion on ``target_name``."""
@@ -189,7 +189,7 @@ class CommitPipeline:
             if target_name not in self.tables.relations:
                 continue
             predicate = self.spec_to_predicate(spec)
-            self.tables[target_name].elide_table.insert(predicate)
+            self.tables[target_name].elide(predicate)
             replayed += 1
         return replayed
 

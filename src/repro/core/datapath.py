@@ -14,6 +14,7 @@ underlying medium. Extra random reads (dedup references, chain hops)
 are the price of the capacity savings, and flash makes them cheap.
 """
 
+import bisect
 from collections import OrderedDict
 
 from repro.compression.cblock import build_cblock, parse_cblock, split_write
@@ -137,7 +138,14 @@ class DataPath:
         )
         self.deduper = InlineDeduper(self.dedup_index, self._fetch_cblock)
         self._cblock_cache = CBlockCache(config.cblock_cache_entries)
-        self._descriptor_cache = {}
+        #: segment id -> descriptor, until the segment table next changes
+        #: (a GC pass elides the row of every segment it frees).
+        self._descriptors = self.tables.segments.memo("descriptor")
+        #: read-only medium id -> (extent starts, extents) of all its
+        #: visible extents in key order, until one of them changes.
+        self._frozen_extents = self.tables.address_map.memo(
+            "frozen-extents", by_first_field=True
+        )
         #: Fault-injection crashpoint router (see :mod:`repro.faults`).
         self.crashpoints = None
         #: Observability handle (see :mod:`repro.obs`); the array wires
@@ -165,7 +173,7 @@ class DataPath:
 
     def descriptor_for(self, segment_id):
         """Resolve a segment id to its descriptor via the segment table."""
-        cached = self._descriptor_cache.get(segment_id)
+        cached = self._descriptors.get(segment_id)
         if cached is not None:
             return cached
         fact = self.tables.segments.get((segment_id,))
@@ -173,17 +181,15 @@ class DataPath:
             raise VolumeError("segment %d is unknown" % segment_id)
         placements = tuple(tuple(pair) for pair in fact.value[0])
         descriptor = SegmentDescriptor(segment_id=segment_id, placements=placements)
-        self._descriptor_cache[segment_id] = descriptor
+        self._descriptors[segment_id] = descriptor
         return descriptor
 
     def drop_caches(self):
-        """Empty the controller's read caches (tests and failover drills)."""
+        """Empty the controller's cblock cache (tests and failover drills)."""
         self._cblock_cache.clear()
-        self._descriptor_cache.clear()
 
     def invalidate_segment(self, segment_id):
-        """Drop caches after GC frees or rewrites a segment."""
-        self._descriptor_cache.pop(segment_id, None)
+        """Drop cached cblocks after GC frees or rewrites a segment."""
         self._cblock_cache.invalidate_segment(segment_id)
 
     def _read_cblock(self, segment_id, payload_offset, stored_length):
@@ -515,12 +521,36 @@ class DataPath:
         # This medium's own extents overlay whatever the chain supplied.
         self._overlay_extents(medium_id, offset, length, buffer, dest, latencies)
 
+    def _extents_between(self, medium_id, lo, hi):
+        """The visible extents of ``medium_id`` keyed in ``[lo, hi]``.
+
+        A read-only medium (a snapshot's, a frozen base) takes no client
+        writes, so its extents are scanned once and then sliced from
+        memory until one of them changes (GC repoints it, background
+        dedup or a flatten rewrites it, its medium is swept).
+        """
+        memo = self._frozen_extents.get(medium_id)
+        if memo is None:
+            if self.medium_table.is_writable(medium_id):
+                return self.tables.address_map.scan(
+                    (medium_id, lo), (medium_id, hi)
+                )
+            facts = tuple(self.tables.address_map.scan(
+                (medium_id, 0), (medium_id, 2 ** 62)
+            ))
+            memo = self._frozen_extents[medium_id] = (
+                [fact.key[1] for fact in facts], facts
+            )
+        starts, facts = memo
+        return facts[bisect.bisect_left(starts, lo)
+                     : bisect.bisect_right(starts, hi)]
+
     def _overlay_extents(self, medium_id, offset, length, buffer, dest, latencies):
         end = offset + length
-        scan_lo = (medium_id, max(0, offset - MAX_CBLOCK + SECTOR))
-        scan_hi = (medium_id, end - 1)
         overlapping = []
-        for fact in self.tables.address_map.scan(scan_lo, scan_hi):
+        for fact in self._extents_between(
+            medium_id, max(0, offset - MAX_CBLOCK + SECTOR), end - 1
+        ):
             extent_offset = fact.key[1]
             logical_length = self._extent_logical_length(fact.value)
             if extent_offset + logical_length <= offset or extent_offset >= end:

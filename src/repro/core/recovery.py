@@ -157,7 +157,7 @@ def _recover_body(array, boot_region, clock, full_scan, warm_cache_fraction):
             _name, chunk, _end = decode_commit_record(blob)
             facts.extend(chunk)
         if facts:
-            array.tables[relation_name].pyramid.adopt_patch(Patch(facts))
+            array.tables[relation_name].adopt_patch(Patch(facts))
             report.patches_loaded += 1
             report.facts_recovered += len(facts)
 

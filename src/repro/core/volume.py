@@ -112,24 +112,24 @@ class VolumeManager:
     # ------------------------------------------------------------------
     # I/O
 
-    def _check_range(self, name, offset, length):
-        size = self.volume_size(name)
+    def _anchor_for_io(self, name, offset, length):
+        """The anchor medium of an I/O on ``name``, its range checked."""
+        size, medium_id, _status = self._volume_fact(name).value
         if offset < 0 or offset + length > size:
             raise VolumeError(
                 "range [%d, %d) outside volume %r of size %d"
                 % (offset, offset + length, name, size)
             )
+        return medium_id
 
     def write(self, name, offset, data):
         """Write to a volume; returns commit latency."""
-        self._check_range(name, offset, len(data))
-        medium_id = self.anchor_medium(name)
+        medium_id = self._anchor_for_io(name, offset, len(data))
         return self.datapath.write(medium_id, offset, data)
 
     def read(self, name, offset, length):
         """Read from a volume; returns (bytes, latency)."""
-        self._check_range(name, offset, length)
-        medium_id = self.anchor_medium(name)
+        medium_id = self._anchor_for_io(name, offset, length)
         return self.datapath.read(medium_id, offset, length)
 
     def unmap(self, name, offset, length):
@@ -143,8 +143,7 @@ class VolumeManager:
         """
         if offset % SECTOR or length % SECTOR or length <= 0:
             raise VolumeError("unmap must cover whole sectors")
-        self._check_range(name, offset, length)
-        medium_id = self.anchor_medium(name)
+        medium_id = self._anchor_for_io(name, offset, length)
         entries = []
         cursor = offset
         while cursor < offset + length:

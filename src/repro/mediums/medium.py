@@ -69,6 +69,8 @@ class MediumTable:
         self._elide_prefix = elider or (
             lambda prefix: self.relation.elide_prefix(prefix)
         )
+        #: medium id -> its decoded rows, until the relation next changes.
+        self._ranges = relation.memo("ranges_of")
 
     def set_next_medium_id(self, next_id):
         """Continue numbering after recovery."""
@@ -100,9 +102,18 @@ class MediumTable:
         return medium_id
 
     def ranges_of(self, medium_id):
-        """All current ranges of one medium, by start offset."""
-        rows = self.relation.scan((medium_id, 0), (medium_id, 2 ** 62))
-        return [self._decode(fact) for fact in rows]
+        """All current ranges of one medium, by start offset (a tuple).
+
+        Read from the index once per change to the medium relation: a
+        read walks its volume's chain through this on every I/O.
+        """
+        rows = self._ranges.get(medium_id)
+        if rows is None:
+            facts = self.relation.scan((medium_id, 0), (medium_id, 2 ** 62))
+            rows = self._ranges[medium_id] = tuple(
+                self._decode(fact) for fact in facts
+            )
+        return rows
 
     def exists(self, medium_id):
         """True when the medium has any live range rows."""
@@ -117,22 +128,14 @@ class MediumTable:
 
     def range_covering(self, medium_id, offset):
         """The range row covering ``offset``, or None for a gap."""
-        fact = self.relation.pyramid.lookup_latest((medium_id, offset))
-        if fact is None:
-            # Predecessor search over the sorted row starts.
-            candidates = [
-                row for row in self.ranges_of(medium_id) if row.start <= offset
-            ]
-            if not candidates:
-                return None
-            row = max(candidates, key=lambda r: r.start)
-        else:
-            if self.relation.elide_table.is_elided(fact):
-                return None
-            row = self._decode(fact)
-        if not row.start <= offset < row.end:
+        covering = None
+        for row in self.ranges_of(medium_id):
+            if row.start > offset:
+                break
+            covering = row
+        if covering is None or offset >= covering.end:
             return None
-        return row
+        return covering
 
     def freeze(self, medium_id):
         """Make every range of a medium read-only."""

@@ -6,9 +6,20 @@ pyramid, with deletion policy expressed as elide rules over an elide
 table (Section 4.10). Readers may run in a relaxed mode that ignores
 retractions entirely, observing tuples that no longer exist — which is
 safe because facts are immutable.
+
+A relation memoizes answers derived from it (:meth:`Relation.memo`)
+until it changes. Every call that can change what :meth:`Relation.get`
+or :meth:`Relation.scan` returns — an insert, an elide record, an
+adopted patch, a merge — goes through this class and empties the memos.
+Sealing only moves facts from the memtable into a patch, so it keeps
+them. A catalog row (a volume, a snapshot, a medium's ranges, a
+segment's placements) is thus looked up in the index once per change to
+its relation, not once per I/O. A memo kept per first key field (the
+address map's per-medium memo) loses only that field's entry to an
+insert.
 """
 
-from repro.pyramid.elision import ElideTable
+from repro.pyramid.elision import ElideTable, KeyPrefixPredicate, KeyRangePredicate
 from repro.pyramid.pyramid import Pyramid
 from repro.pyramid.tuples import Fact
 
@@ -23,6 +34,32 @@ class Relation:
         self.key_arity = key_arity
         self.pyramid = Pyramid(name, fanout=fanout)
         self.elide_table = ElideTable(name + ".elide")
+        self._memos = {}
+        self._memos_by_first_field = {}
+        #: key -> newest visible fact or None, for :meth:`get`'s common form.
+        self._latest = self.memo("get")
+
+    def memo(self, name, by_first_field=False):
+        """The dict ``name`` for answers derived from this relation.
+
+        Every change to the relation empties it in place, so a caller may
+        keep the dict and trust any entry it finds in it. A dict
+        ``by_first_field`` is keyed by a key's first field: an insert
+        then drops only the entry of its fact's first field, and every
+        other change still empties it whole.
+        """
+        memos = self._memos_by_first_field if by_first_field else self._memos
+        return memos.setdefault(name, {})
+
+    def _changed(self, fact=None):
+        """Forget what a change invalidates; ``fact`` names an insert."""
+        for memo in self._memos.values():
+            memo.clear()
+        for memo in self._memos_by_first_field.values():
+            if fact is None:
+                memo.clear()
+            else:
+                memo.pop(fact.key[0], None)
 
     def make_fact(self, key, value, seqno):
         """Build a fact, validating key arity."""
@@ -37,24 +74,37 @@ class Relation:
         """Insert one fact; returns it. Idempotent and commutative."""
         fact = self.make_fact(key, value, seqno)
         self.pyramid.insert(fact)
+        self._changed(fact)
         return fact
 
     def insert_fact(self, fact):
-        """Insert a pre-built fact (recovery path)."""
+        """Insert a pre-built fact (commit and recovery paths)."""
         self.pyramid.insert(fact)
+        self._changed(fact)
+
+    def adopt_patch(self, patch):
+        """Install a persisted patch (recovery)."""
+        self.pyramid.adopt_patch(patch)
+        self._changed()
 
     def get(self, key, max_seq=None, ignore_elisions=False):
         """Latest visible fact for ``key``, or None.
 
         ``ignore_elisions=True`` is the relaxed consistency mode from
         Section 3.2: the reader skips the retraction check and may see
-        deleted tuples.
+        deleted tuples. The common form, with neither option, is
+        memoized until the relation changes.
         """
-        fact = self.pyramid.lookup_latest(tuple(key), max_seq)
-        if fact is None:
-            return None
-        if not ignore_elisions and self.elide_table.is_elided(fact):
-            return None
+        key = tuple(key)
+        memoized = max_seq is None and not ignore_elisions
+        if memoized and key in self._latest:
+            return self._latest[key]
+        fact = self.pyramid.lookup_latest(key, max_seq)
+        if (fact is not None and not ignore_elisions
+                and self.elide_table.is_elided(fact)):
+            fact = None
+        if memoized:
+            self._latest[key] = fact
         return fact
 
     def get_value(self, key, max_seq=None, default=None):
@@ -68,13 +118,18 @@ class Relation:
             if ignore_elisions or not self.elide_table.is_elided(fact):
                 yield fact
 
+    def elide(self, predicate):
+        """Apply one deletion predicate (see :mod:`repro.pyramid.elision`)."""
+        self.elide_table.insert(predicate)
+        self._changed()
+
     def elide_key_range(self, lo, hi, field=0):
         """Atomically delete all facts with key[field] in [lo, hi]."""
-        self.elide_table.elide_key_range(lo, hi, field=field)
+        self.elide(KeyRangePredicate(lo, hi, field=field))
 
     def elide_prefix(self, prefix, as_of_seq=None):
         """Atomically delete all facts whose key starts with ``prefix``."""
-        self.elide_table.elide_prefix(prefix, as_of_seq=as_of_seq)
+        self.elide(KeyPrefixPredicate(tuple(prefix), as_of_seq=as_of_seq))
 
     def seal(self):
         """Seal the memtable into a patch (segment-writer hand-off)."""
@@ -82,12 +137,16 @@ class Relation:
 
     def compact(self):
         """Background merge; drops elided facts during the merge."""
-        return self.pyramid.maybe_compact(drop=self.elide_table.is_elided)
+        compacted = self.pyramid.maybe_compact(drop=self.elide_table.is_elided)
+        self._changed()
+        return compacted
 
     def flatten(self):
         """Merge the whole pyramid into one patch, applying elisions."""
         self.pyramid.seal()
-        return self.pyramid.merge(drop=self.elide_table.is_elided)
+        merged = self.pyramid.merge(drop=self.elide_table.is_elided)
+        self._changed()
+        return merged
 
     def live_fact_count(self):
         """Visible facts (latest version per key, elisions applied)."""

@@ -2,10 +2,14 @@
 
 import pytest
 
-from repro.errors import SnapshotError, VolumeExistsError
+from repro.core.array import PurityArray
+from repro.core.config import ArrayConfig
+from repro.core.recovery import recover_array
+from repro.errors import SnapshotError, VolumeExistsError, VolumeNotFoundError
 from repro.mediums.resolver import chain_depth
 from repro.units import KIB, MIB
 
+from tests.conftest import make_engine
 from tests.core.conftest import unique_bytes
 
 
@@ -138,3 +142,135 @@ def test_deep_clone_chain_remains_correct(array, volume, stream):
     assert chain_depth(array.medium_table, anchor, 0) <= 3
     data, _ = array.read(source, 0, 4 * KIB)
     assert data == payload
+
+
+# ----------------------------------------------------------------------
+# Reads resolve their volume and medium chain from memory
+
+
+def count_index_reads(monkeypatch, array):
+    """[(relation, what)] of every index read the catalog relations and
+    the address map serve from here on."""
+    reads = []
+    for relation in (array.tables.volumes, array.tables.snapshots,
+                     array.tables.mediums, array.tables.address_map):
+        for name in ("lookup_latest", "scan_latest"):
+            original = getattr(relation.pyramid, name)
+
+            def counting(*args, _original=original, _what=(relation.name, name),
+                         **kwargs):
+                reads.append(_what)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(relation.pyramid, name, counting)
+    return reads
+
+
+def test_reads_resolve_the_chain_from_memory(array, volume, stream, monkeypatch):
+    """Once a clone has been read, reading it again reads no catalog row
+    and no frozen medium's extents from the index: only the writable top
+    medium's extents are scanned. A write or a catalog change is seen by
+    the very next read."""
+    base = unique_bytes(16 * KIB, stream)
+    array.write(volume, 0, base)
+    array.snapshot(volume, "s")
+    array.clone(volume, "s", "c")
+    assert array.read("c", 0, 16 * KIB)[0] == base
+    reads = count_index_reads(monkeypatch, array)
+    for _ in range(3):
+        assert array.read("c", 0, 16 * KIB)[0] == base
+    assert reads == [("address_map", "scan_latest")] * 3
+
+    top = unique_bytes(4 * KIB, stream)
+    array.write("c", 0, top)
+    assert array.read("c", 0, 16 * KIB)[0] == top + base[4 * KIB:]
+    array.destroy_volume("c")
+    with pytest.raises(VolumeNotFoundError):
+        array.read("c", 0, 4 * KIB)
+    array.clone(volume, "s", "c")  # the same name, a fresh medium
+    assert array.read("c", 0, 16 * KIB)[0] == base
+
+
+def test_seeded_churn_reads_match_a_model_through_gc_and_recovery(stream):
+    """Snapshots, clones, destroys, name reuse, GC (which repoints frozen
+    mediums' extents and retargets medium rows) and a crash, each
+    followed by reads checked against a per-volume ``bytearray`` model:
+    a memo that outlived its relation's change returns stale bytes."""
+    array = make_engine(ArrayConfig.small(seed=5))
+    record, size = 4 * KIB, 256 * KIB
+    model, snapshots, clones = {}, {}, []
+
+    def write(name):
+        offset = stream.randint(0, size // record - 1) * record
+        data = unique_bytes(record, stream)
+        array.write(name, offset, data)
+        model[name][offset:offset + record] = data
+
+    def check_reads(count):
+        for _ in range(count):
+            name = stream.choice(sorted(model))
+            offset = stream.randint(0, size // record - 2) * record
+            assert array.read(name, offset, 2 * record)[0] == \
+                model[name][offset:offset + 2 * record], name
+
+    for name in ("a", "b"):
+        array.create_volume(name, size)
+        model[name] = bytearray(size)
+        for _ in range(24):
+            write(name)
+    for rnd in range(6):
+        for name in ("a", "b"):
+            array.snapshot(name, "s%d" % rnd)
+            snapshots[name, "s%d" % rnd] = bytes(model[name])
+        clone = "c%d" % rnd
+        array.clone("a", "s%d" % rnd, clone)
+        model[clone] = bytearray(snapshots["a", "s%d" % rnd])
+        clones.append(clone)
+        check_reads(24)
+        for _ in range(24):
+            write(stream.choice(sorted(model)))
+        check_reads(24)
+        if len(clones) > 2:
+            gone = clones.pop(0)
+            array.destroy_volume(gone)
+            del model[gone]
+        for name in ("a", "b"):
+            if (name, "s%d" % (rnd - 2)) in snapshots:
+                array.destroy_snapshot(name, "s%d" % (rnd - 2))
+                del snapshots[name, "s%d" % (rnd - 2)]
+        if rnd in (2, 4):
+            report = array.run_gc(max_segments=50)
+            assert report.segments_collected and report.chains_shortened
+        if rnd == 3:
+            shelf, boot_region, clock = array.crash()
+            array, _report = recover_array(
+                PurityArray, array.config, shelf, boot_region, clock
+            )
+        check_reads(24)
+    for name, expected in model.items():
+        assert array.read(name, 0, size)[0] == expected, name
+
+
+def test_a_frozen_medium_repointed_by_gc_is_read_at_its_new_home(array, volume,
+                                                                 stream):
+    """Evacuating a segment moves a snapshot's live cblocks and repoints
+    the frozen medium's extents; the next read must follow them, not a
+    memo of the old ones. (Scrub and rebuild collect segments one at a
+    time like this, with no pyramid merge after.)"""
+    records = [unique_bytes(4 * KIB, stream) for _ in range(32)]
+    for index, data in enumerate(records):
+        array.write(volume, index * 4 * KIB, data)
+    for index in range(0, 32, 2):  # half the segment's cblocks die
+        records[index] = unique_bytes(4 * KIB, stream)
+        array.write(volume, index * 4 * KIB, records[index])
+    array.snapshot(volume, "s")
+    array.clone(volume, "s", "c")
+    expected = b"".join(records)
+    assert array.read("c", 0, len(expected))[0] == expected
+    collected = [segment_id
+                 for segment_id in sorted(array.datapath.live_cblocks_by_segment())
+                 if array.gc.collect_segment(segment_id)]
+    assert collected
+    assert not set(collected) & set(array.datapath.live_cblocks_by_segment())
+    array.datapath.drop_caches()
+    assert array.read("c", 0, len(expected))[0] == expected

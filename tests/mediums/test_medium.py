@@ -159,3 +159,26 @@ def test_gap_in_composite_medium_resolves_to_none(table):
     assert table.range_covering(30, 150) is None
     probes = resolve_chain(table, 30, 150)
     assert probes == [(30, 150)]
+
+
+def test_ranges_are_read_from_the_index_once_per_change(table, monkeypatch):
+    base = table.create_medium(4000)
+    scans = []
+    scan = table.relation.scan
+
+    def counting(*args, **kwargs):
+        scans.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(table.relation, "scan", counting)
+    rows = table.ranges_of(base)
+    assert table.ranges_of(base) is rows
+    assert table.range_covering(base, 3999) is rows[0]
+    assert table.size_of(base) == 4000 and table.is_writable(base)
+    assert chain_depth(table, base, 10) == 1
+    assert len(scans) == 1
+    snapshot, _anchor = table.snapshot(base)  # freezes base: a change
+    assert not table.is_writable(base)
+    assert table.ranges_of(snapshot)[0].target == base
+    table.drop_medium(snapshot)
+    assert table.range_covering(snapshot, 0) is None
