@@ -38,6 +38,7 @@ from repro.bench import (
     shape_min,
 )
 from repro.cluster import Cluster, ClusterChaosHarness, ClusterConfig
+from repro.cluster.config import DEAD_AFTER, HEARTBEAT_INTERVAL, REROUTE_BOUND
 from repro.sim.rand import RandomStream
 from repro.units import KIB
 
@@ -122,9 +123,8 @@ def run_scaleout():
 
 def run_rebalance():
     """Kill/revive one member; bill the moves, copies and reroute."""
-    config = ClusterConfig(num_arrays=REBALANCE_ARRAYS,
-                           seed=REBALANCE_SEED)
-    cluster = Cluster(config)
+    cluster = Cluster(ClusterConfig(num_arrays=REBALANCE_ARRAYS,
+                                    seed=REBALANCE_SEED))
     volumes = ["rvol%d" % index for index in range(NUM_VOLUMES)]
     for volume in volumes:
         cluster.create_volume(volume, SLOTS * RECORD)
@@ -134,7 +134,7 @@ def run_rebalance():
     cluster.kill(victim)
     # The next write bounces off the dead primary and times the reroute.
     cluster.write(volumes[0], 0, b"\xa5" * RECORD)
-    cluster.advance(config.dead_after + 2 * config.heartbeat_interval)
+    cluster.advance(DEAD_AFTER + 2 * HEARTBEAT_INTERVAL)
     cluster.settle()
     cluster.revive(victim)
     cluster.settle()
@@ -144,7 +144,7 @@ def run_rebalance():
     copied = cluster.obs.metrics.counter(
         "cluster.rebalance.bytes_copied"
     ).value
-    bound = config.reroute_bound + config.heartbeat_interval
+    bound = REROUTE_BOUND + HEARTBEAT_INTERVAL
     reroutes = list(cluster.client.reroute_times)
     surviving = [cluster.read(volume, 0, RECORD)[0] for volume in volumes]
     intact = surviving[0] == b"\xa5" * RECORD and all(

@@ -15,7 +15,7 @@ availability contract:
   degradation-ladder state, extending the single-array "detected loss
   is never wrong bytes" oracle per state across nodes;
 * **bounded reroute** — every primary failover the client waits out
-  completes within ``ClusterConfig.reroute_bound`` simulated seconds;
+  completes within ``REROUTE_BOUND`` simulated seconds;
 * **replay determinism** — the fired-fault trace
   (:class:`~repro.faults.injector.FaultEvent` keys) is identical for
   identical seeds, making any cluster chaos failure replayable.
@@ -24,7 +24,7 @@ availability contract:
 from dataclasses import dataclass, field
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.config import ClusterConfig
+from repro.cluster.config import HEARTBEAT_INTERVAL, REROUTE_BOUND, ClusterConfig
 from repro.cluster.mdm import ALIVE
 from repro.errors import DataLossError, UncorrectableError
 from repro.faults.injector import FaultEvent
@@ -37,6 +37,14 @@ from repro.faults.plan import (
 )
 from repro.perf import PERF
 from repro.sim.rand import RandomStream
+
+#: The workload: zipfian ops over ``NUM_VOLUMES`` volumes of
+#: ``RECORD_SLOTS`` records of ``RECORD_SIZE`` bytes, ``READ_FRACTION``
+#: of them reads.
+NUM_VOLUMES = 4
+RECORD_SIZE = 2048
+RECORD_SLOTS = 8
+READ_FRACTION = 0.4
 
 
 class ClusterInvariantViolation(AssertionError):
@@ -85,38 +93,26 @@ class ClusterChaosHarness:
 
     SAMPLE_EVERY = 8
 
-    def __init__(self, seed, num_arrays=3, num_volumes=4, total_ops=240,
-                 record_size=2048, record_slots=8, read_fraction=0.4,
-                 maintenance_every=40, plan=None, tracing=False,
-                 cluster_config=None):
+    def __init__(self, seed, num_arrays=3, total_ops=240,
+                 maintenance_every=40, tracing=False):
         self.seed = seed
         self.total_ops = total_ops
-        self.record_size = record_size
-        self.record_slots = record_slots
-        self.read_fraction = read_fraction
         self.maintenance_every = maintenance_every
-        self.config = cluster_config or ClusterConfig(
-            num_arrays=num_arrays, seed=seed
-        )
-        self.cluster = Cluster(self.config)
+        self.cluster = Cluster(ClusterConfig(num_arrays=num_arrays, seed=seed))
         self.obs = self.cluster.obs
         if tracing:
             self.cluster.enable_tracing()
-        self.volumes = ["cvol%d" % i for i in range(num_volumes)]
+        self.volumes = ["cvol%d" % i for i in range(NUM_VOLUMES)]
         for volume in self.volumes:
-            self.cluster.create_volume(
-                volume, record_slots * record_size
-            )
-        if plan is None:
-            first = next(iter(self.cluster.nodes.values()))
-            plan = FaultPlan.generate_cluster(
-                seed,
-                total_ops,
-                sorted(self.cluster.nodes),
-                drive_names=sorted(first.array.drives),
-                maintenance_every=maintenance_every,
-            )
-        self.plan = plan
+            self.cluster.create_volume(volume, RECORD_SLOTS * RECORD_SIZE)
+        first = next(iter(self.cluster.nodes.values()))
+        self.plan = FaultPlan.generate_cluster(
+            seed,
+            total_ops,
+            sorted(self.cluster.nodes),
+            drive_names=sorted(first.array.drives),
+            maintenance_every=maintenance_every,
+        )
         self._wstream = RandomStream(seed).fork("cluster-chaos-workload")
         #: Oracle: (volume, slot) -> the exact acknowledged bytes.
         self._expected = {}
@@ -129,7 +125,7 @@ class ClusterChaosHarness:
     def _slot_expected(self, volume, slot):
         key = (volume, slot)
         if key not in self._expected:
-            self._expected[key] = bytes(self.record_size)
+            self._expected[key] = bytes(RECORD_SIZE)
         return self._expected[key]
 
     def _check_read(self, where, volume, slot, data):
@@ -189,25 +185,21 @@ class ClusterChaosHarness:
 
     def _payload(self, op, volume, slot):
         if self._wstream.random() < 0.3:
-            return self._wstream.randbytes(self.record_size)
+            return self._wstream.randbytes(RECORD_SIZE)
         pattern = b"cluster-%d-%d-%s-%d|" % (
             self.seed, op, volume.encode("ascii"), slot
         )
-        reps = self.record_size // len(pattern) + 1
-        return (pattern * reps)[: self.record_size]
+        reps = RECORD_SIZE // len(pattern) + 1
+        return (pattern * reps)[: RECORD_SIZE]
 
     def _run_op(self, op):
-        flat = self._wstream.zipf_index(
-            len(self.volumes) * self.record_slots
-        )
-        volume = self.volumes[flat // self.record_slots]
-        slot = flat % self.record_slots
-        offset = slot * self.record_size
-        if self._wstream.random() < self.read_fraction:
+        flat = self._wstream.zipf_index(len(self.volumes) * RECORD_SLOTS)
+        volume = self.volumes[flat // RECORD_SLOTS]
+        slot = flat % RECORD_SLOTS
+        offset = slot * RECORD_SIZE
+        if self._wstream.random() < READ_FRACTION:
             self.report.reads += 1
-            data, _latency = self.cluster.read(
-                volume, offset, self.record_size
-            )
+            data, _latency = self.cluster.read(volume, offset, RECORD_SIZE)
             self._check_read("op %d" % op, volume, slot, data)
         else:
             self.report.writes += 1
@@ -267,9 +259,9 @@ class ClusterChaosHarness:
                     "volume %s primary %s is not in the clean set"
                     % (volume, primary),
                 )
-            for slot in range(self.record_slots):
+            for slot in range(RECORD_SLOTS):
                 data, _latency = self.cluster.read(
-                    volume, slot * self.record_size, self.record_size
+                    volume, slot * RECORD_SIZE, RECORD_SIZE
                 )
                 self._check_read("final", volume, slot, data)
 
@@ -321,7 +313,7 @@ class ClusterChaosHarness:
             ).value
         )
         self.report.trace = [event.key() for event in self._events]
-        bound = self.config.reroute_bound + self.config.heartbeat_interval
+        bound = REROUTE_BOUND + HEARTBEAT_INTERVAL
         for elapsed in self.report.reroute_times:
             if elapsed > bound:
                 self._violate(

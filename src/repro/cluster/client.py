@@ -14,10 +14,9 @@ with it. Three things can go wrong, each with a deterministic recovery:
   primary, so it waits out the failure detector: it advances the
   event loop one heartbeat interval at a time until the MDM declares
   the member dead and promotes a clean secondary, then retries. The
-  wait is bounded by ``ClusterConfig.reroute_bound`` simulated
-  seconds, and the observed reroute time lands in the
-  ``cluster.reroute.latency`` histogram — the number the chaos suite
-  asserts against the bound.
+  wait is bounded by ``REROUTE_BOUND`` simulated seconds, and the
+  observed reroute time lands in the ``cluster.reroute.latency``
+  histogram — the number the chaos suite asserts against the bound.
 
 Writes are synchronous to every serving replica before the ack: the
 primary write advances the shared clock (it is the latency the client
@@ -32,15 +31,21 @@ from repro.errors import (
     UnreachableError,
 )
 
+from repro.cluster.config import HEARTBEAT_INTERVAL, REROUTE_BOUND
 from repro.cluster.fabric import CLIENT_ADDRESS
 from repro.cluster.mdm import ALIVE, DEAD
+
+#: Client retry budget across stale-epoch refreshes and failovers:
+#: generous enough to ride out one full failover (refresh, re-route,
+#: re-send) with room for a coincident stale epoch, small enough that a
+#: genuinely unroutable volume fails fast.
+MAX_RETRIES = 8
 
 
 class ClusterClient:
     """Routes volume I/O by placement epoch; fails over via the MDM."""
 
-    def __init__(self, config, clock, loop, fabric, mdm, nodes, obs):
-        self.config = config
+    def __init__(self, clock, loop, fabric, mdm, nodes, obs):
         self.clock = clock
         self.loop = loop
         self.fabric = fabric
@@ -92,14 +97,14 @@ class ClusterClient:
 
     def _await_failover(self, node_id):
         """Advance simulated time until the failure detector declares
-        ``node_id`` dead (or it comes back), bounded by the config's
-        reroute bound. This is where reroute latency comes from."""
+        ``node_id`` dead (or it comes back), bounded by
+        ``REROUTE_BOUND``. This is where reroute latency comes from."""
         self._failovers.inc()
         span = None
         if self.obs.tracing:
             span = self.obs.begin("cluster.failover", node=node_id)
         start = self.clock.now
-        deadline = start + self.config.reroute_bound
+        deadline = start + REROUTE_BOUND
         self.mdm.start()
         while self.clock.now < deadline:
             status = self.mdm.status(node_id)
@@ -108,9 +113,7 @@ class ClusterClient:
             if status == ALIVE and not self.fabric.isolated(node_id) \
                     and self.nodes[node_id].alive:
                 break  # it came back (healed partition)
-            self.loop.run(
-                until=self.clock.now + self.config.heartbeat_interval
-            )
+            self.loop.run(until=self.clock.now + HEARTBEAT_INTERVAL)
         elapsed = self.clock.now - start
         self.reroute_times.append(elapsed)
         self._reroute.record(elapsed)
@@ -143,7 +146,7 @@ class ClusterClient:
         return latency
 
     def _write_attempts(self, volume, offset, data, advance_clock):
-        for _attempt in range(self.config.max_retries):
+        for _attempt in range(MAX_RETRIES):
             primary, serving = self._serving_replicas(volume)
             target = primary
             try:
@@ -170,7 +173,7 @@ class ClusterClient:
                 self._report_and_maybe_failover(target, volume)
         raise ClusterError(
             "write to %s failed after %d attempts"
-            % (volume, self.config.max_retries)
+            % (volume, MAX_RETRIES)
         )
 
     def manage(self, volume, handler_name, *args):
@@ -181,7 +184,7 @@ class ClusterClient:
         a snapshot exists everywhere a subsequent failover could read
         it. Returns the primary's result.
         """
-        for _attempt in range(self.config.max_retries):
+        for _attempt in range(MAX_RETRIES):
             primary, serving = self._serving_replicas(volume)
             target = primary
             try:
@@ -204,7 +207,7 @@ class ClusterClient:
                 self._report_and_maybe_failover(target, volume)
         raise ClusterError(
             "%s on %s failed after %d attempts"
-            % (handler_name, volume, self.config.max_retries)
+            % (handler_name, volume, MAX_RETRIES)
         )
 
     def read(self, volume, offset, length, advance_clock=True):
@@ -226,7 +229,7 @@ class ClusterClient:
         return data, latency
 
     def _read_attempts(self, volume, offset, length, advance_clock):
-        for _attempt in range(self.config.max_retries):
+        for _attempt in range(MAX_RETRIES):
             replicas = self.mdm.routing(volume)
             if not replicas:
                 raise ClusterError("volume %s has no replicas" % volume)
@@ -249,5 +252,5 @@ class ClusterClient:
                 self._report_and_maybe_failover(primary, volume)
         raise ClusterError(
             "read of %s failed after %d attempts"
-            % (volume, self.config.max_retries)
+            % (volume, MAX_RETRIES)
         )

@@ -18,7 +18,7 @@ cluster layer trustworthy: whatever it adds for N≥2, it provably adds
 """
 
 from repro.cluster.client import ClusterClient
-from repro.cluster.config import ClusterConfig
+from repro.cluster.config import HEARTBEAT_INTERVAL, ClusterConfig
 from repro.cluster.fabric import NetworkFabric
 from repro.cluster.mdm import SUSPECT, MetadataManager
 from repro.cluster.node import ArrayNode
@@ -62,15 +62,14 @@ class Cluster:
             self.nodes, self.obs,
         )
         self.client = ClusterClient(
-            self.config, self.clock, self.loop, self.fabric,
+            self.clock, self.loop, self.fabric,
             self.mdm, self.nodes, self.obs,
         )
         if not self.passthrough:
             self.mdm.start()
             for node_id in node_ids:
                 self.nodes[node_id].start_heartbeats(
-                    self.loop, self.mdm, self.fabric,
-                    self.config.heartbeat_interval,
+                    self.loop, self.mdm, self.fabric
                 )
 
     # ------------------------------------------------------------------
@@ -206,7 +205,7 @@ class Cluster:
         if self.passthrough:
             return 0.0
         start = self.clock.now
-        step = self.config.heartbeat_interval
+        step = HEARTBEAT_INTERVAL
         while self.clock.now - start < max_seconds:
             if not self.fabric.active_isolations() \
                     and not self.mdm.pending_copies() \

@@ -5,16 +5,27 @@ construct once, thread everywhere, never mutate. Per-array knobs stay
 in each node's own ``ArrayConfig`` (the cluster derives one per node,
 seeded from the cluster seed, unless the caller passes explicit
 configs); this object only holds what exists *between* arrays —
-membership timing, replication, rebuild pacing, client retry budget.
+membership size, replication and the seed. The membership timing is
+fixed: the module constants below.
 """
 
 from dataclasses import dataclass
 
-#: Default client retry budget across stale-epoch refreshes and
-#: failovers: generous enough to ride out one full failover (refresh,
-#: re-route, re-send) with room for a coincident stale epoch, small
-#: enough that a genuinely unroutable volume fails fast.
-DEFAULT_MAX_RETRIES = 8
+#: Simulated seconds between a node's heartbeats to the MDM.
+HEARTBEAT_INTERVAL = 0.25
+#: Heartbeat silence after which the MDM marks a member suspect
+#: (skipped for new placements, writes no longer wait on it).
+SUSPECT_AFTER = 0.75
+#: Heartbeat silence after which the MDM declares a member dead and
+#: rebalances its volumes onto clean survivors.
+DEAD_AFTER = 1.5
+#: Extra heartbeat intervals the client waits beyond ``DEAD_AFTER``
+#: for the MDM to declare a silent primary dead before giving up.
+FAILOVER_SLACK = 6
+#: Upper bound on one failover's reroute time, in simulated seconds:
+#: the MDM needs ``DEAD_AFTER`` of silence plus up to ``FAILOVER_SLACK``
+#: heartbeat ticks of detection granularity.
+REROUTE_BOUND = DEAD_AFTER + FAILOVER_SLACK * HEARTBEAT_INTERVAL
 
 
 @dataclass(frozen=True)
@@ -26,24 +37,6 @@ class ClusterConfig:
     #: Synchronous replicas per volume (capped at ``num_arrays``). With
     #: two, any single array-sized failure loses no acknowledged write.
     replication: int = 2
-    #: Simulated seconds between a node's heartbeats to the MDM.
-    heartbeat_interval: float = 0.25
-    #: Heartbeat silence after which the MDM marks a member suspect
-    #: (skipped for new placements, writes no longer wait on it).
-    suspect_after: float = 0.75
-    #: Heartbeat silence after which the MDM declares a member dead and
-    #: rebalances its volumes onto clean survivors.
-    dead_after: float = 1.5
-    #: Replica-refresh copy pacing: bytes per step and the simulated
-    #: gap between steps (the cluster analogue of the single-array
-    #: rebuild governor's rate limit).
-    copy_chunk_bytes: int = 128 * 1024
-    copy_interval: float = 0.005
-    #: Client retry budget across stale-epoch refreshes and failovers.
-    max_retries: int = DEFAULT_MAX_RETRIES
-    #: Extra heartbeat intervals the client waits beyond ``dead_after``
-    #: for the MDM to declare a silent primary dead before giving up.
-    failover_slack: int = 6
     #: Seed namespace for derived per-node ``ArrayConfig`` seeds.
     seed: int = 0
 
@@ -52,11 +45,6 @@ class ClusterConfig:
             raise ValueError("num_arrays must be >= 1")
         if self.replication < 1:
             raise ValueError("replication must be >= 1")
-        if not (0 < self.heartbeat_interval
-                <= self.suspect_after <= self.dead_after):
-            raise ValueError(
-                "need 0 < heartbeat_interval <= suspect_after <= dead_after"
-            )
 
     @property
     def effective_replication(self):
@@ -69,10 +57,3 @@ class ClusterConfig:
         """Per-node array seed: disjoint namespaces under one cluster
         seed, so two nodes never replay each other's device streams."""
         return self.seed * 1000 + index
-
-    #: Upper bound on one failover's reroute time, in simulated
-    #: seconds: the MDM needs ``dead_after`` of silence plus up to
-    #: ``failover_slack`` heartbeat ticks of detection granularity.
-    @property
-    def reroute_bound(self):
-        return self.dead_after + self.failover_slack * self.heartbeat_interval

@@ -6,8 +6,8 @@ data arrays). It owns three interlocking pieces of state:
 
 **Membership** — each node is ``alive``, ``suspect``, or ``dead``,
 driven entirely by heartbeat timestamps on the simulated clock: silence
-past ``suspect_after`` makes a member suspect (skipped by writes, no
-new placements), past ``dead_after`` makes it dead (its volumes are
+past ``SUSPECT_AFTER`` makes a member suspect (skipped by writes, no
+new placements), past ``DEAD_AFTER`` makes it dead (its volumes are
 rebalanced away). A heartbeat from a suspect member restores it; a
 heartbeat from a dead member runs the rejoin protocol. Both paths mark
 the returning node's replicas *dirty* — it missed writes while away —
@@ -29,6 +29,7 @@ callback re-reads the source at copy time, so a client write landing
 between chunks can never be undone by a stale copy.
 """
 
+from repro.cluster.config import DEAD_AFTER, HEARTBEAT_INTERVAL, SUSPECT_AFTER
 from repro.cluster.placement import PlacementMap
 from repro.errors import DataLossError
 
@@ -40,6 +41,12 @@ DEAD = "dead"
 #: this many rescheduled attempts (the schedule generator never
 #: produces this; it bounds hand-written pathological scenarios).
 COPY_MAX_STALLS = 256
+
+#: Replica-refresh copy pacing: bytes per step and the simulated gap
+#: between steps (the cluster analogue of the single-array rebuild
+#: governor's rate limit).
+COPY_CHUNK_BYTES = 128 * 1024
+COPY_INTERVAL = 0.005
 
 
 class Member:
@@ -171,7 +178,7 @@ class MetadataManager:
         """Schedule the periodic failure-detector tick."""
         if not self._ticking:
             self._ticking = True
-            self.loop.call_in(self.config.heartbeat_interval, self._tick)
+            self.loop.call_in(HEARTBEAT_INTERVAL, self._tick)
 
     def heartbeat(self, node_id):
         member = self.members[node_id]
@@ -189,12 +196,11 @@ class MetadataManager:
             if member.status == DEAD:
                 continue
             silence = now - member.last_heartbeat
-            if silence > self.config.dead_after:
+            if silence > DEAD_AFTER:
                 self._declare_dead(member)
-            elif silence > self.config.suspect_after \
-                    and member.status == ALIVE:
+            elif silence > SUSPECT_AFTER and member.status == ALIVE:
                 self._suspect(member)
-        self.loop.call_in(self.config.heartbeat_interval, self._tick)
+        self.loop.call_in(HEARTBEAT_INTERVAL, self._tick)
 
     def report_unreachable(self, node_id):
         """Client-side evidence: a message to ``node_id`` bounced.
@@ -238,7 +244,7 @@ class MetadataManager:
             self._ensure_clean_copy(volume, member.node_id)
 
     def _declare_dead(self, member):
-        """Silence past ``dead_after``: rebalance the member away."""
+        """Silence past ``DEAD_AFTER``: rebalance the member away."""
         member.status = DEAD
         self._dirty_everywhere(member.node_id)
         # Prefer clean survivors as the new primaries — promotion is
@@ -340,8 +346,7 @@ class MetadataManager:
             return
         self._copies_pending.add(key)
         state = {"offset": 0, "stalls": 0}
-        self.loop.call_in(self.config.copy_interval,
-                          self._copy_step, volume, dst, state)
+        self.loop.call_in(COPY_INTERVAL, self._copy_step, volume, dst, state)
 
     def _copy_source(self, volume, dst):
         for node_id in self.placement.replicas(volume):
@@ -375,12 +380,12 @@ class MetadataManager:
                 self._copies_pending.discard(key)
                 self._mark_lost(volume)
                 return
-            self.loop.call_in(self.config.heartbeat_interval,
+            self.loop.call_in(HEARTBEAT_INTERVAL,
                               self._copy_step, volume, dst, state)
             return
         size = self.volume_sizes[volume]
         offset = state["offset"]
-        chunk = min(self.config.copy_chunk_bytes, size - offset)
+        chunk = min(COPY_CHUNK_BYTES, size - offset)
         data, _lat = self.nodes[src].array.read(
             volume, offset, chunk, advance_clock=False
         )
@@ -396,7 +401,7 @@ class MetadataManager:
                 self.obs.event("cluster.copy", volume=volume, src=src,
                                dst=dst, nbytes=size)
         else:
-            self.loop.call_in(self.config.copy_interval,
+            self.loop.call_in(COPY_INTERVAL,
                               self._copy_step, volume, dst, state)
 
     # ------------------------------------------------------------------

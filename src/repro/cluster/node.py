@@ -25,6 +25,7 @@ MDM treats rejoin as a join with refresh copies, never as a clean
 member (see :mod:`repro.cluster.mdm`).
 """
 
+from repro.cluster.config import HEARTBEAT_INTERVAL
 from repro.cluster.fabric import MDM_ADDRESS
 from repro.core.array import PurityArray
 from repro.errors import ArrayDownError, StaleEpochError, UnreachableError
@@ -51,18 +52,16 @@ class ArrayNode:
         self._loop = None
         self._mdm = None
         self._fabric = None
-        self._interval = None
 
     # ------------------------------------------------------------------
     # Membership
 
-    def start_heartbeats(self, loop, mdm, fabric, interval):
+    def start_heartbeats(self, loop, mdm, fabric):
         """Begin the periodic heartbeat to the MDM on the event loop."""
         self._loop = loop
         self._mdm = mdm
         self._fabric = fabric
-        self._interval = interval
-        loop.call_in(interval, self._heartbeat)
+        loop.call_in(HEARTBEAT_INTERVAL, self._heartbeat)
 
     def _heartbeat(self):
         if not self.alive:
@@ -78,7 +77,7 @@ class ArrayNode:
             self.obs.metrics.counter("cluster.heartbeats_dropped").inc()
         else:
             self._mdm.heartbeat(self.node_id)
-        self._loop.call_in(self._interval, self._heartbeat)
+        self._loop.call_in(HEARTBEAT_INTERVAL, self._heartbeat)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -34,6 +34,8 @@ from repro.sim.rand import RandomStream
 from repro.ssd.shelf import Shelf
 from repro.units import MILLISECOND
 
+#: Section 4.4: concurrent segment-shard programs per write group.
+MAX_CONCURRENT_WRITES = 2
 #: Recycled segio payload buffers kept by the flush-path pool.
 SEGIO_BUFFER_POOL = 4
 #: Recycled read paint buffers kept by the read-path pool.
@@ -86,7 +88,7 @@ class PurityArray:
             self.frontier,
             self.clock,
             on_segment_opened=self._on_segment_opened,
-            max_concurrent_writes=self.config.max_concurrent_writes,
+            max_concurrent_writes=MAX_CONCURRENT_WRITES,
         )
         self.health = DriveHealthMonitor(
             self.clock, on_auto_fail=self._auto_fail_drive
@@ -176,7 +178,7 @@ class PurityArray:
         )
         # A controller booting onto substrate evidence of damage starts
         # on the matching rung (recovery adds the replay-debt numbers).
-        if getattr(shelf.nvram, "degraded", False):
+        if shelf.nvram.degraded:
             self.degrade.note_nvram_tear()
         self._note_drive_failures()
         self.crashed = False
@@ -306,9 +308,7 @@ class PurityArray:
         result = self.pipeline.checkpoint()
         if self.degrade.nvram_degraded:
             self.degrade.note_nvram_repaired()
-            mark = getattr(self.shelf.nvram, "mark_repaired", None)
-            if mark is not None:
-                mark()
+            self.shelf.nvram.mark_repaired()
         return result
 
     def run_gc(self, max_segments=4):
@@ -373,7 +373,7 @@ class PurityArray:
         the same segment reader that reported the bad drive — running it
         inline would recurse into the read path that triggered it.
         """
-        if not getattr(self, "_rebuild_pending", False):
+        if not self._rebuild_pending:
             return 0
         self._rebuild_pending = False
         return self.rebuild()

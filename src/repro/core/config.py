@@ -41,8 +41,6 @@ class ArrayConfig:
     inline_compression: bool = True
     #: Read scheduler: reconstruct around busy-writing drives.
     read_around_writes: bool = True
-    #: Section 4.4: concurrent segment-shard programs per write group.
-    max_concurrent_writes: int = 2
     #: LSM fanout before background compaction merges patches.
     pyramid_fanout: int = 8
     #: Controller DRAM cache: decompressed cblocks kept hot.

@@ -19,6 +19,12 @@ from repro.units import MICROSECOND
 
 #: Clients time out and declare the array dead after this long.
 CLIENT_TIMEOUT_SECONDS = 30.0
+#: Extra latency of a request forwarded from the standby's ports over
+#: the internal InfiniBand link.
+IB_FORWARD_LATENCY = 15 * MICROSECOND
+#: Share of the patch-load cost the standby's asynchronously warmed
+#: cache saves at takeover.
+WARM_CACHE_FRACTION = 0.8
 
 
 @dataclass
@@ -36,14 +42,11 @@ class FailoverResult:
 class DualControllerArray:
     """The two-controller appliance wrapper."""
 
-    def __init__(self, config=None, ib_forward_latency=15 * MICROSECOND,
-                 secondary_port_fraction=0.5, warm_cache_fraction=0.8):
+    def __init__(self, config=None, secondary_port_fraction=0.5):
         self.active = PurityArray.create(config)
         self.config = self.active.config
         self.clock = self.active.clock
-        self.ib_forward_latency = ib_forward_latency
         self.secondary_port_fraction = secondary_port_fraction
-        self.warm_cache_fraction = warm_cache_fraction
         self.secondary_alive = True
         self.failovers = 0
         self._stream = RandomStream(self.config.seed).fork("ha")
@@ -53,7 +56,7 @@ class DualControllerArray:
         if not self.secondary_alive:
             return 0.0
         if self._stream.random() < self.secondary_port_fraction:
-            return self.ib_forward_latency
+            return IB_FORWARD_LATENCY
         return 0.0
 
     # ------------------------------------------------------------------
@@ -124,7 +127,7 @@ class DualControllerArray:
             shelf,
             boot_region,
             clock,
-            warm_cache_fraction=self.warm_cache_fraction,
+            warm_cache_fraction=WARM_CACHE_FRACTION,
         )
         downtime = clock.now - before
         self.active = survivor

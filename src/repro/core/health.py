@@ -48,6 +48,16 @@ FAILED = "failed"
 
 #: Weight of an exhausted-retry fallback relative to one corrupted read.
 _EXHAUSTED_WEIGHT = 2
+#: Weighted integrity events in the window before HEALTHY → SUSPECT.
+SUSPECT_THRESHOLD = 4
+#: Weighted integrity events in the window before SUSPECT → FAILED.
+FAIL_THRESHOLD = 12
+#: Unexplained stalls in the window before HEALTHY → SUSPECT. Much
+#: higher than the integrity threshold: one slow read is noise, a storm
+#: is a signal.
+STALL_SUSPECT_THRESHOLD = 24
+#: The sliding window both ledgers are counted over, in sim seconds.
+WINDOW_SECONDS = 300.0
 
 
 @dataclass
@@ -94,20 +104,9 @@ class DriveHealthMonitor:
     necessary — see :meth:`PurityArray.service_health`.
     """
 
-    def __init__(self, clock, on_auto_fail=None, suspect_threshold=4,
-                 fail_threshold=12, stall_suspect_threshold=24,
-                 window_seconds=300.0):
+    def __init__(self, clock, on_auto_fail=None):
         self.clock = clock
         self.on_auto_fail = on_auto_fail
-        #: Weighted integrity events in the window before HEALTHY → SUSPECT.
-        self.suspect_threshold = suspect_threshold
-        #: Weighted integrity events in the window before SUSPECT → FAILED.
-        self.fail_threshold = fail_threshold
-        #: Unexplained stalls in the window before HEALTHY → SUSPECT.
-        #: Much higher than the integrity threshold: one slow read is
-        #: noise, a storm is a signal.
-        self.stall_suspect_threshold = stall_suspect_threshold
-        self.window_seconds = window_seconds
         self._drives = {}
         self.auto_failed = []  # drive names, in failure order
 
@@ -189,17 +188,17 @@ class DriveHealthMonitor:
         threshold: the stamp of the event that completes the threshold
         counting back from the newest, plus the window."""
         stamp = float("-inf")
-        if len(record.stall_events) >= self.stall_suspect_threshold:
+        if len(record.stall_events) >= STALL_SUSPECT_THRESHOLD:
             # Indexed from the right end: O(threshold) however long a
             # storm has made the ledger.
-            stamp = record.stall_events[-self.stall_suspect_threshold]
+            stamp = record.stall_events[-STALL_SUSPECT_THRESHOLD]
         score = 0
         for event_stamp, weight, _region in reversed(record.events):
             score += weight
-            if score >= self.suspect_threshold:
+            if score >= SUSPECT_THRESHOLD:
                 stamp = max(stamp, event_stamp)
                 break
-        return stamp + self.window_seconds
+        return stamp + WINDOW_SECONDS
 
     def _reassess(self, record, now):
         """HEALTHY → SUSPECT, or push an existing suspicion's lapse out,
@@ -217,7 +216,7 @@ class DriveHealthMonitor:
         if self._settled(record).state == FAILED:
             return
         now = self.clock.now
-        horizon = now - self.window_seconds
+        horizon = now - WINDOW_SECONDS
         while record.events and record.events[0][0] < horizon:
             record.events.popleft()
         if region is not None and any(
@@ -226,7 +225,7 @@ class DriveHealthMonitor:
             return  # the same damaged spot scored already this window
         record.events.append((now, weight, region))
         score = sum(w for _t, w, _r in record.events)
-        if record.state == SUSPECT and score >= self.fail_threshold:
+        if record.state == SUSPECT and score >= FAIL_THRESHOLD:
             record.state = FAILED
             record.failed_at = now
             record.events.clear()
@@ -243,7 +242,7 @@ class DriveHealthMonitor:
             return
         now = self.clock.now
         record.stall_events.append(now)
-        horizon = now - self.window_seconds
+        horizon = now - WINDOW_SECONDS
         while record.stall_events[0] < horizon:
             record.stall_events.popleft()
         self._reassess(record, now)
@@ -267,7 +266,7 @@ class DriveHealthMonitor:
 
     def stall_pressure(self, drive_name):
         """Unexplained stalls recorded inside the sliding window
-        (0 = calm; ``stall_suspect_threshold`` or more = suspect).
+        (0 = calm; ``STALL_SUSPECT_THRESHOLD`` or more = suspect).
 
         A support-facing signal: telemetry surfaces it next to the
         hedge counters so "which drive is stalling right now" is one
@@ -279,5 +278,5 @@ class DriveHealthMonitor:
         record = self._drives.get(drive_name)
         if record is None:
             return 0
-        horizon = self.clock.now - self.window_seconds
+        horizon = self.clock.now - WINDOW_SECONDS
         return sum(1 for stamp in record.stall_events if stamp >= horizon)

@@ -4,14 +4,23 @@ Purity arrays include replication ports and ship volumes to a second
 array without pausing service. The replicator here is snapshot-based:
 each cycle snapshots the source volume, ships the delta since the last
 replicated snapshot (full content on the first cycle), and applies it
-to the target array. Zero runs are skipped, and the target's own
-dedup/compression pipeline reduces the shipped bytes again on arrival.
+to the target array. A zero chunk travels as an ``unmap``, not as
+data, and is skipped outright on a target volume created this cycle;
+the target's own dedup/compression pipeline reduces the shipped bytes
+again on arrival.
 """
 
 from dataclasses import dataclass, field
 
 from repro.errors import ReplicationError, VolumeNotFoundError
 from repro.units import KIB, MIB
+
+#: The replication link: bandwidth in bytes per sim second and the
+#: latency each shipped chunk pays.
+LINK_BANDWIDTH = 100 * MIB
+LINK_LATENCY = 0.03
+#: Bytes read from the snapshot and shipped per step (sector aligned).
+CHUNK_SIZE = 64 * KIB
 
 
 @dataclass
@@ -30,40 +39,37 @@ class ReplicationCycle:
 class AsyncReplicator:
     """Ships volumes from a source array to a target array."""
 
-    def __init__(self, source, target, link_bandwidth=100 * MIB,
-                 link_latency=0.03, chunk_size=64 * KIB):
-        if chunk_size % 512:
-            raise ReplicationError("chunk size must be sector aligned")
+    def __init__(self, source, target):
         self.source = source
         self.target = target
-        self.link_bandwidth = link_bandwidth
-        self.link_latency = link_latency
-        self.chunk_size = chunk_size
         self._last_snapshot = {}  # volume -> (snapshot_name, medium, seqno mark)
         self._cycle_counter = 0
         self.cycles = []
 
     def _ensure_target_volume(self, volume):
+        """Create ``volume`` on the target if it is missing; returns
+        whether it was created (and so still reads as all zeroes)."""
         size = self.source.volumes.volume_size(volume)
         try:
             target_size = self.target.volumes.volume_size(volume)
         except VolumeNotFoundError:
             self.target.create_volume(volume, size)
-            return
+            return True
         if target_size != size:
             raise ReplicationError(
                 "target volume %r is %d bytes, source is %d"
                 % (volume, target_size, size)
             )
+        return False
 
     def replicate(self, volume):
         """Run one replication cycle for ``volume``; returns the cycle.
 
-        The first cycle ships all non-zero content; later cycles ship
-        only ranges whose address-map facts are newer than the previous
+        The first cycle ships the whole volume; later cycles ship only
+        ranges whose address-map facts are newer than the previous
         cycle's sequence mark.
         """
-        self._ensure_target_volume(volume)
+        created = self._ensure_target_volume(volume)
         self._cycle_counter += 1
         snapshot_name = "__repl_%d" % self._cycle_counter
         seq_mark_now = self.source.pipeline.sequence.last_issued
@@ -76,7 +82,8 @@ class AsyncReplicator:
         else:
             ranges = self._changed_ranges(snap_medium, previous[2], size)
         for start, length in ranges:
-            self._ship_range(snap_medium, volume, start, length, cycle)
+            self._ship_range(snap_medium, volume, start, length, cycle,
+                             created)
         if previous is not None:
             self.source.destroy_snapshot(volume, previous[0])
         self._last_snapshot[volume] = (snapshot_name, snap_medium, seq_mark_now)
@@ -126,11 +133,16 @@ class AsyncReplicator:
                     changed.add(v_off + (lo - m_off), v_off + (hi - m_off) - 1)
         return [(lo, hi - lo + 1) for lo, hi in changed]
 
-    def _ship_range(self, snap_medium, volume, start, length, cycle):
+    def _ship_range(self, snap_medium, volume, start, length, cycle,
+                    created):
+        """Ship one range chunk by chunk. A zero chunk becomes an unmap
+        on the target, since a zero-write or an unmap on the source must
+        reach it too, unless the target volume is fresh (``created``)
+        and so reads as zeroes already."""
         cursor = start
         end = start + length
         while cursor < end:
-            chunk_length = min(self.chunk_size, end - cursor)
+            chunk_length = min(CHUNK_SIZE, end - cursor)
             data, _latency = self.source.datapath.read(
                 snap_medium, cursor, chunk_length
             )
@@ -139,9 +151,11 @@ class AsyncReplicator:
                 cycle.bytes_shipped += chunk_length
                 cycle.chunks_shipped += 1
                 cycle.link_seconds += (
-                    self.link_latency + chunk_length / self.link_bandwidth
+                    LINK_LATENCY + chunk_length / LINK_BANDWIDTH
                 )
                 self.target.write(volume, cursor, data, advance_clock=False)
+            elif not created:
+                self.target.unmap(volume, cursor, chunk_length)
             cursor += chunk_length
 
     def total_bytes_shipped(self):

@@ -57,12 +57,12 @@ class Scrubber:
             segment_ids = [fact.key[0] for fact in array.tables.segments.scan()]
             if max_segments is not None:
                 segment_ids = segment_ids[:max_segments]
-            governor = getattr(array, "rebuild_governor", None)
+            governor = array.rebuild_governor
             for segment_id in segment_ids:
                 needs_rewrite = self._scrub_segment(segment_id, geometry, report)
                 if not needs_rewrite:
                     continue
-                if governor is not None and not governor.grant():
+                if not governor.grant():
                     # Foreground p99 is over the SLO: leave the rewrite
                     # for a later pass rather than piling on repair I/O.
                     report.segments_deferred += 1

@@ -63,16 +63,10 @@ def degraded_mode_report(array, service=None):
         "reconstructed_reads": array.segreader.reconstructed_reads,
         "direct_reads": array.segreader.direct_reads,
     }
-    engine = getattr(array, "degrade", None)
-    if engine is not None:
-        report["ladder"] = engine.report()
-        report["repair_debt"] = engine.debt.snapshot()
-    hedge = getattr(array.segreader, "hedge", None)
-    if hedge is not None:
-        report["hedge"] = hedge.report()
-    governor = getattr(array, "rebuild_governor", None)
-    if governor is not None:
-        report["rebuild_governor"] = governor.report()
+    report["ladder"] = array.degrade.report()
+    report["repair_debt"] = array.degrade.debt.snapshot()
+    report["hedge"] = array.segreader.hedge.report()
+    report["rebuild_governor"] = array.rebuild_governor.report()
     if service is not None:
         report["service"] = service.service_report()
     return report

@@ -42,6 +42,11 @@ from repro.faults.plan import FaultPlan
 from repro.perf import PERF
 from repro.sim.rand import RandomStream
 
+#: The op mix: ``READ_FRACTION`` of the ops are reads and
+#: ``RMW_FRACTION`` read-modify-writes; the rest are plain writes.
+READ_FRACTION = 0.3
+RMW_FRACTION = 0.15
+
 
 class InvariantViolation(AssertionError):
     """A chaos invariant was broken (also recorded on the report)."""
@@ -97,17 +102,14 @@ class ChaosHarness:
     #: every this many client ops when tracing is enabled.
     SAMPLE_EVERY = 5
 
-    def __init__(self, seed, config=None, plan=None, total_ops=200,
-                 record_size=4096, record_slots=16, read_fraction=0.3,
-                 rmw_fraction=0.15, maintenance_every=40,
+    def __init__(self, seed, plan=None, total_ops=200, record_size=4096,
+                 record_slots=16, maintenance_every=40,
                  expect_data_loss=False, tracing=False):
         self.seed = seed
-        self.config = config or ArrayConfig.small(seed=seed)
+        self.config = ArrayConfig.small(seed=seed)
         self.total_ops = total_ops
         self.record_size = record_size
         self.record_slots = record_slots
-        self.read_fraction = read_fraction
-        self.rmw_fraction = rmw_fraction
         self.maintenance_every = maintenance_every
         #: Schedules beyond the parity budget are expected to *detect*
         #: loss; surviving one silently would itself be a bug, but the
@@ -234,14 +236,14 @@ class ChaosHarness:
         roll = self._wstream.random()
         slot = self._wstream.zipf_index(self.record_slots)
         offset = slot * self.record_size
-        if roll < self.read_fraction:
+        if roll < READ_FRACTION:
             self.report.reads += 1
             data, _latency = self.array.read(
                 self.volume, offset, self.record_size
             )
             self._check_read("op %d" % op, slot, data)
             return
-        if roll < self.read_fraction + self.rmw_fraction:
+        if roll < READ_FRACTION + RMW_FRACTION:
             # OLTP-style read-modify-write: validate, transform, write.
             self.report.rmws += 1
             data, _latency = self.array.read(

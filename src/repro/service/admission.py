@@ -25,7 +25,7 @@ governor throttled        DELAY (``rebuild-pressure``) for
 Reads are always admitted while the queue has room and data may still
 exist: the ladder's contract is that reads stay served on every rung.
 A DELAY verdict pushes the request's ``eligible_at`` out by the
-configured ``admission_delay``; a SHED verdict completes it
+front end's ``ADMISSION_DELAY``; a SHED verdict completes it
 immediately with no backend work.
 """
 

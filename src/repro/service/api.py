@@ -17,6 +17,7 @@ scheduler, never around it.
 
 from repro.core.telemetry import SUSPECT, degraded_mode_report
 from repro.service.config import QosSpec
+from repro.service.frontend import DEFAULT_TENANT
 
 #: endpoint name -> ManagementAPI method name.
 ENDPOINTS = {}
@@ -108,8 +109,7 @@ class ManagementAPI:
     def create_clone(self, volume, snapshot, new_volume, tenant=None):
         """Writable clone of a snapshot; same tenant unless overridden."""
         self.frontend.backend.clone(volume, snapshot, new_volume)
-        owner = tenant or self.frontend.volume_tenant(volume) \
-            or self.frontend.config.default_tenant
+        owner = tenant or self.frontend.volume_tenant(volume) or DEFAULT_TENANT
         self.frontend.adopt_volume(
             owner, new_volume, self.frontend.volume_size(volume)
         )

@@ -32,9 +32,6 @@ DEFAULT_BURST_BYTES = 256 * KIB
 #: Per-tenant admission queue cap (requests, queued + delayed).
 DEFAULT_MAX_QUEUE_DEPTH = 64
 
-#: How long (sim seconds) a DELAY verdict holds a request back.
-DEFAULT_ADMISSION_DELAY = 0.002
-
 #: DRR quantum in bytes added per scheduling round per weight unit.
 DEFAULT_QUANTUM_BYTES = 64 * KIB
 
@@ -90,13 +87,9 @@ class ServiceConfig:
     admission_enabled: bool = True
     quantum_bytes: int = DEFAULT_QUANTUM_BYTES
     max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH
-    admission_delay: float = DEFAULT_ADMISSION_DELAY
-    default_tenant: str = "default"
 
     def __post_init__(self):
         if self.quantum_bytes < 1:
             raise ValueError("quantum_bytes must be >= 1")
         if self.max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
-        if self.admission_delay < 0:
-            raise ValueError("admission_delay must be >= 0")

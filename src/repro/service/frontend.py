@@ -42,6 +42,12 @@ from repro.service.request import (
 
 _EPS = 1e-12
 
+#: How long (sim seconds) a DELAY verdict holds a request back.
+ADMISSION_DELAY = 0.002
+
+#: Owner of I/O against volumes the front end is not tracking.
+DEFAULT_TENANT = "default"
+
 
 class TenantStats:
     """Per-tenant accounting the mgmt API and reports read."""
@@ -202,7 +208,7 @@ class ServiceFrontend:
             raise ValueError("a write needs data")
         tenant = self._volume_tenant.get(volume)
         if tenant is None:
-            tenant = self.config.default_tenant
+            tenant = DEFAULT_TENANT
             self._ensure_tenant(tenant)
         arrival = self.clock.now if at is None else max(at, self.clock.now)
         self._seq += 1
@@ -325,8 +331,7 @@ class ServiceFrontend:
             request.delay_reason = reason
             stats.delayed += 1
             self._m_delayed.inc()
-            request.eligible_at = self.clock.now \
-                + self.config.admission_delay
+            request.eligible_at = self.clock.now + ADMISSION_DELAY
             if self.obs.tracing:
                 self.obs.event("service.delay", tenant=request.tenant,
                                volume=request.volume, op=request.op,

@@ -15,6 +15,16 @@ vendor mapping table.
 
 from repro.units import MILLISECOND
 
+#: Write amplification of a fully sequential and a fully random stream.
+MIN_WRITE_AMP = 1.0
+MAX_WRITE_AMP = 4.0
+#: Chance of a GC stall per operation at ``MAX_WRITE_AMP``.
+STALL_PROBABILITY_AT_MAX = 0.08
+#: How long one FTL GC stall holds the device.
+STALL_TIME = 8 * MILLISECOND
+#: Weight of each new write in the sequentiality moving average.
+SMOOTHING = 0.05
+
 
 class FlashTranslationLayer:
     """Tracks host write sequentiality and derives WA and stall risk.
@@ -22,7 +32,7 @@ class FlashTranslationLayer:
     ``sequentiality`` is an exponentially weighted score in [0, 1]; 1.0
     means every write continued exactly where the previous one in its
     region ended. Write amplification interpolates between
-    ``min_write_amp`` (fully sequential) and ``max_write_amp`` (fully
+    ``MIN_WRITE_AMP`` (fully sequential) and ``MAX_WRITE_AMP`` (fully
     random). The probability that an operation incurs an FTL garbage
     collection stall grows with write amplification.
     """
@@ -31,21 +41,8 @@ class FlashTranslationLayer:
     #: segments land in different regions but are sequential within one.
     REGION_BYTES = 8 * 1024 * 1024
 
-    def __init__(
-        self,
-        geometry,
-        min_write_amp=1.0,
-        max_write_amp=4.0,
-        stall_probability_at_max=0.08,
-        stall_time=8 * MILLISECOND,
-        smoothing=0.05,
-    ):
+    def __init__(self, geometry):
         self.geometry = geometry
-        self.min_write_amp = float(min_write_amp)
-        self.max_write_amp = float(max_write_amp)
-        self.stall_probability_at_max = float(stall_probability_at_max)
-        self.stall_time = float(stall_time)
-        self.smoothing = float(smoothing)
         self.sequentiality = 1.0
         self._region_cursors = {}
         self.host_bytes_written = 0
@@ -67,7 +64,7 @@ class FlashTranslationLayer:
             for key in list(self._region_cursors)[:512]:
                 del self._region_cursors[key]
         sample = 1.0 if is_sequential else 0.0
-        self.sequentiality += self.smoothing * (sample - self.sequentiality)
+        self.sequentiality += SMOOTHING * (sample - self.sequentiality)
         amplification = self.write_amplification()
         flash_bytes = int(nbytes * amplification)
         self.host_bytes_written += nbytes
@@ -83,20 +80,18 @@ class FlashTranslationLayer:
 
     def write_amplification(self):
         """Current write amplification factor given sequentiality."""
-        span = self.max_write_amp - self.min_write_amp
-        return self.min_write_amp + span * (1.0 - self.sequentiality)
+        span = MAX_WRITE_AMP - MIN_WRITE_AMP
+        return MIN_WRITE_AMP + span * (1.0 - self.sequentiality)
 
     def stall_probability(self):
         """Chance that an operation hits an FTL GC stall right now."""
-        span = self.max_write_amp - self.min_write_amp
-        if span <= 0:
-            return 0.0
-        fraction = (self.write_amplification() - self.min_write_amp) / span
-        return self.stall_probability_at_max * fraction
+        span = MAX_WRITE_AMP - MIN_WRITE_AMP
+        fraction = (self.write_amplification() - MIN_WRITE_AMP) / span
+        return STALL_PROBABILITY_AT_MAX * fraction
 
     def maybe_stall(self, stream):
         """Sample a GC stall; returns stall seconds (0.0 for no stall)."""
         if stream.random() < self.stall_probability():
             self.gc_stalls += 1
-            return self.stall_time
+            return STALL_TIME
         return 0.0

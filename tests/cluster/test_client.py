@@ -3,6 +3,7 @@
 import json
 
 from repro.cluster import ALIVE
+from repro.cluster.config import DEAD_AFTER, HEARTBEAT_INTERVAL, REROUTE_BOUND
 
 from tests.cluster.conftest import RECORD_SIZE, make_cluster
 
@@ -24,8 +25,7 @@ def test_stale_epoch_is_rejected_then_retried(cluster3):
     # Simulate a membership change the client has not seen yet.
     victim = sorted(cluster3.nodes)[2]
     cluster3.kill(victim)
-    cluster3.advance(cluster3.config.dead_after
-                     + 2 * cluster3.config.heartbeat_interval)
+    cluster3.advance(DEAD_AFTER + 2 * HEARTBEAT_INTERVAL)
     assert cluster3.client.epoch < cluster3.mdm.epoch
     stale_before = cluster3.obs.metrics.counter(
         "cluster.stale_retries"
@@ -47,8 +47,7 @@ def test_primary_kill_fails_over_within_the_reroute_bound(cluster3):
     # failure detector, and lands on the promoted clean secondary.
     cluster3.write("vol0", 0, b"b" * RECORD_SIZE)
     assert cluster3.client.reroute_times
-    bound = cluster3.config.reroute_bound \
-        + cluster3.config.heartbeat_interval
+    bound = REROUTE_BOUND + HEARTBEAT_INTERVAL
     assert max(cluster3.client.reroute_times) <= bound
     assert cluster3.mdm.routing("vol0")[0] != primary
     data, _lat = cluster3.read("vol0", 0, RECORD_SIZE)
@@ -59,7 +58,7 @@ def test_primary_kill_fails_over_within_the_reroute_bound(cluster3):
 def test_short_partition_heals_without_failover(cluster3):
     cluster3.write("vol0", 0, b"a" * RECORD_SIZE)
     primary = cluster3.mdm.routing("vol0")[0]
-    cluster3.partition(primary, cluster3.config.heartbeat_interval * 2)
+    cluster3.partition(primary, HEARTBEAT_INTERVAL * 2)
     cluster3.write("vol0", 0, b"b" * RECORD_SIZE)
     # The partition was shorter than dead_after: same primary, and the
     # client waited only for the heal, not for a death declaration.

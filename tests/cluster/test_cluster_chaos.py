@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import ClusterChaosHarness
+from repro.cluster.config import HEARTBEAT_INTERVAL, REROUTE_BOUND
 from repro.faults.plan import (
     ARRAY_KILL,
     ARRAY_REVIVE,
@@ -76,8 +77,7 @@ def test_reads_are_tagged_with_the_serving_nodes_ladder_state():
 def test_reroute_times_respect_the_configured_bound():
     report = run_seed(KILL_SEEDS[1], total_ops=240)
     assert_clean(report)
-    config = ClusterChaosHarness(KILL_SEEDS[1]).config
-    bound = config.reroute_bound + config.heartbeat_interval
+    bound = REROUTE_BOUND + HEARTBEAT_INTERVAL
     assert report.failovers == len(report.reroute_times)
     assert all(t <= bound for t in report.reroute_times)
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import ALIVE, DEAD, SUSPECT
+from repro.cluster.config import DEAD_AFTER, HEARTBEAT_INTERVAL, SUSPECT_AFTER
 from repro.errors import DataLossError
 
 from tests.cluster.conftest import RECORD_SIZE, RECORD_SLOTS, \
@@ -19,10 +20,9 @@ def test_heartbeat_silence_walks_alive_suspect_dead(cluster3):
     victim = sorted(cluster3.nodes)[0]
     cluster3.kill(victim)
     assert cluster3.mdm.status(victim) == ALIVE  # not yet noticed
-    cluster3.advance(cluster3.config.suspect_after
-                     + cluster3.config.heartbeat_interval)
+    cluster3.advance(SUSPECT_AFTER + HEARTBEAT_INTERVAL)
     assert cluster3.mdm.status(victim) == SUSPECT
-    cluster3.advance(cluster3.config.dead_after)
+    cluster3.advance(DEAD_AFTER)
     assert cluster3.mdm.status(victim) == DEAD
 
 
@@ -39,8 +39,7 @@ def test_dead_member_rejoins_dirty_and_is_refreshed_clean(cluster3):
     cluster3.write("vol0", 0, payload)
     victim = cluster3.mdm.routing("vol0")[0]
     cluster3.kill(victim)
-    cluster3.advance(cluster3.config.dead_after
-                     + 2 * cluster3.config.heartbeat_interval)
+    cluster3.advance(DEAD_AFTER + 2 * HEARTBEAT_INTERVAL)
     assert cluster3.mdm.status(victim) == DEAD
     # Writes the dead member missed are what make its copy stale.
     newer = b"q" * RECORD_SIZE
@@ -64,8 +63,7 @@ def test_failover_promotes_a_clean_secondary(cluster3):
     cluster3.write("vol0", 0, payload)
     old = cluster3.mdm.routing("vol0")
     cluster3.kill(old[0])
-    cluster3.advance(cluster3.config.dead_after
-                     + 2 * cluster3.config.heartbeat_interval)
+    cluster3.advance(DEAD_AFTER + 2 * HEARTBEAT_INTERVAL)
     new = cluster3.mdm.routing("vol0")
     assert new[0] != old[0]
     assert old[0] not in new
@@ -80,8 +78,7 @@ def test_every_primary_is_clean_after_moves(cluster3):
     cluster3.write("vol0", 0, b"c" * RECORD_SIZE)
     victim = cluster3.mdm.routing("vol0")[0]
     cluster3.kill(victim)
-    cluster3.advance(cluster3.config.dead_after
-                     + 2 * cluster3.config.heartbeat_interval)
+    cluster3.advance(DEAD_AFTER + 2 * HEARTBEAT_INTERVAL)
     cluster3.settle()
     for volume in volumes:
         primary = cluster3.mdm.routing(volume)[0]
@@ -93,8 +90,7 @@ def test_losing_every_replica_is_detected_loss_never_wrong_bytes():
     cluster.write("vol0", 0, b"x" * RECORD_SIZE)
     for node_id in sorted(cluster.nodes):
         cluster.kill(node_id)
-        cluster.advance(cluster.config.dead_after
-                        + 2 * cluster.config.heartbeat_interval)
+        cluster.advance(DEAD_AFTER + 2 * HEARTBEAT_INTERVAL)
     with pytest.raises(DataLossError):
         cluster.mdm.routing("vol0")
     with pytest.raises(DataLossError):
@@ -113,8 +109,7 @@ def test_readded_replica_is_not_presumed_clean_regression():
         cluster.write(volume, 0, bytes([index + 1]) * RECORD_SIZE)
     victim = cluster.mdm.routing("vol0")[0]
     cluster.kill(victim)
-    cluster.advance(cluster.config.dead_after
-                    + 2 * cluster.config.heartbeat_interval)
+    cluster.advance(DEAD_AFTER + 2 * HEARTBEAT_INTERVAL)
     # Overwrite everything while the victim is out of every replica set.
     for index, volume in enumerate(volumes):
         cluster.write(volume, 0, bytes([index + 101]) * RECORD_SIZE)
@@ -137,8 +132,7 @@ def test_refresh_copy_preserves_slots_the_client_overwrites_partially():
                       bytes([slot + 1]) * RECORD_SIZE)
     victim = cluster.mdm.routing("vol0")[1]
     cluster.kill(victim)
-    cluster.advance(cluster.config.dead_after
-                    + 2 * cluster.config.heartbeat_interval)
+    cluster.advance(DEAD_AFTER + 2 * HEARTBEAT_INTERVAL)
     cluster.revive(victim)
     cluster.settle()  # refresh copy rewrites the whole volume per chunk
     cluster.write("vol0", 0, b"Z" * RECORD_SIZE)  # partial overwrite
@@ -154,8 +148,7 @@ def test_epoch_advances_on_every_membership_change(cluster3):
     before = cluster3.mdm.epoch
     victim = sorted(cluster3.nodes)[2]
     cluster3.kill(victim)
-    cluster3.advance(cluster3.config.dead_after
-                     + 2 * cluster3.config.heartbeat_interval)
+    cluster3.advance(DEAD_AFTER + 2 * HEARTBEAT_INTERVAL)
     after_death = cluster3.mdm.epoch
     assert after_death > before
     cluster3.revive(victim)

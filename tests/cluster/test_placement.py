@@ -19,6 +19,7 @@ import pytest
 
 from repro.cluster import PlacementMap, placement_score, primary_cap, \
     ranked_members
+from repro.cluster.config import DEAD_AFTER, HEARTBEAT_INTERVAL
 from repro.sim.rand import RandomStream
 
 from tests.cluster.conftest import make_cluster
@@ -181,8 +182,7 @@ def test_mdm_never_routes_to_a_dead_array(seed):
                            volumes=["vol%d" % i for i in range(4)])
     victim = sorted(cluster.nodes)[seed % 3]
     cluster.kill(victim)
-    cluster.advance(cluster.config.dead_after
-                    + 2 * cluster.config.heartbeat_interval)
+    cluster.advance(DEAD_AFTER + 2 * HEARTBEAT_INTERVAL)
     assert cluster.mdm.status(victim) == "dead"
     for volume in ["vol%d" % i for i in range(4)]:
         assert victim not in cluster.mdm.routing(volume)

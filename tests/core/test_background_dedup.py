@@ -103,3 +103,22 @@ def test_background_dedup_survives_recovery(array, stream):
     recovered, _report = PurityArray.recover(config, shelf, boot, clock)
     data, _ = recovered.read("v", 64 * KIB, 16 * KIB)
     assert data == payload
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="defect (vii): background_dedup re-inserts the duplicate's "
+    "extent under a fresh seqno, so it paints over the newer 4 KiB write",
+)
+def test_background_dedup_keeps_a_newer_overlapping_write(array, stream):
+    array.create_volume("v", MIB)
+    payload = unique_bytes(16 * KIB, stream)
+    patch = unique_bytes(4 * KIB, stream)
+    array.write("v", 0, payload)
+    array.write("v", 64 * KIB, payload)
+    array.write("v", 68 * KIB, patch)
+    array.drain()
+    assert array.gc.background_dedup() == (1, 16 * KIB)
+    array.datapath.drop_caches()
+    expected = payload[:4 * KIB] + patch + payload[8 * KIB:]
+    assert array.read("v", 64 * KIB, 16 * KIB)[0] == expected

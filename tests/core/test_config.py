@@ -1,8 +1,11 @@
-"""ArrayConfig construction: the stock scales and the one-value workers field."""
+"""Config construction: the stock scales, the one-value workers field,
+and the fields that became module constants."""
 
 import pytest
 
+from repro.cluster import ClusterConfig
 from repro.core.config import ArrayConfig
+from repro.service import ServiceConfig
 
 
 def test_stock_configs_construct_serial():
@@ -21,3 +24,20 @@ def test_any_worker_count_but_zero_is_refused(workers):
 def test_pool_partitioning_knobs_are_gone(knob):
     with pytest.raises(TypeError):
         ArrayConfig.small(**{"parallel_" + knob: 1})
+
+
+@pytest.mark.parametrize("config_class, field", [
+    (ClusterConfig, "heartbeat_interval"),
+    (ClusterConfig, "suspect_after"),
+    (ClusterConfig, "dead_after"),
+    (ClusterConfig, "copy_chunk_bytes"),
+    (ClusterConfig, "copy_interval"),
+    (ClusterConfig, "max_retries"),
+    (ClusterConfig, "failover_slack"),
+    (ServiceConfig, "admission_delay"),
+    (ServiceConfig, "default_tenant"),
+    (ArrayConfig, "max_concurrent_writes"),
+])
+def test_fixed_values_are_not_fields(config_class, field):
+    with pytest.raises(TypeError):
+        config_class(**{field: 1})

@@ -1,6 +1,7 @@
 """Drive replace → rebuild round-trips (the Section 1 pulled-drive demo
 carried through to full re-protection)."""
 
+from repro.core.health import FAIL_THRESHOLD
 from repro.units import KIB
 
 from tests.core.conftest import unique_bytes
@@ -93,7 +94,7 @@ def test_chronically_corrupt_drive_auto_fails_and_rebuilds(
     array.drain()
     victim = next(iter(array.tables.segments.scan())).value[0][0][0]
     # Corruption across many distinct regions: rot, not one torn unit.
-    for region in range(array.health.fail_threshold):
+    for region in range(FAIL_THRESHOLD):
         array.health.note_corrupted(victim, region=region)
     assert array.drives[victim].failed
     assert array.health.auto_failed == [victim]

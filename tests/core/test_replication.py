@@ -115,3 +115,25 @@ def test_old_replication_snapshots_cleaned_up(pair, stream):
     replicator.replicate("v")
     snapshots = source.volumes.snapshot_names("v")
     assert len(snapshots) == 1  # only the newest cycle's snapshot remains
+
+
+def test_zeroes_reach_the_target(pair, stream):
+    """A zero-write, an unmap, and stale bytes on a pre-existing target
+    are all replicated: after every cycle the target volume reads back
+    exactly the snapshot that cycle shipped."""
+    source, target = pair
+    target.create_volume("v", 2 * MIB)
+    target.write("v", 512 * KIB, unique_bytes(64 * KIB, stream))
+    replicator = AsyncReplicator(source, target)
+    steps = [
+        lambda: source.write("v", 0, unique_bytes(128 * KIB, stream)),
+        lambda: source.write("v", 0, bytes(64 * KIB)),
+        lambda: source.unmap("v", 64 * KIB, 64 * KIB),
+    ]
+    for index, step in enumerate(steps):
+        step()
+        cycle = replicator.replicate("v")
+        source.clone("v", cycle.snapshot_name, "image%d" % index)
+        image, _ = source.read("image%d" % index, 0, 2 * MIB)
+        replica, _ = target.read("v", 0, 2 * MIB)
+        assert replica == image

@@ -14,6 +14,7 @@ import pytest
 from repro.cluster import Cluster, ClusterConfig
 from repro.core.array import PurityArray
 from repro.core.config import ArrayConfig
+from repro.core.health import STALL_SUSPECT_THRESHOLD
 from repro.sim.rand import RandomStream
 from repro.units import KIB, MIB
 from repro.workloads.datagen import DataGenerator
@@ -102,7 +103,7 @@ def test_fault_free_mixed_run_stays_unsuspected_and_reads_each_chunk_once(
                 assert got == payload
 
     for array in members:
-        threshold = array.health.stall_suspect_threshold
+        threshold = STALL_SUSPECT_THRESHOLD
         stalled = sum(
             drive.counters.stalled_reads for drive in array.drives.values()
         )

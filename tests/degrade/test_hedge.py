@@ -3,6 +3,7 @@ when healthy, and byte-correct results either way."""
 
 from repro.core.array import PurityArray
 from repro.core.config import ArrayConfig
+from repro.core.health import STALL_SUSPECT_THRESHOLD, WINDOW_SECONDS
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import DRIVE_FAIL, STALL_STORM, FaultPlan, FaultSpec
 from repro.units import KIB, MIB
@@ -77,7 +78,7 @@ def test_suspect_drive_triggers_hedge(array, volume, stream):
     name = sorted(array.drives)[0]
     drive = array.drives[name]
     assert not hedge.should_hedge(drive, 0)
-    for _strike in range(30):  # stall_suspect_threshold is 24
+    for _strike in range(30):  # STALL_SUSPECT_THRESHOLD is 24
         array.health.note_stalled(name)
     assert array.health.is_suspect(name)
     assert hedge.should_hedge(drive, 0)
@@ -181,7 +182,7 @@ def test_storm_suspicion_lapses_and_reads_go_back_to_one_per_chunk(
     health = array.health
     hedge = array.segreader.hedge
     storm_drives(array, duration=0.05)
-    for _round in range(health.stall_suspect_threshold):
+    for _round in range(STALL_SUSPECT_THRESHOLD):
         if health.suspects():
             break
         array.datapath.drop_caches()
@@ -199,7 +200,7 @@ def test_storm_suspicion_lapses_and_reads_go_back_to_one_per_chunk(
     assert health.suspects() == suspects
     # Past the window: the evidence has aged out, the shelf is trusted
     # again, and a read of a once-suspect drive is one device read.
-    array.clock.advance(health.window_seconds + 1)
+    array.clock.advance(WINDOW_SECONDS + 1)
     assert health.suspects() == []
     array.datapath.drop_caches()
     fired = hedge.fired

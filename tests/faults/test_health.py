@@ -1,9 +1,13 @@
 """The drive-health state machine: healthy → suspect → failed."""
 
 from repro.core.health import (
+    FAIL_THRESHOLD,
     FAILED,
     HEALTHY,
+    STALL_SUSPECT_THRESHOLD,
     SUSPECT,
+    SUSPECT_THRESHOLD,
+    WINDOW_SECONDS,
     DriveHealthMonitor,
 )
 from repro.sim.clock import SimClock
@@ -12,11 +16,9 @@ from repro.units import KIB, MIB
 from tests.degrade.test_hedge import storm_drives
 
 
-def monitor(**kwargs):
+def monitor():
     failed = []
-    mon = DriveHealthMonitor(
-        SimClock(), on_auto_fail=failed.append, **kwargs
-    )
+    mon = DriveHealthMonitor(SimClock(), on_auto_fail=failed.append)
     return mon, failed
 
 
@@ -28,7 +30,7 @@ def test_fresh_drive_is_healthy():
 
 def test_corruption_across_regions_escalates_to_suspect():
     mon, failed = monitor()
-    for region in range(mon.suspect_threshold):
+    for region in range(SUSPECT_THRESHOLD):
         mon.note_corrupted("d0", region=region)
     assert mon.state_of("d0") == SUSPECT
     assert mon.suspects() == ["d0"]
@@ -37,7 +39,7 @@ def test_corruption_across_regions_escalates_to_suspect():
 
 def test_chronic_corruption_auto_fails_the_drive():
     mon, failed = monitor()
-    for region in range(mon.fail_threshold):
+    for region in range(FAIL_THRESHOLD):
         mon.note_corrupted("d0", region=region)
     assert mon.state_of("d0") == FAILED
     assert failed == ["d0"]
@@ -64,7 +66,7 @@ def test_exhausted_retries_weigh_double():
 
 def test_stall_storms_suspect_but_never_fail():
     mon, failed = monitor()
-    for _ in range(10 * mon.stall_suspect_threshold):
+    for _ in range(10 * STALL_SUSPECT_THRESHOLD):
         mon.note_stalled("d0")
     assert mon.state_of("d0") == SUSPECT
     assert not failed
@@ -73,7 +75,7 @@ def test_stall_storms_suspect_but_never_fail():
 def test_occasional_stalls_stay_healthy():
     """Flush interference stalls a few reads on a perfectly good drive."""
     mon, _failed = monitor()
-    for _ in range(mon.stall_suspect_threshold - 1):
+    for _ in range(STALL_SUSPECT_THRESHOLD - 1):
         mon.note_stalled("d0")
     assert mon.state_of("d0") == HEALTHY
 
@@ -83,7 +85,7 @@ def test_events_age_out_of_the_window():
     clock = mon.clock
     for region in range(3):
         mon.note_corrupted("d0", region=region)
-    clock.advance(mon.window_seconds + 1)
+    clock.advance(WINDOW_SECONDS + 1)
     # The old events fell off the horizon: three fresh regions are not
     # enough to reach the threshold when combined with nothing.
     for region in range(10, 13):
@@ -102,7 +104,7 @@ def test_note_failed_is_terminal_for_scoring():
 
 def test_replacement_drive_starts_clean():
     mon, _failed = monitor()
-    for region in range(mon.fail_threshold):
+    for region in range(FAIL_THRESHOLD):
         mon.note_corrupted("d0", region=region)
     assert mon.state_of("d0") == FAILED
     mon.reset("d0")
@@ -123,7 +125,7 @@ def test_report_exposes_per_drive_counters():
 def test_unregioned_events_always_score():
     """Callers without region context keep the old accumulate-all path."""
     mon, failed = monitor()
-    for _ in range(mon.fail_threshold):
+    for _ in range(FAIL_THRESHOLD):
         mon.note_corrupted("d0")
     assert mon.state_of("d0") == FAILED
     assert failed == ["d0"]
@@ -135,10 +137,10 @@ def test_unregioned_events_always_score():
 
 def test_stall_suspicion_lapses_after_a_quiet_window():
     mon, _failed = monitor()
-    for _ in range(mon.stall_suspect_threshold):
+    for _ in range(STALL_SUSPECT_THRESHOLD):
         mon.note_stalled("d0")
     assert mon.is_suspect("d0")
-    mon.clock.advance(mon.window_seconds)
+    mon.clock.advance(WINDOW_SECONDS)
     assert mon.is_suspect("d0")  # the last stall is still on the horizon
     mon.clock.advance(1)
     assert mon.state_of("d0") == HEALTHY
@@ -148,34 +150,34 @@ def test_stall_suspicion_lapses_after_a_quiet_window():
     assert mon.stall_pressure("d0") == 0
     assert mon.health_of("d0").suspect_since is None
     # Lifetime counters are history, not state.
-    assert mon.health_of("d0").stalled_reads == mon.stall_suspect_threshold
+    assert mon.health_of("d0").stalled_reads == STALL_SUSPECT_THRESHOLD
 
 
 def test_stall_suspicion_holds_while_the_storm_continues():
     """The ledger keeps recording while suspect: a lapse must not be
     blind to stalls that arrived after the drive was first suspected."""
     mon, failed = monitor()
-    threshold = mon.stall_suspect_threshold
+    threshold = STALL_SUSPECT_THRESHOLD
     for _ in range(threshold):
         mon.note_stalled("d0")
     # Half a threshold every third of a window: never fewer than a
     # threshold's worth inside any window.
     for _step in range(12):
-        mon.clock.advance(mon.window_seconds / 3)
+        mon.clock.advance(WINDOW_SECONDS / 3)
         for _ in range(threshold // 2):
             mon.note_stalled("d0")
         assert mon.is_suspect("d0")
         assert mon.stall_pressure("d0") >= threshold
     assert not failed
-    mon.clock.advance(mon.window_seconds + 1)
+    mon.clock.advance(WINDOW_SECONDS + 1)
     assert mon.state_of("d0") == HEALTHY
 
 
 def test_a_trickle_of_stalls_does_not_hold_suspicion_up():
     mon, _failed = monitor()
-    for _ in range(mon.stall_suspect_threshold):
+    for _ in range(STALL_SUSPECT_THRESHOLD):
         mon.note_stalled("d0")
-    mon.clock.advance(mon.window_seconds + 1)
+    mon.clock.advance(WINDOW_SECONDS + 1)
     mon.note_stalled("d0")  # one stall in a fresh window is noise
     assert mon.state_of("d0") == HEALTHY
     assert mon.stall_pressure("d0") == 1
@@ -183,12 +185,12 @@ def test_a_trickle_of_stalls_does_not_hold_suspicion_up():
 
 def test_integrity_suspicion_lapses_and_needs_a_fresh_threshold():
     mon, failed = monitor()
-    for region in range(mon.suspect_threshold):
+    for region in range(SUSPECT_THRESHOLD):
         mon.note_corrupted("d0", region=region)
     assert mon.state_of("d0") == SUSPECT
-    mon.clock.advance(mon.window_seconds + 1)
+    mon.clock.advance(WINDOW_SECONDS + 1)
     assert mon.state_of("d0") == HEALTHY
-    for region in range(100, 100 + mon.suspect_threshold - 1):
+    for region in range(100, 100 + SUSPECT_THRESHOLD - 1):
         mon.note_corrupted("d0", region=region)
     assert mon.state_of("d0") == HEALTHY
     mon.note_corrupted("d0", region=199)
@@ -198,12 +200,12 @@ def test_integrity_suspicion_lapses_and_needs_a_fresh_threshold():
 
 def test_suspicion_lapses_only_when_both_ledgers_have_emptied():
     mon, _failed = monitor()
-    for region in range(mon.suspect_threshold):
+    for region in range(SUSPECT_THRESHOLD):
         mon.note_corrupted("d0", region=region)
     mon.clock.advance(200)
-    for _ in range(mon.stall_suspect_threshold):
+    for _ in range(STALL_SUSPECT_THRESHOLD):
         mon.note_stalled("d0")
-    mon.clock.advance(mon.window_seconds - 199)  # integrity aged out
+    mon.clock.advance(WINDOW_SECONDS - 199)  # integrity aged out
     assert mon.state_of("d0") == SUSPECT  # the stalls have not
     mon.clock.advance(200)
     assert mon.state_of("d0") == HEALTHY
@@ -211,10 +213,10 @@ def test_suspicion_lapses_only_when_both_ledgers_have_emptied():
 
 def test_failed_never_lapses():
     mon, failed = monitor()
-    for region in range(mon.fail_threshold):
+    for region in range(FAIL_THRESHOLD):
         mon.note_corrupted("d0", region=region)
     mon.note_failed("d1")
-    mon.clock.advance(10 * mon.window_seconds)
+    mon.clock.advance(10 * WINDOW_SECONDS)
     assert mon.state_of("d0") == FAILED
     assert mon.state_of("d1") == FAILED
     assert failed == ["d0"]
@@ -225,23 +227,23 @@ def test_suspect_to_failed_needs_the_same_score_as_ever():
     """Stall-suspect or integrity-suspect, FAILED takes ``fail_threshold``
     weighted integrity events inside one window — and stalls add none."""
     mon, failed = monitor()
-    for _ in range(10 * mon.stall_suspect_threshold):
+    for _ in range(10 * STALL_SUSPECT_THRESHOLD):
         mon.note_stalled("d0")
-    for region in range(mon.fail_threshold - 1):
+    for region in range(FAIL_THRESHOLD - 1):
         mon.note_corrupted("d0", region=region)
     assert mon.state_of("d0") == SUSPECT
     assert not failed
-    mon.note_corrupted("d0", region=mon.fail_threshold)
+    mon.note_corrupted("d0", region=FAIL_THRESHOLD)
     assert mon.state_of("d0") == FAILED
     assert failed == ["d0"]
 
 
 def test_a_lapsed_drive_is_not_failed_by_old_history():
     mon, failed = monitor()
-    for region in range(mon.fail_threshold - 1):
+    for region in range(FAIL_THRESHOLD - 1):
         mon.note_corrupted("d0", region=region)
     assert mon.state_of("d0") == SUSPECT
-    mon.clock.advance(mon.window_seconds + 1)
+    mon.clock.advance(WINDOW_SECONDS + 1)
     mon.note_corrupted("d0", region=999)
     assert mon.state_of("d0") == HEALTHY
     assert not failed

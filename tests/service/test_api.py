@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
+from repro.core.health import STALL_SUSPECT_THRESHOLD
 from repro.service import ENDPOINTS, ManagementAPI, ServiceFrontend
 from repro.units import KIB, MIB
 
@@ -134,7 +135,7 @@ class TestClusterBackend:
         first, second = sorted(cluster.nodes)
         array = cluster.nodes[first].array
         name = sorted(array.drives)[0]
-        for _strike in range(array.health.stall_suspect_threshold):
+        for _strike in range(STALL_SUSPECT_THRESHOLD):
             array.health.note_stalled(name)
         cluster.kill(second)
         nodes = capi.call("array.health")["nodes"]

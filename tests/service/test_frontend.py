@@ -7,6 +7,7 @@ from repro.core.array import PurityArray
 from repro.core.config import ArrayConfig
 from repro.core.telemetry import degraded_mode_report
 from repro.service import QosSpec, ServiceConfig, ServiceFrontend
+from repro.service.frontend import DEFAULT_TENANT
 from repro.service.request import OP_UNMAP, VERDICT_SHED
 from repro.units import KIB, MIB
 
@@ -74,7 +75,7 @@ class TestArrayBackend:
         assert len(completions) == 1
         assert not completions[0].ok
         assert "no-such-volume" in completions[0].error
-        report = frontend.tenant_report(frontend.config.default_tenant)
+        report = frontend.tenant_report(DEFAULT_TENANT)
         assert report["errors"] == 1
 
     def test_queue_full_sheds(self, frontend_factory):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.rand import RandomStream
-from repro.ssd.ftl import FlashTranslationLayer
+from repro.ssd.ftl import MIN_WRITE_AMP, FlashTranslationLayer
 from repro.ssd.geometry import SSDGeometry
 from repro.units import MIB
 
@@ -18,7 +18,7 @@ def test_sequential_writes_keep_amplification_low(ftl):
     for _ in range(200):
         ftl.note_write(offset, MIB)
         offset += MIB
-    assert ftl.write_amplification() == pytest.approx(ftl.min_write_amp, abs=0.05)
+    assert ftl.write_amplification() == pytest.approx(MIN_WRITE_AMP, abs=0.05)
     assert ftl.stall_probability() < 0.005
 
 
@@ -43,7 +43,7 @@ def test_amplification_recovers_after_returning_to_sequential():
         ftl.note_write(offset, MIB)
         offset += MIB
     assert ftl.write_amplification() < degraded
-    assert ftl.write_amplification() == pytest.approx(ftl.min_write_amp, abs=0.1)
+    assert ftl.write_amplification() == pytest.approx(MIN_WRITE_AMP, abs=0.1)
 
 
 def test_discard_resets_region_cursor(ftl):
