@@ -7,11 +7,14 @@ anchor-extend), and the unique remainder is compressed into cblocks
 appended to the open segio. Address-map facts record where everything
 went; they are derived facts, replayable from the raw NVRAM record.
 
-Read path (Sections 3.4, 4.5): resolve the medium chain, gather every
-address-map extent overlapping the range at each level, and paint
-newest-over-oldest — each medium's extents are a patch applied over its
-underlying medium. Extra random reads (dedup references, chain hops)
-are the price of the capacity savings, and flash makes them cheap.
+Read path (Sections 3.4, 4.5): plan, fetch, paint. The plan takes each
+medium's overlapping extents newest first, keeps only the pieces no
+newer extent covers, and descends the medium chain only under the bytes
+still uncovered — each medium's extents are a patch over its underlying
+medium. The fetch reads the planned cblocks the cache lacks, one device
+read per run of payload-adjacent cblocks in a segio, as a segio was
+written (Section 4.4). Extra random reads (dedup references, chain
+hops) are the price of the capacity savings, and flash makes them cheap.
 """
 
 import bisect
@@ -198,34 +201,38 @@ class DataPath:
         cached = self._cblock_cache.get(cache_key)
         if cached is not None:
             return cached, 0.0
+        blob, latency = self._read_run(
+            segment_id, payload_offset, payload_offset + stored_length
+        )
+        data = parse_cblock(blob)
+        self._cblock_cache.put(cache_key, data)
+        return data, latency
+
+    def _read_run(self, segment_id, start, end):
+        """Read payload ``[start, end)`` of one segio; returns (blob,
+        latency)."""
         obs = self.obs
         span = None
         if obs is not None and obs.tracing:
-            span = obs.begin("cblock-read", segment=segment_id,
-                             offset=payload_offset)
+            span = obs.begin("cblock-read", segment=segment_id, offset=start)
         try:
             # Data still sitting in the open segio is served from RAM;
             # the commit already lives in NVRAM, so this is safe and fast.
-            blob = self.segwriter.read_unflushed(
-                segment_id, payload_offset, stored_length
-            )
+            blob = self.segwriter.read_unflushed(segment_id, start, end - start)
             latency = 0.0
             source = "segio-ram"
             if blob is None:
-                descriptor = self.descriptor_for(segment_id)
                 blob, latency = self.segreader.read_payload(
-                    descriptor, payload_offset, stored_length
+                    self.descriptor_for(segment_id), start, end - start
                 )
                 source = "media"
-            data = parse_cblock(blob)
         except BaseException:
             if span is not None:
                 obs.end(span, failed=True)
             raise
         if span is not None:
             obs.end(span, lat=latency, source=source)
-        self._cblock_cache.put(cache_key, data)
-        return data, latency
+        return blob, latency
 
     def _fetch_cblock(self, location):
         """Dedup verify callback: the candidate cblock's bytes, or None."""
@@ -338,8 +345,8 @@ class DataPath:
             captured = len(tail)
             if extent_end is not None and extent_end > end + captured:
                 tail.extend(bytes(extent_end - end - captured))
-                self._paint(medium_id, end + captured, len(tail) - captured,
-                            tail, captured, 0, [0.0])
+                self._read_into(medium_id, end + captured,
+                                len(tail) - captured, tail, captured)
 
     def _count_tail(self, nbytes):
         self.tails_reingested += 1
@@ -490,36 +497,153 @@ class DataPath:
             raise VolumeError("zero-length read")
         pool = self.read_pool
         buffer = pool.acquire(length) if pool is not None else bytearray(length)
-        latencies = [0.0]
         try:
-            self._paint(medium_id, offset, length, buffer, 0, 0, latencies)
-            return bytes(buffer), max(latencies)
+            latency = self._read_into(medium_id, offset, length, buffer, 0)
+            return bytes(buffer), latency
         finally:
             if pool is not None:
                 pool.release(buffer)
 
-    def _paint(self, medium_id, offset, length, buffer, dest, depth, latencies):
-        """Fill ``buffer[dest:dest+length]`` with (medium, offset)'s data."""
+    def _read_into(self, medium_id, offset, length, buffer, dest):
+        """Fill ``buffer[dest:dest+length]``, which must be zeroed, with
+        (medium, offset)'s bytes; returns the read's latency.
+
+        Plan, then fetch, then paint: the plan names the extent piece
+        that supplies each visible byte, the fetch reads every planned
+        cblock the cache lacks, and the paint copies each piece into
+        place. Bytes a hole or nothing maps stay zero.
+        """
+        pieces = []
+        self._plan(medium_id, [(offset, offset + length)], dest - offset, 0,
+                   pieces)
+        cblocks, latency = self._fetch(pieces)
+        for at, fact, inner, nbytes in pieces:
+            value = fact.value
+            data = cblocks[(value[1], value[2])][inner : inner + nbytes]
+            if len(data) != nbytes:
+                raise VolumeError(
+                    "extent at (%d, %d) shorter than mapped range"
+                    % (fact.key[0], fact.key[1])
+                )
+            buffer[at : at + nbytes] = data
+        return latency
+
+    def _plan(self, medium_id, windows, shift, depth, pieces):
+        """Append the extent pieces that supply ``windows`` to ``pieces``.
+
+        ``windows`` are sorted, disjoint ``[lo, hi)`` ranges of
+        ``medium_id``; the byte at ``x`` lands at buffer position
+        ``x + shift``. This medium's extents claim bytes newest first,
+        each only those no newer extent has claimed, so a hidden extent
+        yields no piece and is never fetched. A piece is (buffer
+        position, fact, offset into its cblock, length); a hole claims
+        its bytes and yields none. The medium chain is descended only
+        under the bytes left unclaimed.
+        """
         if depth > MAX_PAINT_DEPTH:
             raise SnapshotError("medium chain too deep at medium %d" % medium_id)
-        end = offset + length
+        lo, hi = windows[0][0], windows[-1][1]
+        overlapping = []
+        for fact in self._extents_between(
+            medium_id, max(0, lo - MAX_CBLOCK + SECTOR), hi - 1
+        ):
+            if fact.key[1] + self._extent_logical_length(fact.value) > lo:
+                overlapping.append(fact)
+        overlapping.sort(key=lambda fact: fact.seqno, reverse=True)
+        for fact in overlapping:
+            value = fact.value
+            start = fact.key[1]
+            end = start + self._extent_logical_length(value)
+            tag = value[0]
+            skew = value[5] * SECTOR if tag == T.EXTENT_DEDUP else 0
+            unclaimed = []
+            for window_lo, window_hi in windows:
+                claim_lo = max(window_lo, start)
+                claim_hi = min(window_hi, end)
+                if claim_lo >= claim_hi:
+                    unclaimed.append((window_lo, window_hi))
+                    continue
+                if tag != T.EXTENT_HOLE:
+                    pieces.append((claim_lo + shift, fact,
+                                   skew + claim_lo - start, claim_hi - claim_lo))
+                if window_lo < claim_lo:
+                    unclaimed.append((window_lo, claim_lo))
+                if claim_hi < window_hi:
+                    unclaimed.append((claim_hi, window_hi))
+            windows = unclaimed
+            if not windows:
+                return
         for row in self.medium_table.ranges_of(medium_id):
-            sub_start = max(offset, row.start)
-            sub_end = min(end, row.end)
-            if sub_start >= sub_end:
+            if row.target == MEDIUM_NONE:
                 continue
-            if row.target != MEDIUM_NONE:
-                self._paint(
-                    row.target,
-                    row.target_offset + (sub_start - row.start),
-                    sub_end - sub_start,
-                    buffer,
-                    dest + (sub_start - offset),
-                    depth + 1,
-                    latencies,
-                )
-        # This medium's own extents overlay whatever the chain supplied.
-        self._overlay_extents(medium_id, offset, length, buffer, dest, latencies)
+            delta = row.target_offset - row.start
+            below = [
+                (max(window_lo, row.start) + delta, min(window_hi, row.end) + delta)
+                for window_lo, window_hi in windows
+                if window_lo < row.end and window_hi > row.start
+            ]
+            if below:
+                self._plan(row.target, below, shift - delta, depth + 1, pieces)
+
+    def _fetch(self, pieces):
+        """Every planned cblock, decompressed; returns ({(segment,
+        payload offset): bytes}, latency).
+
+        Each cblock is looked up in the cache once, in plan order. The
+        misses are read as runs of payload-adjacent cblocks, one read
+        per run, and every cblock in a run takes the run's latency.
+        """
+        cache = self._cblock_cache
+        cblocks = {}
+        misses = {}  # (segment, payload offset) -> stored length
+        for _at, fact, _inner, _nbytes in pieces:
+            value = fact.value
+            key = (value[1], value[2])
+            if key in cblocks or key in misses:
+                continue
+            data = cache.get(key)
+            if data is None:
+                misses[key] = value[3]
+            else:
+                cblocks[key] = data
+        if not misses:
+            return cblocks, 0.0
+        blobs = {}
+        latency = 0.0
+        for segment_id, start, end, run in self._runs(misses):
+            blob, run_latency = self._read_run(segment_id, start, end)
+            latency = max(latency, run_latency)
+            view = memoryview(blob)
+            for payload_offset, stored_length in run:
+                lo = payload_offset - start
+                blobs[(segment_id, payload_offset)] = view[lo : lo + stored_length]
+        for key in misses:
+            data = parse_cblock(blobs[key])
+            cache.put(key, data)
+            cblocks[key] = data
+        return cblocks, latency
+
+    def _runs(self, misses):
+        """Group {(segment, payload offset): stored length} into runs of
+        payload-adjacent cblocks of one segio, in payload order: a list
+        of [segment, start, end, [(payload offset, stored length), ...]].
+        A run reads no byte outside its cblocks.
+        """
+        per_segio = self.config.segment_geometry.payload_per_segio
+        runs = []
+        for segment_id, payload_offset in sorted(misses):
+            stored_length = misses[(segment_id, payload_offset)]
+            run = runs[-1] if runs else None
+            if (run is not None and run[0] == segment_id
+                    and run[2] == payload_offset
+                    and run[1] // per_segio == payload_offset // per_segio):
+                run[2] += stored_length
+                run[3].append((payload_offset, stored_length))
+            else:
+                runs.append([segment_id, payload_offset,
+                             payload_offset + stored_length,
+                             [(payload_offset, stored_length)]])
+        return runs
 
     def _extents_between(self, medium_id, lo, hi):
         """The visible extents of ``medium_id`` keyed in ``[lo, hi]``.
@@ -545,55 +669,12 @@ class DataPath:
         return facts[bisect.bisect_left(starts, lo)
                      : bisect.bisect_right(starts, hi)]
 
-    def _overlay_extents(self, medium_id, offset, length, buffer, dest, latencies):
-        end = offset + length
-        overlapping = []
-        for fact in self._extents_between(
-            medium_id, max(0, offset - MAX_CBLOCK + SECTOR), end - 1
-        ):
-            extent_offset = fact.key[1]
-            logical_length = self._extent_logical_length(fact.value)
-            if extent_offset + logical_length <= offset or extent_offset >= end:
-                continue
-            overlapping.append(fact)
-        overlapping.sort(key=lambda fact: fact.seqno)
-        for fact in overlapping:
-            self._paint_extent(fact, offset, end, buffer, dest, latencies)
-
     @staticmethod
     def _extent_logical_length(value):
         tag = value[0]
         if tag == T.EXTENT_HOLE:
             return value[1]
         return value[4]
-
-    def _paint_extent(self, fact, window_start, window_end, buffer, dest, latencies):
-        extent_offset = fact.key[1]
-        value = fact.value
-        tag = value[0]
-        logical_length = self._extent_logical_length(value)
-        paint_lo = max(window_start, extent_offset)
-        paint_hi = min(window_end, extent_offset + logical_length)
-        if paint_lo >= paint_hi:
-            return
-        if tag == T.EXTENT_HOLE:
-            data = b"\x00" * (paint_hi - paint_lo)
-        else:
-            _tag, segment_id, payload_offset, stored_length, _len = value[:5]
-            cblock, latency = self._read_cblock(
-                segment_id, payload_offset, stored_length
-            )
-            latencies.append(latency)
-            skew_bytes = value[5] * SECTOR if tag == T.EXTENT_DEDUP else 0
-            inner_lo = skew_bytes + (paint_lo - extent_offset)
-            data = cblock[inner_lo : inner_lo + (paint_hi - paint_lo)]
-            if len(data) != paint_hi - paint_lo:
-                raise VolumeError(
-                    "extent at (%d, %d) shorter than mapped range"
-                    % (fact.key[0], extent_offset)
-                )
-        base = dest + (paint_lo - window_start)
-        buffer[base : base + len(data)] = data
 
     # ------------------------------------------------------------------
     # Liveness accounting (GC + telemetry)

@@ -4,7 +4,8 @@ A seeded tape of sector-aligned writes of 0.5–80 KiB (so extents
 overlap at arbitrary offsets, multi-cblock writes included), unmaps,
 reads, snapshot + clone, ``drain`` and ``drain`` → ``crash`` →
 ``recover`` runs against one ``bytearray`` per volume. Every read, and
-a full read of every volume at the end, must equal the model: an
+a full read of every volume at the end (then again off the drives,
+whole and with two drives pulled), must equal the model: an
 overwrite may shadow an older extent anywhere, and only the extent it
 replaces at its key may be re-ingested — whichever the write path
 picks, the bytes a client sees are the model's.
@@ -77,6 +78,17 @@ def _play(seed, ops, inline_dedup):
     for volume, expected in sorted(model.items()):
         assert array.read(volume, 0, VOLUME_SIZE)[0] == expected, \
             "seed %d final read of %s" % (seed, volume)
+    # Again off the drives, whole and then with two drives pulled: each
+    # run is read once and each pulled shard's slice rebuilt once.
+    array.drain()
+    for pulled in ([], array.shelf.drives[:2]):
+        for drive in pulled:
+            array.fail_drive(drive.name)
+        array.datapath.drop_caches()
+        for volume, expected in sorted(model.items()):
+            assert array.read(volume, 0, VOLUME_SIZE)[0] == expected, \
+                "seed %d read of %s, %d drives pulled" % (seed, volume,
+                                                          len(pulled))
 
 
 @pytest.mark.parametrize("inline_dedup", [True, False])
