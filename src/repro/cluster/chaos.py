@@ -155,8 +155,7 @@ class ClusterChaosHarness:
         event = FaultEvent(op, self.cluster.clock.now, spec.kind,
                            spec.target, tuple(spec.params))
         self._events.append(event)
-        if self.obs.tracing:
-            self.obs.event("fault", kind=spec.kind, target=spec.target)
+        self.obs.event("fault", kind=spec.kind, target=spec.target)
         PERF.incr("cluster-chaos-fault")
 
     def _fire(self, op, spec):

@@ -100,25 +100,22 @@ class ClusterClient:
         ``node_id`` dead (or it comes back), bounded by
         ``REROUTE_BOUND``. This is where reroute latency comes from."""
         self._failovers.inc()
-        span = None
-        if self.obs.tracing:
-            span = self.obs.begin("cluster.failover", node=node_id)
-        start = self.clock.now
-        deadline = start + REROUTE_BOUND
-        self.mdm.start()
-        while self.clock.now < deadline:
-            status = self.mdm.status(node_id)
-            if status == DEAD:
-                break  # declared dead: routing has moved on
-            if status == ALIVE and not self.fabric.isolated(node_id) \
-                    and self.nodes[node_id].alive:
-                break  # it came back (healed partition)
-            self.loop.run(until=self.clock.now + HEARTBEAT_INTERVAL)
-        elapsed = self.clock.now - start
-        self.reroute_times.append(elapsed)
-        self._reroute.record(elapsed)
-        if span is not None:
-            self.obs.end(span, lat=elapsed, status=self.mdm.status(node_id))
+        with self.obs.span("cluster.failover", node=node_id) as span:
+            start = self.clock.now
+            deadline = start + REROUTE_BOUND
+            self.mdm.start()
+            while self.clock.now < deadline:
+                status = self.mdm.status(node_id)
+                if status == DEAD:
+                    break  # declared dead: routing has moved on
+                if status == ALIVE and not self.fabric.isolated(node_id) \
+                        and self.nodes[node_id].alive:
+                    break  # it came back (healed partition)
+                self.loop.run(until=self.clock.now + HEARTBEAT_INTERVAL)
+            elapsed = self.clock.now - start
+            self.reroute_times.append(elapsed)
+            self._reroute.record(elapsed)
+            span.set(lat=elapsed, status=self.mdm.status(node_id))
 
     # ------------------------------------------------------------------
     # Client API
@@ -130,19 +127,11 @@ class ClusterClient:
         zero-acknowledged-loss invariant under single-array failures.
         """
         self._writes.inc()
-        span = None
-        if self.obs.tracing:
-            span = self.obs.begin("cluster.write", volume=volume,
-                                  offset=offset, nbytes=len(data))
-        try:
+        with self.obs.span("cluster.write", volume=volume, offset=offset,
+                           nbytes=len(data)) as span:
             latency = self._write_attempts(volume, offset, data,
                                            advance_clock)
-        except BaseException:
-            if span is not None:
-                self.obs.end(span, failed=True)
-            raise
-        if span is not None:
-            self.obs.end(span, lat=latency)
+            span.set(lat=latency)
         return latency
 
     def _write_attempts(self, volume, offset, data, advance_clock):
@@ -165,9 +154,8 @@ class ClusterClient:
                 return latency
             except StaleEpochError:
                 self._stale.inc()
-                if self.obs.tracing:
-                    self.obs.event("cluster.stale-epoch", volume=volume,
-                                   epoch=self.epoch)
+                self.obs.event("cluster.stale-epoch", volume=volume,
+                               epoch=self.epoch)
                 self.refresh()
             except (ArrayDownError, UnreachableError):
                 self._report_and_maybe_failover(target, volume)
@@ -199,9 +187,8 @@ class ClusterClient:
                 return result
             except StaleEpochError:
                 self._stale.inc()
-                if self.obs.tracing:
-                    self.obs.event("cluster.stale-epoch", volume=volume,
-                                   epoch=self.epoch)
+                self.obs.event("cluster.stale-epoch", volume=volume,
+                               epoch=self.epoch)
                 self.refresh()
             except (ArrayDownError, UnreachableError):
                 self._report_and_maybe_failover(target, volume)
@@ -213,19 +200,11 @@ class ClusterClient:
     def read(self, volume, offset, length, advance_clock=True):
         """Read from the volume's primary; returns (bytes, latency)."""
         self._reads.inc()
-        span = None
-        if self.obs.tracing:
-            span = self.obs.begin("cluster.read", volume=volume,
-                                  offset=offset, nbytes=length)
-        try:
+        with self.obs.span("cluster.read", volume=volume, offset=offset,
+                           nbytes=length) as span:
             data, latency = self._read_attempts(volume, offset, length,
                                                advance_clock)
-        except BaseException:
-            if span is not None:
-                self.obs.end(span, failed=True)
-            raise
-        if span is not None:
-            self.obs.end(span, lat=latency)
+            span.set(lat=latency)
         return data, latency
 
     def _read_attempts(self, volume, offset, length, advance_clock):
@@ -244,9 +223,8 @@ class ClusterClient:
                 return data, latency
             except StaleEpochError:
                 self._stale.inc()
-                if self.obs.tracing:
-                    self.obs.event("cluster.stale-epoch", volume=volume,
-                                   epoch=self.epoch)
+                self.obs.event("cluster.stale-epoch", volume=volume,
+                               epoch=self.epoch)
                 self.refresh()
             except (ArrayDownError, UnreachableError):
                 self._report_and_maybe_failover(primary, volume)

@@ -231,9 +231,7 @@ class Cluster:
     def partition(self, node_id, seconds):
         """Isolate a member off the fabric for ``seconds`` of sim time."""
         until = self.fabric.isolate(node_id, seconds)
-        if self.obs.tracing:
-            self.obs.event("cluster.partition", node=node_id,
-                           until=until)
+        self.obs.event("cluster.partition", node=node_id, until=until)
         return until
 
     # ------------------------------------------------------------------

@@ -217,10 +217,8 @@ class MetadataManager:
     # Membership transitions
 
     def _membership_event(self, node_id, to_status, **attrs):
-        if self.obs.tracing:
-            self.obs.event("cluster.membership", node=node_id,
-                           status=to_status, epoch=self.placement.epoch,
-                           **attrs)
+        self.obs.event("cluster.membership", node=node_id,
+                       status=to_status, epoch=self.placement.epoch, **attrs)
 
     def _suspect(self, member):
         member.status = SUSPECT
@@ -397,9 +395,8 @@ class MetadataManager:
         if state["offset"] >= size:
             self._copies_pending.discard(key)
             self._clean.setdefault(volume, set()).add(dst)
-            if self.obs.tracing:
-                self.obs.event("cluster.copy", volume=volume, src=src,
-                               dst=dst, nbytes=size)
+            self.obs.event("cluster.copy", volume=volume, src=src,
+                           dst=dst, nbytes=size)
         else:
             self.loop.call_in(COPY_INTERVAL,
                               self._copy_step, volume, dst, state)

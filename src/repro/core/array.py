@@ -132,16 +132,13 @@ class PurityArray:
         self.gc = GarbageCollector(self)
         self.scrubber = Scrubber(self)
         # Thread the observability handle through every layer that
-        # opens spans or bumps registry metrics (same idiom as the
-        # fault-injection crashpoints: a plain slot, None-safe).
+        # opens spans or bumps registry metrics (a plain slot that
+        # starts as NULL_OBS).
         self.datapath.obs = self.obs
         self.segwriter.obs = self.obs
         self.segreader.obs = self.obs
-        for drive in self.drives.values():
-            drive.obs = self.obs
-        #: Recycled scratch buffers for the flush and read paths. Wired
-        #: the same way as ``obs``: plain slots, None-safe at every call
-        #: site.
+        #: Recycled scratch buffers for the flush and read paths: plain
+        #: slots, None-safe at every call site.
         self.segwriter.buffer_pool = BufferPool(
             SEGIO_BUFFER_POOL, metrics=self.obs.metrics,
             name="pool.segio",
@@ -220,19 +217,10 @@ class PurityArray:
     def write(self, volume, offset, data, advance_clock=True):
         """Write to a volume; returns the acknowledged commit latency."""
         self._check_alive()
-        obs = self.obs
-        span = None
-        if obs.tracing:
-            span = obs.begin("io.write", volume=volume, offset=offset,
-                             nbytes=len(data))
-        try:
+        with self.obs.span("io.write", volume=volume, offset=offset,
+                           nbytes=len(data)) as span:
             latency = self.volumes.write(volume, offset, data)
-        except BaseException:
-            if span is not None:
-                obs.end(span, crashed=True)
-            raise
-        if span is not None:
-            obs.end(span, lat=latency)
+            span.set(lat=latency)
         self._write_latency.record(latency)
         if advance_clock:
             self.clock.advance(latency)
@@ -241,19 +229,10 @@ class PurityArray:
     def read(self, volume, offset, length, advance_clock=True):
         """Read from a volume; returns (bytes, latency)."""
         self._check_alive()
-        obs = self.obs
-        span = None
-        if obs.tracing:
-            span = obs.begin("io.read", volume=volume, offset=offset,
-                             nbytes=length)
-        try:
+        with self.obs.span("io.read", volume=volume, offset=offset,
+                           nbytes=length) as span:
             data, latency = self.volumes.read(volume, offset, length)
-        except BaseException:
-            if span is not None:
-                obs.end(span, crashed=True)
-            raise
-        if span is not None:
-            obs.end(span, lat=latency)
+            span.set(lat=latency)
         self._read_latency.record(latency)
         self.rebuild_governor.observe_read_latency(latency)
         if advance_clock:
@@ -386,11 +365,9 @@ class PurityArray:
         )
         del self.drives[drive_name]
         self.drives[replacement.name] = replacement
-        replacement.obs = self.obs
         self.allocator.add_drive(replacement.name)
         self.health.reset(drive_name)
-        if self.obs.tracing:
-            self.obs.event("drive.replace", drive=drive_name)
+        self.obs.event("drive.replace", drive=drive_name)
         return replacement
 
     def rebuild(self):
@@ -403,10 +380,9 @@ class PurityArray:
         self._check_alive()
         obs = self.obs
         governor = self.rebuild_governor
-        span = obs.begin("rebuild") if obs.tracing else None
         rebuilt = 0
         deferred = 0
-        try:
+        with obs.span("rebuild") as span:
             for fact in list(self.tables.segments.scan()):
                 segment_id = fact.key[0]
                 placements = fact.value[0]
@@ -428,9 +404,7 @@ class PurityArray:
                     # The segment vanished under us (already collected);
                     # nothing is left to repair.
                     self.degrade.note_segment_reprotected(segment_id)
-        finally:
-            if span is not None:
-                obs.end(span, segments=rebuilt, deferred=deferred)
+            span.set(segments=rebuilt, deferred=deferred)
         if rebuilt:
             obs.metrics.counter("rebuild.segments").inc(rebuilt)
         if deferred:

@@ -29,6 +29,7 @@ from repro.dedup.inline import InlineDeduper
 from repro.errors import SnapshotError, VolumeError
 from repro.layout.segment import SegmentDescriptor
 from repro.mediums.medium import MEDIUM_NONE
+from repro.obs.trace import NULL_OBS
 from repro.perf import PERF
 from repro.units import MAX_CBLOCK, SECTOR
 
@@ -152,8 +153,8 @@ class DataPath:
         #: Fault-injection crashpoint router (see :mod:`repro.faults`).
         self.crashpoints = None
         #: Observability handle (see :mod:`repro.obs`); the array wires
-        #: its own in. None-safe: standalone datapaths trace nothing.
-        self.obs = None
+        #: its own in. Standalone datapaths keep the always-off NULL_OBS.
+        self.obs = NULL_OBS
         #: Recycled read paint buffers; None-safe (fresh bytearrays).
         self.read_pool = None
         #: Optional :class:`repro.degrade.DegradeEngine`; wired by the
@@ -211,11 +212,8 @@ class DataPath:
     def _read_run(self, segment_id, start, end):
         """Read payload ``[start, end)`` of one segio; returns (blob,
         latency)."""
-        obs = self.obs
-        span = None
-        if obs is not None and obs.tracing:
-            span = obs.begin("cblock-read", segment=segment_id, offset=start)
-        try:
+        with self.obs.span("cblock-read", segment=segment_id,
+                           offset=start) as span:
             # Data still sitting in the open segio is served from RAM;
             # the commit already lives in NVRAM, so this is safe and fast.
             blob = self.segwriter.read_unflushed(segment_id, start, end - start)
@@ -226,12 +224,7 @@ class DataPath:
                     self.descriptor_for(segment_id), start, end - start
                 )
                 source = "media"
-        except BaseException:
-            if span is not None:
-                obs.end(span, failed=True)
-            raise
-        if span is not None:
-            obs.end(span, lat=latency, source=source)
+            span.set(lat=latency, source=source)
         return blob, latency
 
     def _fetch_cblock(self, location):
@@ -259,20 +252,11 @@ class DataPath:
         cp = self.crashpoints
         if cp is not None:
             cp.hit("datapath.write-start", medium_id=medium_id, offset=offset)
-        obs = self.obs
-        span = None
-        if obs is not None and obs.tracing:
-            span = obs.begin("nvram-commit", nbytes=len(data))
-        try:
+        with self.obs.span("nvram-commit", nbytes=len(data)) as span:
             _fact, latency = self.pipeline.commit_raw_write(
                 medium_id, offset, data
             )
-        except BaseException:
-            if span is not None:
-                obs.end(span, crashed=True)
-            raise
-        if span is not None:
-            obs.end(span, lat=latency)
+            span.set(lat=latency)
         # Past this point the write is durable in NVRAM: a crash below
         # loses the acknowledgement, never the data (recovery replays).
         if cp is not None:
@@ -375,27 +359,18 @@ class DataPath:
 
     def _process_cblock(self, medium_id, offset, chunk, at_risk, write_end,
                         tail):
-        obs = self.obs
         # One hash pass per chunk: dedup probes with it, and each unique
         # run's cblock is recorded from its slice of it.
         vector = sector_hash_vector(chunk)
         if self.config.inline_dedup:
             deduper = self.deduper
-            span = None
-            if obs is not None and obs.tracing:
-                span = obs.begin("dedup", nbytes=len(chunk))
+            with self.obs.span("dedup", nbytes=len(chunk)) as span:
                 fetched = deduper.anchors_fetched
                 screened = deduper.anchors_screened
-            try:
                 matches = deduper.find_matches(chunk, vector)
-            except BaseException:
-                if span is not None:
-                    obs.end(span, crashed=True)
-                raise
-            if span is not None:
-                obs.end(span, matches=len(matches),
-                        fetched=deduper.anchors_fetched - fetched,
-                        screened=deduper.anchors_screened - screened)
+                span.set(matches=len(matches),
+                         fetched=deduper.anchors_fetched - fetched,
+                         screened=deduper.anchors_screened - screened)
         else:
             matches = []
         # The extents this chunk inserts, in order: (start, stop, match),
@@ -434,22 +409,14 @@ class DataPath:
 
             compressor = NullCompressor()
         obs = self.obs
-        tracing = obs is not None and obs.tracing
-        span = obs.begin("compress", nbytes=len(data)) if tracing else None
-        blob, codec_id = build_cblock(data, compressor)
-        if span is not None:
-            obs.end(span, stored=len(blob))
-        span = obs.begin("segio-append", nbytes=len(blob)) if tracing else None
-        try:
+        with obs.span("compress", nbytes=len(data)) as span:
+            blob, codec_id = build_cblock(data, compressor)
+            span.set(stored=len(blob))
+        with obs.span("segio-append", nbytes=len(blob)) as span:
             descriptor, payload_offset, flush_latency = (
                 self.segwriter.append_data(blob)
             )
-        except BaseException:
-            if span is not None:
-                obs.end(span, crashed=True)
-            raise
-        if span is not None:
-            obs.end(span, lat=flush_latency, segment=descriptor.segment_id)
+            span.set(lat=flush_latency, segment=descriptor.segment_id)
         self.compression_stats.note(len(data), len(blob), codec_id)
         self.pipeline.insert_derived(
             T.ADDRESS_MAP,

@@ -81,11 +81,8 @@ class GarbageCollector:
     def run(self, max_segments=4):
         """Collect up to ``max_segments`` of the emptiest segments."""
         obs = self.array.obs
-        span = None
-        if obs is not None and obs.tracing:
-            span = obs.begin("gc.run", max_segments=max_segments)
         report = GCReport()
-        try:
+        with obs.span("gc.run", max_segments=max_segments) as span:
             liveness = self.segment_liveness()
             report.segments_examined = len(liveness)
             candidates = sorted(
@@ -98,21 +95,12 @@ class GarbageCollector:
             self.sweep_mediums(report)
             self.shorten_chains(report)
             self.array.pipeline.compact()
-        except BaseException:
-            if span is not None:
-                obs.end(span, crashed=True)
-            raise
-        if span is not None:
-            obs.end(
-                span,
-                collected=report.segments_collected,
-                rewritten=report.bytes_rewritten,
-            )
-        if obs is not None:
-            obs.metrics.counter("gc.segments_collected").inc(
-                report.segments_collected
-            )
-            obs.metrics.counter("gc.bytes_rewritten").inc(report.bytes_rewritten)
+            span.set(collected=report.segments_collected,
+                     rewritten=report.bytes_rewritten)
+        obs.metrics.counter("gc.segments_collected").inc(
+            report.segments_collected
+        )
+        obs.metrics.counter("gc.bytes_rewritten").inc(report.bytes_rewritten)
         return report
 
     def collect_segment(self, segment_id, report=None):
@@ -125,77 +113,56 @@ class GarbageCollector:
         except Exception:
             return False
         cp = self.crashpoints
-        obs = array.obs
-        span = None
-        if obs is not None and obs.tracing:
-            span = obs.begin("gc.collect", segment=segment_id)
-        try:
-            return self._collect_segment_traced(
-                segment_id, descriptor, report, cp, obs, span
-            )
-        except BaseException:
-            if span is not None:
-                obs.end(span, crashed=True)
-            raise
-
-    def _collect_segment_traced(self, segment_id, descriptor, report, cp, obs,
-                                span):
-        array = self.array
-        datapath = array.datapath
-        if cp is not None:
-            cp.hit("gc.pre-collect", segment_id=segment_id)
-        if segment_id == self._open_segment_id():
-            # Evacuating the open segment: retire it first so rewrites
-            # (and re-homed patches) land in a fresh segment.
-            array.segwriter.retire_current_segment()
-        if self._is_pinned(descriptor):
-            first = descriptor.placements[0]
-            array.pipeline.unpin_segment((first[0], first[1]))
+        with array.obs.span("gc.collect", segment=segment_id) as span:
+            if cp is not None:
+                cp.hit("gc.pre-collect", segment_id=segment_id)
+            if segment_id == self._open_segment_id():
+                # Evacuating the open segment: retire it first so rewrites
+                # (and re-homed patches) land in a fresh segment.
+                array.segwriter.retire_current_segment()
             if self._is_pinned(descriptor):
-                if span is not None:
-                    obs.end(span, skipped="pinned")
-                return False
-        referencing = [
-            fact for fact in datapath.visible_extents()
-            if fact.value[0] != T.EXTENT_HOLE and fact.value[1] == segment_id
-        ]
-        relocations = self._rewrite_live_cblocks(
-            descriptor, referencing, report
-        )
-        # Durability barrier: the rewritten cblocks must be on media
-        # *before* the repointed facts commit to the WAL. Repoint facts
-        # survive a crash via NVRAM, so if they could reference data
-        # still sitting in the open segio's RAM, recovery would rebuild
-        # an address map pointing at never-flushed locations.
-        if relocations:
-            array.segwriter.flush()
-        if cp is not None:
-            cp.hit("gc.post-rewrite", segment_id=segment_id)
-        self._repoint_extents(referencing, relocations)
-        datapath.dedup_index.rewrite_segment(
-            segment_id,
-            lambda location: self._relocate_location(location, relocations),
-        )
-        # Durability barriers: the repointed facts must be persisted and
-        # the segment row durably elided *before* the old bits are
-        # destroyed — a crash in between must never resurrect the row
-        # and double-free AUs another segment now owns.
-        array.pipeline.drain()
-        array.pipeline.elide_key_range(T.SEGMENTS, segment_id, segment_id)
-        if cp is not None:
-            # A crash here leaks the old AUs until the next full sweep
-            # but must never lose data: the facts above are durable.
-            cp.hit("gc.pre-release", segment_id=segment_id)
-        self._release_segment(descriptor, report)
-        datapath.invalidate_segment(segment_id)
-        self.total_segments_collected += 1
-        if span is not None:
-            obs.end(
-                span,
-                rewritten=report.cblocks_rewritten,
-                released=report.aus_released,
+                first = descriptor.placements[0]
+                array.pipeline.unpin_segment((first[0], first[1]))
+                if self._is_pinned(descriptor):
+                    span.set(skipped="pinned")
+                    return False
+            referencing = [
+                fact for fact in datapath.visible_extents()
+                if fact.value[0] != T.EXTENT_HOLE and fact.value[1] == segment_id
+            ]
+            relocations = self._rewrite_live_cblocks(
+                descriptor, referencing, report
             )
-        return True
+            # Durability barrier: the rewritten cblocks must be on media
+            # *before* the repointed facts commit to the WAL. Repoint facts
+            # survive a crash via NVRAM, so if they could reference data
+            # still sitting in the open segio's RAM, recovery would rebuild
+            # an address map pointing at never-flushed locations.
+            if relocations:
+                array.segwriter.flush()
+            if cp is not None:
+                cp.hit("gc.post-rewrite", segment_id=segment_id)
+            self._repoint_extents(referencing, relocations)
+            datapath.dedup_index.rewrite_segment(
+                segment_id,
+                lambda location: self._relocate_location(location, relocations),
+            )
+            # Durability barriers: the repointed facts must be persisted and
+            # the segment row durably elided *before* the old bits are
+            # destroyed — a crash in between must never resurrect the row
+            # and double-free AUs another segment now owns.
+            array.pipeline.drain()
+            array.pipeline.elide_key_range(T.SEGMENTS, segment_id, segment_id)
+            if cp is not None:
+                # A crash here leaks the old AUs until the next full sweep
+                # but must never lose data: the facts above are durable.
+                cp.hit("gc.pre-release", segment_id=segment_id)
+            self._release_segment(descriptor, report)
+            datapath.invalidate_segment(segment_id)
+            self.total_segments_collected += 1
+            span.set(rewritten=report.cblocks_rewritten,
+                     released=report.aus_released)
+            return True
 
     def _rewrite_live_cblocks(self, descriptor, referencing, report):
         """Copy live cblocks to the open segio; returns the relocation map.

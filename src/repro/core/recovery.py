@@ -76,25 +76,19 @@ def recover_array(cls, config, shelf, boot_region, clock,
         config=config, clock=clock, shelf=shelf, boot_region=boot_region,
         obs=obs,
     )
-    span = None
-    if obs is not None and obs.tracing:
-        span = obs.begin("recovery", full_scan=full_scan)
-    try:
+    obs = array.obs
+    with obs.span("recovery", full_scan=full_scan) as span:
         report = _recover_body(array, boot_region, clock, full_scan,
                                warm_cache_fraction)
-    except BaseException:
-        if span is not None:
-            obs.end(span, crashed=True)
-        raise
-    # Degraded-mode intake: the array constructor already re-detected
-    # substrate evidence (failed drives, torn NVRAM); the replay count
-    # is only known now, so charge it as nvram-replay debt — it stays
-    # outstanding until a checkpoint (or write-through drain) settles it.
-    if array.degrade.nvram_degraded and report.raw_writes_replayed:
-        array.degrade.debt.charge("nvram-replay", report.raw_writes_replayed)
-    if span is not None:
-        obs.end(
-            span,
+        # Degraded-mode intake: the array constructor already re-detected
+        # substrate evidence (failed drives, torn NVRAM); the replay count
+        # is only known now, so charge it as nvram-replay debt — it stays
+        # outstanding until a checkpoint (or write-through drain) settles
+        # it.
+        if array.degrade.nvram_degraded and report.raw_writes_replayed:
+            array.degrade.debt.charge("nvram-replay",
+                                      report.raw_writes_replayed)
+        span.set(
             lat=report.total_latency,
             boot=report.boot_latency,
             scan=report.scan_latency,
@@ -103,9 +97,8 @@ def recover_array(cls, config, shelf, boot_region, clock,
             facts=report.facts_recovered,
             raw_writes=report.raw_writes_replayed,
         )
-    if obs is not None:
-        obs.metrics.histogram("recovery.downtime").record(report.total_latency)
-        obs.metrics.counter("recovery.count").inc()
+    obs.metrics.histogram("recovery.downtime").record(report.total_latency)
+    obs.metrics.counter("recovery.count").inc()
     return array, report
 
 

@@ -49,10 +49,7 @@ class Scrubber:
         report = ScrubReport()
         array = self.array
         obs = array.obs
-        span = None
-        if obs is not None and obs.tracing:
-            span = obs.begin("scrub.run")
-        try:
+        with obs.span("scrub.run") as span:
             geometry = array.config.segment_geometry
             segment_ids = [fact.key[0] for fact in array.tables.segments.scan()]
             if max_segments is not None:
@@ -69,29 +66,20 @@ class Scrubber:
                     continue
                 if array.gc.collect_segment(segment_id):
                     report.segments_rewritten += 1
-        except BaseException:
-            if span is not None:
-                obs.end(span, crashed=True)
-            raise
-        self.passes += 1
-        if span is not None:
-            obs.end(
-                span,
+            self.passes += 1
+            span.set(
                 scanned=report.segments_scanned,
                 corrupt_shards=report.corrupt_shards,
                 rewritten=report.segments_rewritten,
             )
-        if obs is not None:
-            obs.metrics.counter("scrub.segments_scanned").inc(
-                report.segments_scanned
+        obs.metrics.counter("scrub.segments_scanned").inc(
+            report.segments_scanned
+        )
+        obs.metrics.counter("scrub.corrupt_shards").inc(report.corrupt_shards)
+        if report.segments_deferred:
+            obs.metrics.counter("rebuild.deferred_segments").inc(
+                report.segments_deferred
             )
-            obs.metrics.counter("scrub.corrupt_shards").inc(
-                report.corrupt_shards
-            )
-            if report.segments_deferred:
-                obs.metrics.counter("rebuild.deferred_segments").inc(
-                    report.segments_deferred
-                )
         return report
 
     def _scrub_segment(self, segment_id, geometry, report):

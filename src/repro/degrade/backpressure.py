@@ -14,6 +14,8 @@ request without touching a single metric, keeping default-config runs
 byte-identical to the pre-governor code.
 """
 
+from repro.obs.trace import NULL_OBS
+
 
 class TokenBucket:
     """Deterministic token bucket refilled lazily from the sim clock."""
@@ -63,7 +65,7 @@ class RebuildGovernor:
     """
 
     def __init__(self, clock, slo_p99=None, full_rate=None, throttled_rate=None,
-                 burst=None, window=None, obs=None):
+                 burst=None, window=None, obs=NULL_OBS):
         self.clock = clock
         self.slo_p99 = slo_p99
         self.obs = obs
@@ -127,5 +129,4 @@ class RebuildGovernor:
             self.throttled = throttled
             rate = self.throttled_rate if throttled else self.full_rate
             self._bucket.set_rate(rate)
-            if self.obs is not None:
-                self.obs.metrics.gauge("rebuild.throttle_rate").set(rate)
+            self.obs.metrics.gauge("rebuild.throttle_rate").set(rate)

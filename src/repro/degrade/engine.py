@@ -29,12 +29,13 @@ from repro.degrade.ladder import (
     RepairDebtLedger,
 )
 from repro.errors import ReadOnlyModeError
+from repro.obs.trace import NULL_OBS
 
 
 class DegradeEngine:
     """Tracks array-wide degradation state and repair debt."""
 
-    def __init__(self, clock, obs=None):
+    def __init__(self, clock, obs=NULL_OBS):
         self.clock = clock
         self.obs = obs
         self.ladder = DegradationLadder(clock, obs=obs)
@@ -107,8 +108,7 @@ class DegradeEngine:
         """A write-through commit reached flash: replay debt is moot."""
         self.write_through_drains += 1
         self.debt.settle_all("nvram-replay")
-        if self.obs is not None:
-            self.obs.metrics.counter("degrade.write_through").inc()
+        self.obs.metrics.counter("degrade.write_through").inc()
 
     def note_nvram_repaired(self):
         """Checkpoint persisted everything the torn mirror covered."""

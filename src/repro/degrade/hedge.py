@@ -32,11 +32,14 @@ draws no randomness, so a run where no hedge fires is byte-identical to
 the same run with hedging disabled.
 """
 
+from repro.obs.trace import NULL_OBS
+
 
 class HedgePolicy:
     """Decides when to race reconstruction against a direct read."""
 
-    def __init__(self, clock, deadline, health=None, obs=None, enabled=True):
+    def __init__(self, clock, deadline, health=None, obs=NULL_OBS,
+                 enabled=True):
         self.clock = clock
         self.deadline = deadline
         self.health = health
@@ -103,5 +106,4 @@ class HedgePolicy:
         }
 
     def _counter(self, name, amount=1):
-        if self.obs is not None:
-            self.obs.metrics.counter(name).inc(amount)
+        self.obs.metrics.counter(name).inc(amount)

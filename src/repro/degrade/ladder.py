@@ -24,6 +24,8 @@ than something a scrub pass discovers by accident.
 
 from dataclasses import dataclass
 
+from repro.obs.trace import NULL_OBS
+
 #: Ladder states, least to most degraded. The string values are the
 #: client-visible mode names used in reports, events, and gauges.
 NORMAL = "normal"
@@ -65,7 +67,7 @@ class LadderTransition:
 class DegradationLadder:
     """Condition-driven state machine over :data:`LADDER_STATES`."""
 
-    def __init__(self, clock, obs=None):
+    def __init__(self, clock, obs=NULL_OBS):
         self.clock = clock
         self.obs = obs
         self.state = NORMAL
@@ -127,23 +129,20 @@ class DegradationLadder:
 
     def _publish(self, transition):
         obs = self.obs
-        if obs is None:
-            return
         obs.metrics.gauge("degrade.ladder_state").set(RUNG[transition.to_state])
         obs.metrics.counter("degrade.transitions").inc()
-        if obs.tracing:
-            obs.event(
-                "degrade.transition",
-                from_state=transition.from_state,
-                to_state=transition.to_state,
-                reason=transition.reason,
-            )
+        obs.event(
+            "degrade.transition",
+            from_state=transition.from_state,
+            to_state=transition.to_state,
+            reason=transition.reason,
+        )
 
 
 class RepairDebtLedger:
     """Counted repair queue, by category (``nvram-replay``/``segments``)."""
 
-    def __init__(self, obs=None):
+    def __init__(self, obs=NULL_OBS):
         self.obs = obs
         self._debt = {}
 
@@ -179,7 +178,4 @@ class RepairDebtLedger:
         return dict(sorted(self._debt.items()))
 
     def _publish(self):
-        if self.obs is not None:
-            self.obs.metrics.gauge("degrade.repair_debt").set(
-                self.outstanding()
-            )
+        self.obs.metrics.gauge("degrade.repair_debt").set(self.outstanding())

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from repro.errors import InjectedCrashError
 from repro.faults import plan as P
+from repro.obs.trace import NULL_OBS
 from repro.perf import PERF
 
 
@@ -67,7 +68,7 @@ class FaultInjector:
         self.array = None
         #: Observability handle; adopted from the array at attach() so
         #: fired faults also land in the trace as ``fault`` events.
-        self.obs = None
+        self.obs = NULL_OBS
         self.trace = []
         self.op_index = 0
         self._next_spec = 0
@@ -93,7 +94,7 @@ class FaultInjector:
         self.array = array
         if self.clock is None:
             self.clock = array.clock
-        self.obs = getattr(array, "obs", None)
+        self.obs = array.obs
         router = CrashpointRouter(self)
         array.datapath.crashpoints = router
         array.segwriter.crashpoints = router
@@ -198,17 +199,9 @@ class FaultInjector:
                        tuple(detail))
         )
         PERF.incr("fault-fired")
-        obs = self.obs
-        if obs is not None and obs.tracing:
-            obs.event(
-                "fault",
-                op=self.op_index,
-                kind=kind,
-                target=target,
-                detail=list(detail),
-            )
-        if obs is not None:
-            obs.metrics.counter("faults.fired").inc()
+        self.obs.event("fault", op=self.op_index, kind=kind, target=target,
+                       detail=list(detail))
+        self.obs.metrics.counter("faults.fired").inc()
 
     def trace_keys(self):
         """The comparable replay trace (same seed → identical list)."""

@@ -15,6 +15,7 @@ records, and sequence bounds are rediscovered.
 
 from repro.errors import DeviceFailedError, UncorrectableError
 from repro.layout.segment import SegioHeader
+from repro.obs.trace import NULL_OBS
 from repro.perf import PERF
 from repro.units import MICROSECOND
 
@@ -57,8 +58,8 @@ class SegmentReader:
         #: did not schedule itself.
         self.health = health
         #: Observability handle (see :mod:`repro.obs`); wired by the
-        #: array, None-safe for standalone readers.
-        self.obs = None
+        #: array. Standalone readers keep the always-off NULL_OBS.
+        self.obs = NULL_OBS
         #: Optional :class:`repro.degrade.HedgePolicy`; wired by the
         #: array. When set, slow/suspect direct reads race parity
         #: reconstruction and adopt whichever finishes first.
@@ -214,50 +215,38 @@ class SegmentReader:
         """
         hedge = self.hedge
         hedge.note_fired()
-        obs = self.obs
-        span = None
-        if obs is not None and obs.tracing:
-            span = obs.begin(
-                "segread.hedge",
-                segment=descriptor.segment_id,
-                segio=segio,
-                shard=shard,
-            )
-        before_direct = self.device_reads
-        direct = self._read_with_retry(drive, offset, length)
-        before_reconstruct = self.device_reads
-        try:
-            data, reconstruct_latency = self._reconstruct_chunk(
-                descriptor, segio, shard, within, length
-            )
-        except UncorrectableError:
-            # Too few calm survivors to race: the direct arm is all we
-            # have, and it must be clean to serve the read.
-            if direct.corrupted:
-                if span is not None:
-                    obs.end(span, failed=True)
-                raise
+        with self.obs.span("segread.hedge", segment=descriptor.segment_id,
+                           segio=segio, shard=shard) as span:
+            before_direct = self.device_reads
+            direct = self._read_with_retry(drive, offset, length)
+            before_reconstruct = self.device_reads
+            try:
+                data, reconstruct_latency = self._reconstruct_chunk(
+                    descriptor, segio, shard, within, length
+                )
+            except UncorrectableError:
+                # Too few calm survivors to race: the direct arm is all
+                # we have, and it must be clean to serve the read.
+                if direct.corrupted:
+                    raise
+                hedge.note_outcome(
+                    won=False, wasted=self.device_reads - before_reconstruct
+                )
+                span.set(won=False, lat=direct.latency)
+                self.direct_reads += 1
+                return direct.data, direct.latency
+            if direct.corrupted or reconstruct_latency <= direct.latency:
+                hedge.note_outcome(
+                    won=True,
+                    wasted=0 if direct.corrupted
+                    else before_reconstruct - before_direct,
+                )
+                span.set(won=True, lat=reconstruct_latency)
+                return data, reconstruct_latency
             hedge.note_outcome(
                 won=False, wasted=self.device_reads - before_reconstruct
             )
-            if span is not None:
-                obs.end(span, won=False, lat=direct.latency)
-            self.direct_reads += 1
-            return direct.data, direct.latency
-        if direct.corrupted or reconstruct_latency <= direct.latency:
-            hedge.note_outcome(
-                won=True,
-                wasted=0 if direct.corrupted
-                else before_reconstruct - before_direct,
-            )
-            if span is not None:
-                obs.end(span, won=True, lat=reconstruct_latency)
-            return data, reconstruct_latency
-        hedge.note_outcome(
-            won=False, wasted=self.device_reads - before_reconstruct
-        )
-        if span is not None:
-            obs.end(span, won=False, lat=direct.latency)
+            span.set(won=False, lat=direct.latency)
         self.direct_reads += 1
         return direct.data, direct.latency
 
@@ -272,68 +261,60 @@ class SegmentReader:
         so hedge-on and hedge-off runs reconstruct identically.
         """
         obs = self.obs
-        span = None
-        if obs is not None and obs.tracing:
-            span = obs.begin(
-                "segread.reconstruct",
-                segment=descriptor.segment_id,
-                segio=segio,
-                shard=target_shard,
-            )
-        shards = [None] * self.geometry.total_shards
-        latencies = [0.0]
-        available = 0
-        candidates = [
-            shard for shard in range(self.geometry.total_shards)
-            if shard != target_shard
-        ]
-        hedge = self.hedge
+        with obs.span("segread.reconstruct", segment=descriptor.segment_id,
+                      segio=segio, shard=target_shard) as span:
+            shards = [None] * self.geometry.total_shards
+            latencies = [0.0]
+            available = 0
+            candidates = [
+                shard for shard in range(self.geometry.total_shards)
+                if shard != target_shard
+            ]
+            hedge = self.hedge
 
-        def _reluctance(shard):
-            drive = self._drive_for(descriptor, shard)
-            if drive is None:
-                return (False, False)
-            stalling = hedge is not None and hedge.would_wait(
-                drive, self._body_offset(descriptor, shard, segio, within)
-            )
-            return (self._should_avoid(drive), stalling)
-
-        candidates.sort(key=_reluctance)
-        for shard in candidates:
-            if available >= self.geometry.data_shards:
-                break  # k survivors suffice; skip further reads
-            drive = self._drive_for(descriptor, shard)
-            if drive is None:
-                continue
-            result = self._read_with_retry(
-                drive, self._body_offset(descriptor, shard, segio, within), length
-            )
-            if result.corrupted:
-                continue
-            shards[shard] = result.data
-            latencies.append(result.latency)
-            available += 1
-        if available < self.geometry.data_shards:
-            if span is not None:
-                obs.end(span, failed=True, available=available)
-            raise UncorrectableError(
-                "segment %d segio %d: only %d of %d shards readable"
-                % (
-                    descriptor.segment_id,
-                    segio,
-                    available,
-                    self.geometry.data_shards,
+            def _reluctance(shard):
+                drive = self._drive_for(descriptor, shard)
+                if drive is None:
+                    return (False, False)
+                stalling = hedge is not None and hedge.would_wait(
+                    drive, self._body_offset(descriptor, shard, segio, within)
                 )
-            )
-        # ``shards`` has a second empty slot (k of the other k+m-1 were
-        # read); only the target's is worth rebuilding.
-        complete = self.codec.reconstruct(shards, targets=(target_shard,))
-        self.reconstructed_reads += 1
-        latency = max(latencies)
-        if span is not None:
-            obs.end(span, lat=latency)
-        if obs is not None:
-            obs.metrics.counter("segread.reconstructed").inc()
+                return (self._should_avoid(drive), stalling)
+
+            candidates.sort(key=_reluctance)
+            for shard in candidates:
+                if available >= self.geometry.data_shards:
+                    break  # k survivors suffice; skip further reads
+                drive = self._drive_for(descriptor, shard)
+                if drive is None:
+                    continue
+                result = self._read_with_retry(
+                    drive, self._body_offset(descriptor, shard, segio, within),
+                    length,
+                )
+                if result.corrupted:
+                    continue
+                shards[shard] = result.data
+                latencies.append(result.latency)
+                available += 1
+            if available < self.geometry.data_shards:
+                span.set(available=available)
+                raise UncorrectableError(
+                    "segment %d segio %d: only %d of %d shards readable"
+                    % (
+                        descriptor.segment_id,
+                        segio,
+                        available,
+                        self.geometry.data_shards,
+                    )
+                )
+            # ``shards`` has a second empty slot (k of the other k+m-1
+            # were read); only the target's is worth rebuilding.
+            complete = self.codec.reconstruct(shards, targets=(target_shard,))
+            self.reconstructed_reads += 1
+            latency = max(latencies)
+            span.set(lat=latency)
+        obs.metrics.counter("segread.reconstructed").inc()
         return complete[target_shard], latency
 
     def read_header(self, drive, au_index, segio_index):

@@ -18,6 +18,7 @@ import itertools
 from repro.errors import AllocationError, OutOfSpaceError
 from repro.layout.segio import OpenSegio
 from repro.layout.segment import SegmentDescriptor
+from repro.obs.trace import NULL_OBS
 
 
 class SegmentWriter:
@@ -53,8 +54,8 @@ class SegmentWriter:
         self.crashpoints = None
         self.flush_interceptor = None
         #: Observability handle (see :mod:`repro.obs`); wired by the
-        #: array, None-safe for standalone writers.
-        self.obs = None
+        #: array. Standalone writers keep the always-off NULL_OBS.
+        self.obs = NULL_OBS
         #: Optional :class:`repro.degrade.DegradeEngine`; wired by the
         #: array. Flushes that skip failed drives charge the stripe to
         #: the repair-debt ledger so rebuild knows what it owes.
@@ -201,27 +202,14 @@ class SegmentWriter:
         segio = self._segio
         cp = self.crashpoints
         obs = self.obs
-        tracing = obs is not None and obs.tracing
-        flush_span = None
-        if tracing:
-            flush_span = obs.begin(
-                "segio.flush",
-                segment=segio.descriptor.segment_id,
-                segio=segio.segio_index,
-            )
-        try:
+        with obs.span("segio.flush", segment=segio.descriptor.segment_id,
+                      segio=segio.segio_index) as flush_span:
             if cp is not None:
                 cp.hit("segwriter.pre-flush", descriptor=segio.descriptor)
-            encode_span = obs.begin("rs-encode") if tracing else None
-            write_units = segio.finalize(self.codec)
-            if encode_span is not None:
-                obs.end(encode_span, shards=len(write_units))
-        except BaseException:
-            if flush_span is not None:
-                obs.end(flush_span, crashed=True)
-            raise
-        descriptor = segio.descriptor
-        try:
+            with obs.span("rs-encode") as span:
+                write_units = segio.finalize(self.codec)
+                span.set(shards=len(write_units))
+            descriptor = segio.descriptor
             pending = []
             skipped_shards = 0
             for shard_index, unit in enumerate(write_units):
@@ -267,14 +255,8 @@ class SegmentWriter:
                 elapsed += wave_latency
             if cp is not None:
                 cp.hit("segwriter.post-flush", descriptor=descriptor)
-        except BaseException:
-            if flush_span is not None:
-                obs.end(flush_span, crashed=True)
-            raise
-        if flush_span is not None:
-            obs.end(flush_span, lat=elapsed, shards=len(pending))
-        if obs is not None:
-            obs.metrics.histogram("segio.flush.latency").record(elapsed)
+            flush_span.set(lat=elapsed, shards=len(pending))
+        obs.metrics.histogram("segio.flush.latency").record(elapsed)
         if skipped_shards and self.degrade is not None:
             # Written at reduced stripe width: count the repair debt so
             # rebuild burns it down instead of rediscovering it.

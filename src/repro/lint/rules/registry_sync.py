@@ -8,7 +8,8 @@ one would silently render an empty table. This rule resolves string
 literals at the four instrumentation call shapes against the
 registries, so drift is a lint failure instead of a confusing report:
 
-* ``<obs>.begin("name", ...)``           -> ``SPAN_NAMES``
+* ``<obs>.span("name", ...)``,
+  ``<obs>.begin("name", ...)``           -> ``SPAN_NAMES``
 * ``<obs>.event("name", ...)``           -> ``EVENT_NAMES``
 * ``<metrics|registry>.counter/gauge/histogram/series("name")``
                                          -> ``METRIC_NAMES``
@@ -54,8 +55,8 @@ class NameRegistrySync(Rule):
     )
     example = (
         "def flush(self, obs):\n"
-        "    with obs.begin(\"segio-flsuh\"):   # typo: not in SPAN_NAMES\n"
-        "        ...                            # hint: 'segio.flush'\n"
+        "    with obs.span(\"segio-flsuh\"):   # typo: not in SPAN_NAMES\n"
+        "        ...                           # hint: 'segio.flush'\n"
     )
 
     def __init__(self, registries=None):
@@ -88,7 +89,7 @@ class NameRegistrySync(Rule):
             name = first_str_arg(node)
             if name is None:
                 continue
-            if method == "begin":
+            if method in ("span", "begin"):
                 if name not in registries["span"]:
                     yield self._drift(ctx, node, "span", name,
                                       registries["span"],

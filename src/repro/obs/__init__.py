@@ -19,19 +19,21 @@ when the tail spiked, which injected fault caused which latency cliff.
   view that joins :class:`~repro.faults.injector.FaultInjector` events
   onto latency spikes.
 
-Tracing is off by default and costs a single flag check per
-instrumented site (no allocation); enable it with
+Tracing is off by default; an instrumented site is one ``with
+obs.span(...)`` block, which then gets the shared
+:data:`~repro.obs.trace.NO_SPAN` and creates no span. Enable it with
 :meth:`Observability.enable_tracing`.
 """
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, Series
-from repro.obs.trace import NULL_OBS, Observability, Span, TraceBuffer
+from repro.obs.trace import NO_SPAN, NULL_OBS, Observability, Span, TraceBuffer
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "NO_SPAN",
     "NULL_OBS",
     "Observability",
     "Series",

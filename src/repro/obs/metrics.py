@@ -234,3 +234,21 @@ class MetricsRegistry:
         self._gauges.clear()
         self._histograms.clear()
         self._series.clear()
+
+
+class DiscardingRegistry(MetricsRegistry):
+    """Keeps nothing: every accessor hands out a fresh, unregistered
+    metric. :data:`repro.obs.trace.NULL_OBS` uses it, so components
+    built standalone share no metric state through it."""
+
+    def counter(self, name):
+        return Counter(name)
+
+    def gauge(self, name):
+        return Gauge(name)
+
+    def histogram(self, name):
+        return Histogram(name)
+
+    def series(self, name):
+        return Series(name)

@@ -15,22 +15,32 @@ clock does not advance *inside* a pipeline stage — stages report the
 latency their device models charged). Nothing wall-clock ever enters a
 record, so the same seed emits byte-identical JSONL.
 
-Cost contract: every instrumented site is guarded by
-``obs is not None and obs.tracing`` — one attribute test and one flag
-test, no allocation — when tracing is off. Span construction bumps the
+Cost contract: every instrumented site is one ``with obs.span(name,
+**attrs) as span:`` block (and events one ``obs.event(...)`` call).
+When tracing is off, :meth:`Observability.span` returns the shared
+:data:`NO_SPAN`, whose ``set`` does nothing, and :meth:`~Observability.event`
+returns ``None``: a site then costs one call and its attribute dict,
+and creates no :class:`Span` and no record. Span construction bumps the
 ``obs-span`` perf counter (and events ``obs-event``), which is how the
 golden test proves the disabled hot path allocates nothing.
 """
 
+from repro.obs.metrics import DiscardingRegistry
 from repro.perf import PERF
 
 
 class Span:
-    """One open span; finished spans become plain trace records."""
+    """One open span, and the ``with`` block that traces it.
 
-    __slots__ = ("span_id", "parent_id", "name", "start", "attrs")
+    Leaving the block ends the span; an exception unwinding through it
+    adds ``crashed=True`` first, then propagates. Finished spans become
+    plain trace records.
+    """
 
-    def __init__(self, span_id, parent_id, name, start, attrs):
+    __slots__ = ("obs", "span_id", "parent_id", "name", "start", "attrs")
+
+    def __init__(self, obs, span_id, parent_id, name, start, attrs):
+        self.obs = obs
         self.span_id = span_id
         self.parent_id = parent_id
         self.name = name
@@ -40,6 +50,34 @@ class Span:
     def set(self, **attrs):
         """Attach attributes (e.g. the simulated latency) before end."""
         self.attrs.update(attrs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, traceback):
+        if exc_type is not None:
+            self.attrs["crashed"] = True
+        self.obs.end(self)
+        return False
+
+
+class _NoSpan:
+    """What :meth:`Observability.span` yields while tracing is off."""
+
+    __slots__ = ()
+
+    def set(self, **attrs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, traceback):
+        return False
+
+
+#: The one shared do-nothing span: no allocation per disabled site.
+NO_SPAN = _NoSpan()
 
 
 class TraceBuffer:
@@ -84,7 +122,7 @@ class Observability:
         from repro.obs.metrics import MetricsRegistry
 
         self.clock = clock
-        #: The single flag every instrumented site checks.
+        #: Read by :meth:`span` and :meth:`event`, not by call sites.
         self.tracing = False
         self.metrics = registry if registry is not None else MetricsRegistry()
         self.buffer = buffer if buffer is not None else TraceBuffer()
@@ -115,15 +153,25 @@ class Observability:
         stack = self.buffer.stack
         return stack[-1].span_id if stack else 0
 
+    def span(self, name, **attrs):
+        """Trace a block: ``with obs.span(name, **attrs) as span:``.
+
+        Opens a child of the current span, or returns :data:`NO_SPAN`
+        while tracing is off. ``span.set(...)`` adds end attributes.
+        """
+        if not self.tracing:
+            return NO_SPAN
+        return self.begin(name, **attrs)
+
     def begin(self, name, **attrs):
         """Open a child of the current span; returns the :class:`Span`.
 
-        Callers must pair with :meth:`end` (use ``try/finally`` where
-        injected crashes can unwind through the stage).
+        The primitive under :meth:`span`, which pairs it with
+        :meth:`end`; instrumented sites use :meth:`span`.
         """
         PERF.incr("obs-span")
         buffer = self.buffer
-        span = Span(buffer.next_id, self.current_span_id, name,
+        span = Span(self, buffer.next_id, self.current_span_id, name,
                     self.clock.now, attrs)
         buffer.next_id += 1
         buffer.stack.append(span)
@@ -150,7 +198,12 @@ class Observability:
         })
 
     def event(self, name, **attrs):
-        """Record a point event (fault firings, crashes) in the tree."""
+        """Record a point event (fault firings, crashes) in the tree.
+
+        Records nothing, and returns ``None``, while tracing is off.
+        """
+        if not self.tracing:
+            return None
         PERF.incr("obs-event")
         buffer = self.buffer
         record = {
@@ -182,9 +235,10 @@ class Observability:
 
 
 #: Shared always-off instance for components constructed standalone
-#: (unit tests); real arrays wire their own Observability in.
+#: (unit tests); real arrays wire their own Observability in. It traces
+#: nothing and its registry keeps nothing.
 class _NullClock:
     now = 0.0
 
 
-NULL_OBS = Observability(_NullClock())
+NULL_OBS = Observability(_NullClock(), registry=DiscardingRegistry())

@@ -46,19 +46,8 @@ class ManagementAPI:
         if method_name is None:
             raise KeyError("unknown endpoint %r" % name)
         self._calls.inc()
-        obs = self.frontend.obs
-        span = None
-        if obs.tracing:
-            span = obs.begin("service.api", endpoint=name)
-        try:
-            result = getattr(self, method_name)(**kwargs)
-        except BaseException:
-            if span is not None:
-                obs.end(span, failed=True)
-            raise
-        if span is not None:
-            obs.end(span)
-        return result
+        with self.frontend.obs.span("service.api", endpoint=name):
+            return getattr(self, method_name)(**kwargs)
 
     # ------------------------------------------------------------------
     # Volumes

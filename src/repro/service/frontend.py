@@ -316,10 +316,9 @@ class ServiceFrontend:
         if verdict == VERDICT_SHED:
             stats.shed += 1
             self._m_shed.inc()
-            if self.obs.tracing:
-                self.obs.event("service.shed", tenant=request.tenant,
-                               volume=request.volume, op=request.op,
-                               reason=reason)
+            self.obs.event("service.shed", tenant=request.tenant,
+                           volume=request.volume, op=request.op,
+                           reason=reason)
             now = self.clock.now
             self.completions.append(Completion(
                 request=request, verdict=VERDICT_SHED, reason=reason,
@@ -332,42 +331,38 @@ class ServiceFrontend:
             stats.delayed += 1
             self._m_delayed.inc()
             request.eligible_at = self.clock.now + ADMISSION_DELAY
-            if self.obs.tracing:
-                self.obs.event("service.delay", tenant=request.tenant,
-                               volume=request.volume, op=request.op,
-                               reason=reason)
+            self.obs.event("service.delay", tenant=request.tenant,
+                           volume=request.volume, op=request.op,
+                           reason=reason)
         stats.admitted += 1
         self._m_admitted.inc()
         self.scheduler.enqueue(request)
 
     def _dispatch(self, request):
         start = self.clock.now
-        span = None
-        if self.obs.tracing:
-            span = self.obs.begin(
-                "service.%s" % request.op, tenant=request.tenant,
-                volume=request.volume, nbytes=request.cost_bytes,
-            )
         error = None
         data = None
-        try:
-            if request.op == OP_READ:
-                data, _lat = self.backend.read(
-                    request.volume, request.offset, request.length,
-                    advance_clock=True,
-                )
-            elif request.op == OP_WRITE:
-                self.backend.write(request.volume, request.offset,
-                                   request.data, advance_clock=True)
-            else:
-                self.backend.unmap(request.volume, request.offset,
-                                   request.length)
-        except PurityError as exc:
-            error = "%s: %s" % (type(exc).__name__, exc)
-        finish = self.clock.now
-        if span is not None:
-            self.obs.end(span, lat=finish - start,
-                         failed=error is not None)
+        with self.obs.span("service.%s" % request.op, tenant=request.tenant,
+                           volume=request.volume,
+                           nbytes=request.cost_bytes) as span:
+            try:
+                if request.op == OP_READ:
+                    data, _lat = self.backend.read(
+                        request.volume, request.offset, request.length,
+                        advance_clock=True,
+                    )
+                elif request.op == OP_WRITE:
+                    self.backend.write(request.volume, request.offset,
+                                       request.data, advance_clock=True)
+                else:
+                    self.backend.unmap(request.volume, request.offset,
+                                       request.length)
+            except PurityError as exc:
+                # A caught error completes the request: ``failed`` marks
+                # it; ``crashed`` is left to exceptions that unwind.
+                error = "%s: %s" % (type(exc).__name__, exc)
+            finish = self.clock.now
+            span.set(lat=finish - start, failed=error is not None)
         stats = self.stats[request.tenant]
         stats.dispatched += 1
         self._m_dispatched.inc()

@@ -121,9 +121,6 @@ class SimulatedSSD:
         #: consulted inside read/write/discard so injected faults land
         #: in the device timeline, not around it.
         self.fault_model = None
-        #: Observability handle (see :mod:`repro.obs`); wired by the
-        #: array so harnesses can sample queue depth into a series.
-        self.obs = None
         self._read_latency = self.timing.read_latency_distribution()
         self._die_busy_until = {}  # per-die: programs/erases (FIFO)
         self._die_reads_until = {}  # per-die: priority reads (FIFO)

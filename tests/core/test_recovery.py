@@ -8,6 +8,7 @@ correctly after recovery.
 import pytest
 
 from repro.core.array import PurityArray
+from repro.core.ha import DualControllerArray
 from repro.units import KIB, MIB
 
 from tests.core.conftest import unique_bytes
@@ -30,6 +31,28 @@ def test_recover_immediately_after_write(array, volume, stream):
     data, _ = recovered.read(volume, 0, 8 * KIB)
     assert data == payload
     assert report.raw_writes_replayed >= 1
+
+
+def _assert_one_recovery_recorded(array):
+    registry = array.obs.metrics
+    assert registry.counter("recovery.count").value == 1
+    assert registry.histogram("recovery.downtime").count == 1
+
+
+def test_recover_without_obs_records_on_the_survivor(array, volume, stream):
+    # No ``obs`` handed over: the survivor makes its own, and the
+    # recovery metrics land in it rather than nowhere.
+    array.write(volume, 0, unique_bytes(8 * KIB, stream))
+    recovered, _report = PurityArray.recover(array.config, *array.crash())
+    _assert_one_recovery_recorded(recovered)
+
+
+def test_controller_failover_records_recovery_metrics(config, stream):
+    pair = DualControllerArray(config)
+    pair.create_volume("v", 2 * MIB)
+    pair.write("v", 0, unique_bytes(8 * KIB, stream))
+    pair.fail_primary()
+    _assert_one_recovery_recorded(pair.active)
 
 
 def test_recover_after_drain(array, volume, stream):

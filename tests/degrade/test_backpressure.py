@@ -4,7 +4,7 @@ sim clock, and strict no-op behavior when the SLO is unset."""
 import pytest
 
 from repro.degrade.backpressure import RebuildGovernor, TokenBucket
-from repro.obs.trace import Observability
+from repro.obs.trace import NULL_OBS, Observability
 from repro.sim.clock import SimClock
 
 
@@ -48,7 +48,7 @@ def test_bucket_rejects_degenerate_parameters():
         TokenBucket(clock, rate=1, burst=1).set_rate(0)
 
 
-def make_governor(clock, obs=None, slo=0.01):
+def make_governor(clock, obs=NULL_OBS, slo=0.01):
     return RebuildGovernor(
         clock, slo_p99=slo, full_rate=8.0, throttled_rate=1.0,
         burst=2, window=16, obs=obs,

@@ -9,3 +9,5 @@ def instrument(obs, metrics, cp, dynamic_name):
     # A computed name cannot be resolved statically; not flagged.
     obs.begin(dynamic_name)
     obs.end(span)
+    with obs.span("segio.flush"):
+        pass

@@ -1,4 +1,4 @@
-"""Fixture: four typo-drifted instrumentation names (4 findings)."""
+"""Fixture: five typo-drifted instrumentation names (5 findings)."""
 
 
 def instrument(obs, metrics, cp):
@@ -7,3 +7,5 @@ def instrument(obs, metrics, cp):
     metrics.counter("gc.segments_colected").inc()
     cp.hit("segwriter.mid-flsh")
     obs.end(span)
+    with obs.span("segio.flsh"):
+        pass

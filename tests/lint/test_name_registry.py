@@ -7,7 +7,7 @@ RULE = "name-registry-sync"
 
 def test_violations_with_nearest_name_hints(lint_fixture):
     result = lint_fixture("name_registry_violation.py", RULE)
-    assert len(result.findings) == 4
+    assert len(result.findings) == 5
     by_message = "\n".join(f.message for f in result.findings)
     # One drifted name of each kind, each with a did-you-mean hint.
     assert "'io.wrte'" in by_message and "'io.write'" in by_message
@@ -16,6 +16,7 @@ def test_violations_with_nearest_name_hints(lint_fixture):
         and "'gc.segments_collected'" in by_message
     assert "'segwriter.mid-flsh'" in by_message \
         and "'segwriter.mid-flush'" in by_message
+    assert "'segio.flsh'" in by_message and "'segio.flush'" in by_message
 
 
 def test_clean_skips_dynamic_names(lint_fixture):

@@ -2,10 +2,19 @@
 
 Two runs of the same seeded workload with tracing on must emit
 byte-identical JSONL — timestamps come from the sim clock, ids from a
-per-run sequence, and JSON keys are sorted. With tracing off, the write
-hot path must construct zero spans (proved via the ``obs-span`` perf
-counter that ``Observability.begin`` bumps unconditionally).
+per-run sequence, and JSON keys are sorted — and both must match the
+committed files under ``golden/``, so a change that moves trace bytes
+deterministically still fails. With tracing off, the write hot path
+must construct zero spans (proved via the ``obs-span`` perf counter
+that ``Observability.begin`` bumps unconditionally).
+
+The workload's payloads are random, so every cblock is stored raw and
+the zlib version cannot move the golden files. After a deliberate
+change to what the trace records, regenerate them from
+``_run_workload(11, tracing=True)`` with fresh perf counters.
 """
+
+import os
 
 import pytest
 
@@ -51,6 +60,20 @@ def test_same_seed_same_trace_bytes():
     second = trace_text(_run_workload(11, tracing=True).obs)
     assert first  # non-trivial: the workload produced spans
     assert first == second
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def _golden(name):
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_trace_matches_the_committed_golden_files():
+    obs = _run_workload(11, tracing=True).obs
+    assert trace_text(obs) == _golden("trace.jsonl")
+    assert metrics_text(obs) == _golden("metrics.jsonl")
 
 
 def test_trace_covers_the_span_taxonomy():
