@@ -162,15 +162,12 @@ class DataPath:
         #: flushing while the NVRAM mirror is torn.
         self.degrade = None
         self.logical_bytes_written = 0
-        #: Bytes written as references instead of stored. A re-ingested
-        #: tail may match the very cblock it was painted from, so on a
-        #: partial-overwrite workload part of this is the tail finding
-        #: its own source, not duplicate client data.
+        #: Bytes written as references instead of stored.
         self.dedup_bytes_saved = 0
-        #: Partial overwrites that replaced a longer extent at its key
-        #: and so had to write its tail back (see :meth:`_ingest`).
-        self.tails_reingested = 0
-        self.tail_bytes_reingested = 0
+        #: Extents replaced at their key whose remainder was kept by
+        #: reference, and the bytes kept (see :meth:`_remainder`).
+        self.tails_repointed = 0
+        self.tail_bytes_repointed = 0
 
     # ------------------------------------------------------------------
     # Physical plumbing
@@ -275,33 +272,22 @@ class DataPath:
         return latency
 
     def process_write(self, medium_id, offset, data):
-        """Run the dedup/compress/segment pipeline (also recovery replay)."""
-        self.logical_bytes_written += len(data)
-        self._ingest(medium_id, offset, data)
+        """Run the dedup/compress/segment pipeline (also recovery replay).
 
-    def _ingest(self, medium_id, offset, data):
-        # Address-map entries are keyed by (medium, start offset), so a
-        # new extent landing on the key of a longer one replaces it
-        # wholesale — the one case where an overwrite must read to
-        # write. Every other overlap stays in the map and the read path
-        # overlays it by sequence number. Which keys this write inserts
-        # is only known per chunk, after dedup has split it, so the one
-        # range scan here just notes the extents that could lose a tail;
-        # `_process_cblock` captures a tail if it lands on one, and the
-        # captured bytes are re-ingested after the last chunk.
+        An extent inserted on the key of a longer one replaces it; every
+        other overlap is overlaid by the read path. The keys inserted
+        are known only per chunk, after dedup, so one range scan notes
+        the extents that could be replaced and `_process_cblock` keeps
+        the remainder of each one it lands on.
+        """
+        self.logical_bytes_written += len(data)
         end = offset + len(data)
         at_risk = self._at_risk_extents(medium_id, offset, end)
-        tail = bytearray()
         for cblock_offset, chunk in split_write(offset, data):
-            self._process_cblock(
-                medium_id, cblock_offset, chunk, at_risk, end, tail
-            )
-        if tail:
-            self._count_tail(len(tail))
-            self._ingest(medium_id, end, bytes(tail))
+            self._process_cblock(medium_id, cblock_offset, chunk, at_risk, end)
 
     def _at_risk_extents(self, medium_id, offset, end):
-        """{extent start: extent end} of the extents that start inside
+        """{extent start: fact} of the extents that start inside
         ``[offset, end)`` and run past ``end``: a fact inserted at one
         of these starts replaces the extent and orphans its bytes from
         ``end`` on. Empty for uniform-size rewrites and fresh ranges.
@@ -310,55 +296,75 @@ class DataPath:
         for fact in self.tables.address_map.scan(
             (medium_id, offset), (medium_id, end - 1)
         ):
-            extent_end = fact.key[1] + self._extent_logical_length(fact.value)
-            if extent_end > end:
-                at_risk[fact.key[1]] = extent_end
+            if fact.key[1] + self._extent_logical_length(fact.value) > end:
+                at_risk[fact.key[1]] = fact
         return at_risk
 
-    def _capture_tail(self, medium_id, end, at_risk, keys, tail):
-        """Extend ``tail`` (the visible bytes from ``end`` on) to the
-        end of every at-risk extent that an insert at one of ``keys``
-        is about to replace. Must run before those inserts. An insert
-        of this write changes what is visible past ``end`` only by
-        replacing an at-risk extent, whose bytes are in ``tail`` by
-        then; painting only past what ``tail`` holds therefore never
-        reads a range an earlier chunk's insert has changed.
+    def _remainder(self, medium_id, end, replaced):
+        """The address-map entries that keep what ``replaced`` still
+        supplies from ``end`` on, for an insert about to replace it.
+
+        The read path's plan names the pieces; each becomes a reference
+        into the cblock ``replaced`` points at, or a hole, so no byte is
+        read or stored again. Pieces of newer facts are left alone: those
+        facts stay. A piece's key may hold an older fact, hidden under
+        the piece but perhaps visible past it, whose remainder is kept
+        from the piece's end by the same rule; keys only grow.
         """
-        for key in keys:
-            extent_end = at_risk.get(key)
-            captured = len(tail)
-            if extent_end is not None and extent_end > end + captured:
-                tail.extend(bytes(extent_end - end - captured))
-                self._read_into(medium_id, end + captured,
-                                len(tail) - captured, tail, captured)
+        entries = []
+        pending = [(end, replaced)]
+        while pending:
+            lo, fact = pending.pop()
+            value = fact.value
+            hi = fact.key[1] + self._extent_logical_length(value)
+            if hi <= lo:
+                continue
+            pieces = []
+            self._plan(medium_id, [(lo, hi)], 0, 0, pieces, holes=True)
+            kept = 0
+            for at, owner, inner, nbytes in pieces:
+                if owner.key != fact.key:
+                    continue
+                hidden = self.tables.address_map.get((medium_id, at))
+                if hidden is not None:
+                    pending.append((at + nbytes, hidden))
+                if value[0] == T.EXTENT_HOLE:
+                    kept_value = (T.EXTENT_HOLE, nbytes)
+                else:
+                    kept_value = (T.EXTENT_DEDUP, value[1], value[2],
+                                  value[3], nbytes, inner // SECTOR)
+                entries.append(((medium_id, at), kept_value))
+                kept += nbytes
+            if kept:
+                self.tails_repointed += 1
+                self.tail_bytes_repointed += kept
+                PERF.incr("displaced-tail")
+                PERF.incr("displaced-tail-bytes", kept)
+        return entries
 
-    def _count_tail(self, nbytes):
-        self.tails_reingested += 1
-        self.tail_bytes_reingested += nbytes
-        PERF.incr("displaced-tail")
-        PERF.incr("displaced-tail-bytes", nbytes)
-
-    def preserve_tails(self, medium_id, offset, length, keys):
-        """Write back the tails that facts about to be inserted at
-        ``keys`` (extent starts inside ``[offset, offset+length)``)
-        would orphan — the capture of :meth:`_ingest` for a caller that
-        inserts address-map facts itself (``unmap``'s holes). The tail
-        goes back as an ordinary committed write at the range's end,
-        NVRAM first, so a crash before the caller's inserts leaves the
-        data as it was.
+    def remainder_entries(self, medium_id, offset, length, keys):
+        """The remainder entries (see :meth:`_remainder`) of the extents
+        that facts about to be inserted at ``keys`` (starts inside
+        ``[offset, offset+length)``) would replace — for a caller that
+        commits those facts itself (``unmap``'s holes), in one WAL
+        record with these entries.
         """
         end = offset + length
-        tail = bytearray()
-        self._capture_tail(
-            medium_id, end, self._at_risk_extents(medium_id, offset, end),
-            keys, tail,
-        )
-        if tail:
-            self._count_tail(len(tail))
-            self.write(medium_id, end, bytes(tail))
+        at_risk = self._at_risk_extents(medium_id, offset, end)
+        entries = []
+        for key in keys:
+            replaced = at_risk.pop(key, None)
+            if replaced is not None:
+                entries.extend(self._remainder(medium_id, end, replaced))
+        # Durability barrier, as for GC's repoint: a WAL fact must not
+        # point at bytes that exist only in the open segio's RAM.
+        if any(value[0] != T.EXTENT_HOLE and self.segwriter.read_unflushed(
+                value[1], value[2], value[3]) is not None
+               for _key, value in entries):
+            self.segwriter.flush()
+        return entries
 
-    def _process_cblock(self, medium_id, offset, chunk, at_risk, write_end,
-                        tail):
+    def _process_cblock(self, medium_id, offset, chunk, at_risk, write_end):
         # One hash pass per chunk: dedup probes with it, and each unique
         # run's cblock is recorded from its slice of it.
         vector = sector_hash_vector(chunk)
@@ -374,9 +380,9 @@ class DataPath:
         else:
             matches = []
         # The extents this chunk inserts, in order: (start, stop, match),
-        # match None for a unique run. The tail capture and the inserts
-        # both read this one list, so the keys checked are the keys
-        # written.
+        # match None for a unique run. The remainder check and the
+        # inserts both read this one list, so the keys checked are the
+        # keys written.
         inserts = []
         cursor = 0
         for match in matches:
@@ -387,10 +393,12 @@ class DataPath:
         if cursor < len(chunk):
             inserts.append((cursor, len(chunk), None))
         if at_risk:
-            self._capture_tail(
-                medium_id, write_end, at_risk,
-                [offset + start for start, _stop, _match in inserts], tail,
-            )
+            for start, _stop, _match in inserts:
+                replaced = at_risk.pop(offset + start, None)
+                if replaced is not None:
+                    for key, value in self._remainder(medium_id, write_end,
+                                                      replaced):
+                        self.pipeline.insert_derived(T.ADDRESS_MAP, key, value)
         for start, stop, match in inserts:
             if match is not None:
                 self._record_dedup_extent(medium_id, offset + start, match)
@@ -465,15 +473,15 @@ class DataPath:
         pool = self.read_pool
         buffer = pool.acquire(length) if pool is not None else bytearray(length)
         try:
-            latency = self._read_into(medium_id, offset, length, buffer, 0)
+            latency = self._read_into(medium_id, offset, length, buffer)
             return bytes(buffer), latency
         finally:
             if pool is not None:
                 pool.release(buffer)
 
-    def _read_into(self, medium_id, offset, length, buffer, dest):
-        """Fill ``buffer[dest:dest+length]``, which must be zeroed, with
-        (medium, offset)'s bytes; returns the read's latency.
+    def _read_into(self, medium_id, offset, length, buffer):
+        """Fill ``buffer[:length]``, which must be zeroed, with (medium,
+        offset)'s bytes; returns the read's latency.
 
         Plan, then fetch, then paint: the plan names the extent piece
         that supplies each visible byte, the fetch reads every planned
@@ -481,8 +489,7 @@ class DataPath:
         place. Bytes a hole or nothing maps stay zero.
         """
         pieces = []
-        self._plan(medium_id, [(offset, offset + length)], dest - offset, 0,
-                   pieces)
+        self._plan(medium_id, [(offset, offset + length)], -offset, 0, pieces)
         cblocks, latency = self._fetch(pieces)
         for at, fact, inner, nbytes in pieces:
             value = fact.value
@@ -495,7 +502,7 @@ class DataPath:
             buffer[at : at + nbytes] = data
         return latency
 
-    def _plan(self, medium_id, windows, shift, depth, pieces):
+    def _plan(self, medium_id, windows, shift, depth, pieces, holes=False):
         """Append the extent pieces that supply ``windows`` to ``pieces``.
 
         ``windows`` are sorted, disjoint ``[lo, hi)`` ranges of
@@ -504,8 +511,9 @@ class DataPath:
         each only those no newer extent has claimed, so a hidden extent
         yields no piece and is never fetched. A piece is (buffer
         position, fact, offset into its cblock, length); a hole claims
-        its bytes and yields none. The medium chain is descended only
-        under the bytes left unclaimed.
+        its bytes and yields a piece only with ``holes`` set (never on
+        a read). The medium chain is descended only under the bytes
+        left unclaimed.
         """
         if depth > MAX_PAINT_DEPTH:
             raise SnapshotError("medium chain too deep at medium %d" % medium_id)
@@ -530,7 +538,7 @@ class DataPath:
                 if claim_lo >= claim_hi:
                     unclaimed.append((window_lo, window_hi))
                     continue
-                if tag != T.EXTENT_HOLE:
+                if tag != T.EXTENT_HOLE or holes:
                     pieces.append((claim_lo + shift, fact,
                                    skew + claim_lo - start, claim_hi - claim_lo))
                 if window_lo < claim_lo:
@@ -550,7 +558,8 @@ class DataPath:
                 if window_lo < row.end and window_hi > row.start
             ]
             if below:
-                self._plan(row.target, below, shift - delta, depth + 1, pieces)
+                self._plan(row.target, below, shift - delta, depth + 1, pieces,
+                           holes)
 
     def _fetch(self, pieces):
         """Every planned cblock, decompressed; returns ({(segment,

@@ -12,7 +12,8 @@ Address-map values are tagged tuples:
   stored_length, logical_length)
 * dedup reference: (EXTENT_DEDUP, segment_id, payload_offset,
   stored_length, logical_length, sector_skew) — points into another
-  extent's cblock, ``sector_skew`` sectors in.
+  extent's cblock, ``sector_skew`` sectors in; made by inline dedup or
+  by a displaced extent's remainder.
 * hole: (EXTENT_HOLE, logical_length) — an overwrite that explicitly
   zeroes a range (volume truncation, unmap).
 """

@@ -136,24 +136,32 @@ class VolumeManager:
         """Punch a zero hole (SCSI UNMAP): insert hole extents.
 
         A hole is an address-map fact like any other, so one landing on
-        the key of a longer extent would replace it and zero its tail
-        too: the datapath writes such tails back first, as a committed
-        write, and a crash before the holes go in leaves the data
-        intact and the unmap unapplied.
+        the key of a longer extent would replace it and zero the rest of
+        it too: the datapath keeps that rest as references into the
+        cblock the extent already points at, and those entries commit in
+        the holes' own WAL record, so a crash leaves both or neither.
+        The degradation ladder gates an unmap as it gates a write.
         """
         if offset % SECTOR or length % SECTOR or length <= 0:
             raise VolumeError("unmap must cover whole sectors")
         medium_id = self._anchor_for_io(name, offset, length)
-        entries = []
+        degrade = self.datapath.degrade
+        if degrade is not None:
+            degrade.check_writable()
+        holes = []
         cursor = offset
         while cursor < offset + length:
             chunk = min(_HOLE_CHUNK, offset + length - cursor)
-            entries.append(((medium_id, cursor), (T.EXTENT_HOLE, chunk)))
+            holes.append(((medium_id, cursor), (T.EXTENT_HOLE, chunk)))
             cursor += chunk
-        self.datapath.preserve_tails(
-            medium_id, offset, length, [key[1] for key, _value in entries]
+        remainders = self.datapath.remainder_entries(
+            medium_id, offset, length, [key[1] for key, _value in holes]
         )
-        self.pipeline.insert_meta_batch(T.ADDRESS_MAP, entries)
+        self.pipeline.insert_meta_batch(T.ADDRESS_MAP, remainders + holes)
+        if degrade is not None and degrade.write_through:
+            # As for a write: a torn NVRAM mirror cannot back the record.
+            self.pipeline.drain()
+            degrade.note_write_through_drain()
 
     # ------------------------------------------------------------------
     # Snapshots and clones

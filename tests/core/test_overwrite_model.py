@@ -7,8 +7,8 @@ reads, snapshot + clone, ``drain`` and ``drain`` → ``crash`` →
 a full read of every volume at the end (then again off the drives,
 whole and with two drives pulled), must equal the model: an
 overwrite may shadow an older extent anywhere, and only the extent it
-replaces at its key may be re-ingested — whichever the write path
-picks, the bytes a client sees are the model's.
+replaces at its key keeps a remainder by reference — whichever the
+write path picks, the bytes a client sees are the model's.
 
 Deterministic like ``test_stateful.py`` (fixed seeds, no search), and
 deliberately without ``run_gc`` or an undrained crash: ROADMAP item 1's

@@ -2,17 +2,20 @@
 
 Address-map entries are keyed by (medium, start offset). A write that
 starts exactly where a longer extent starts replaces that entry, and
-before the read-modify-write fix in ``DataPath._ingest`` the replaced
-extent's tail silently vanished — reads past the new write returned
-zeros. (Surfaced by the cluster layer: MDM refresh copies write whole
-volumes as one extent, then any small client write at offset 0 ate the
-rest of the volume.)
+before the fix in ``DataPath.process_write`` the replaced extent's tail
+silently vanished — reads past the new write returned zeros. (Surfaced
+by the cluster layer: MDM refresh copies write whole volumes as one
+extent, then any small client write at offset 0 ate the rest of the
+volume.) The replaced extent now keeps what it still supplies past the
+write as references into its own cblock, or as holes: nothing is read,
+hashed, compressed or appended again.
 
 Only a *same-key* landing replaces anything: an older extent at any
 other key stays in the map and the read path overlays it by sequence
-number, so the write path leaves it alone (no read, no re-ingest). The
-keys a write inserts are known only after inline dedup has split it —
-and ``unmap``'s hole facts are keys like any other.
+number, so the write path leaves it alone. The keys a write inserts are
+known only after inline dedup has split it — and ``unmap``'s hole facts
+are keys like any other, committed in one WAL record with the
+remainders they make.
 """
 
 import pytest
@@ -118,7 +121,7 @@ def test_overlap_at_another_key_is_overlaid_not_reingested(monkeypatch):
     old, new = _unique(16 * KIB, 1), _unique(8 * KIB, 2)
     array.write("v", 4 * KIB, old)
     array.drain()
-    datapath.drop_caches()  # a tail capture would now have to hit media
+    datapath.drop_caches()  # any read of the old extent would hit media
     calls = []
     find_matches = datapath.deduper.find_matches
     monkeypatch.setattr(
@@ -130,8 +133,8 @@ def test_overlap_at_another_key_is_overlaid_not_reingested(monkeypatch):
     array.write("v", 0, new)
     assert calls == [8 * KIB]
     assert array.segreader.device_reads == device_reads
-    assert datapath.tails_reingested == 0
-    assert datapath.tail_bytes_reingested == 0
+    assert datapath.tails_repointed == 0
+    assert datapath.tail_bytes_repointed == 0
     expected = new + old[4 * KIB:]
     assert array.read("v", 0, 20 * KIB)[0] == expected
     array.drain()
@@ -161,28 +164,28 @@ def test_key_made_by_a_dedup_split_keeps_the_tail_it_lands_on():
     array.write("v", 64 * KIB, cblock)
     array.write("v", 12 * KIB, old)
     data = _write_with_dedup_split(array, cblock)
-    assert array.datapath.tails_reingested == 1
-    assert array.datapath.tail_bytes_reingested == 12 * KIB
+    assert array.datapath.tails_repointed == 1
+    assert array.datapath.tail_bytes_repointed == 12 * KIB
     expected = data + old[4 * KIB:]
     assert array.read("v", 0, 28 * KIB)[0] == expected
     recovered = _crash_and_recover(array)
     assert recovered.read("v", 0, 28 * KIB)[0] == expected
 
 
-def test_two_replaced_extents_extend_one_tail():
-    """One chunk lands on two longer extents (keys 0 and 12 KiB): the
-    second capture starts where the first stopped, and the tail is
-    written back once."""
+def test_two_replaced_extents_each_keep_their_remainder():
+    """One chunk lands on two longer extents (keys 0 and 12 KiB): each
+    keeps only the bytes it still supplies past the write — the newer
+    one [16, 20) KiB, the older one the rest."""
     array = make_engine(seed=13, volume="v", size=128 * KIB)
     cblock = _unique(16 * KIB, 5)
     far, near = _unique(16 * KIB, 6), _unique(20 * KIB, 7)
     array.write("v", 64 * KIB, cblock)
     array.write("v", 12 * KIB, far)   # [12, 28) KiB
     array.write("v", 0, near)         # [0, 20) KiB, newer where they overlap
-    assert array.datapath.tails_reingested == 0
+    assert array.datapath.tails_repointed == 0
     data = _write_with_dedup_split(array, cblock)
-    assert array.datapath.tails_reingested == 1
-    assert array.datapath.tail_bytes_reingested == 12 * KIB
+    assert array.datapath.tails_repointed == 2
+    assert array.datapath.tail_bytes_repointed == 12 * KIB
     expected = data + near[16 * KIB:] + far[8 * KIB:]
     assert array.read("v", 0, 28 * KIB)[0] == expected
     array.drain()
@@ -198,8 +201,8 @@ def test_later_chunk_of_a_long_write_keeps_the_tail_it_lands_on():
     array.write("v", 64 * KIB, old)
     before = perf_report()["counters"]
     array.write("v", 0, new)
-    assert array.datapath.tails_reingested == 1
-    assert array.datapath.tail_bytes_reingested == 8 * KIB
+    assert array.datapath.tails_repointed == 1
+    assert array.datapath.tail_bytes_repointed == 8 * KIB
     after = perf_report()["counters"]
     assert after["displaced-tail"] - before.get("displaced-tail", 0) == 1
     assert after["displaced-tail-bytes"] \
@@ -224,7 +227,7 @@ def test_unmap_on_an_extents_key_keeps_the_rest_of_it(extent_at,
     kept_from = unmap_length - extent_at
     expected = bytes(unmap_length) + old[kept_from:]
     assert array.read("v", 0, extent_at + 16 * KIB)[0] == expected
-    assert array.datapath.tails_reingested == 1
+    assert array.datapath.tails_repointed == 1
     recovered = _crash_and_recover(array)
     assert recovered.read("v", 0, extent_at + 16 * KIB)[0] == expected
 
@@ -234,21 +237,23 @@ def test_unmap_inside_an_extent_reingests_nothing():
     base = _pattern(SIZE)
     array.write("v", 0, base)
     array.unmap("v", 4 * KIB, 4 * KIB)
-    assert array.datapath.tails_reingested == 0
+    assert array.datapath.tails_repointed == 0
     assert array.read("v", 0, SIZE)[0] \
         == base[:4 * KIB] + bytes(4 * KIB) + base[8 * KIB:]
 
 
+
+
 class _RecordingDict(dict):
-    """A dict that remembers every key ``get`` was asked for."""
+    """A dict that remembers every key ``pop`` was asked for."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.asked = []
 
-    def get(self, key, default=None):
+    def pop(self, key, *default):
         self.asked.append(key)
-        return super().get(key, default)
+        return super().pop(key, *default)
 
 
 def test_process_cblock_inserts_the_keys_it_checked(monkeypatch):
@@ -260,6 +265,7 @@ def test_process_cblock_inserts_the_keys_it_checked(monkeypatch):
     medium = array.volumes.anchor_medium("v")
     cblock = _unique(16 * KIB, 11)
     array.write("v", 64 * KIB, cblock)
+    far = datapath.tables.address_map.get((medium, 64 * KIB))
     chunk = _unique(4 * KIB, 23) + cblock[:8 * KIB] + _unique(4 * KIB, 24)
     inserted = []
     insert_derived = datapath.pipeline.insert_derived
@@ -271,10 +277,150 @@ def test_process_cblock_inserts_the_keys_it_checked(monkeypatch):
 
     monkeypatch.setattr(datapath.pipeline, "insert_derived", spy)
     # Non-empty so the check runs; its one entry is on none of the keys.
-    at_risk = _RecordingDict({8 * KIB: 40 * KIB})
-    tail = bytearray()
+    at_risk = _RecordingDict({8 * KIB: far})
     datapath._process_cblock(medium, 0, chunk, at_risk=at_risk,
-                             write_end=16 * KIB, tail=tail)
+                             write_end=16 * KIB)
     assert inserted == [(medium, 0), (medium, 4 * KIB), (medium, 12 * KIB)]
     assert [(medium, key) for key in at_risk.asked] == inserted
-    assert not tail
+    assert at_risk == {8 * KIB: far}
+    assert datapath.tails_repointed == 0
+
+
+# ----------------------------------------------------------------------
+# Remainders are references, never a read-modify-write.
+
+
+def test_write_on_an_extents_key_reads_nothing_and_stores_only_itself(
+        monkeypatch):
+    """4 KiB at the key of a drained, uncached 16 KiB extent: no device
+    read, one dedup pass, one compress, no decompress, and the rest of
+    the old extent is a reference 8 sectors into its cblock."""
+    import repro.core.datapath as datapath_module
+
+    array = make_engine(seed=18, volume="v", size=64 * KIB)
+    datapath = array.datapath
+    medium = array.volumes.anchor_medium("v")
+    old, new = _unique(16 * KIB, 12), _unique(4 * KIB, 13)
+    array.write("v", 0, old)
+    array.drain()
+    datapath.drop_caches()
+    original = datapath.tables.address_map.get((medium, 0)).value
+    counts = {"find_matches": 0, "compress": 0, "decompress": 0}
+
+    def counting(name, function):
+        def counted(*args):
+            counts[name] += 1
+            return function(*args)
+        return counted
+
+    monkeypatch.setattr(datapath.deduper, "find_matches", counting(
+        "find_matches", datapath.deduper.find_matches))
+    monkeypatch.setattr(datapath.compressor, "compress", counting(
+        "compress", datapath.compressor.compress))
+    monkeypatch.setattr(datapath_module, "parse_cblock", counting(
+        "decompress", datapath_module.parse_cblock))
+    device_reads = array.segreader.device_reads
+    array.write("v", 0, new)
+    assert array.segreader.device_reads == device_reads
+    assert counts == {"find_matches": 1, "compress": 1, "decompress": 0}
+    assert datapath.tails_repointed == 1
+    assert datapath.tail_bytes_repointed == 12 * KIB
+    assert datapath.tables.address_map.get((medium, 4 * KIB)).value == (
+        T.EXTENT_DEDUP, original[1], original[2], original[3], 12 * KIB, 8)
+    expected = new + old[4 * KIB:]
+    array.drain()
+    datapath.drop_caches()
+    assert array.read("v", 0, 16 * KIB)[0] == expected
+    # Undrained: recovery replays the write and keeps the remainder anew.
+    array.write("v", 0, new)
+    shelf, boot_region, clock = array.crash()
+    recovered, _report = PurityArray.recover(array.config, shelf,
+                                             boot_region, clock)
+    recovered.datapath.drop_caches()
+    assert recovered.read("v", 0, 16 * KIB)[0] == expected
+
+
+def _collision_layout(array):
+    """H = [4, 24) KiB, then E = [0, 16) KiB over it: E's remainder
+    from 4 KiB starts on H's key, and H still supplies [16, 24)."""
+    hidden, replaced = _unique(20 * KIB, 14), _unique(16 * KIB, 15)
+    array.write("v", 4 * KIB, hidden)
+    array.write("v", 0, replaced)
+    return replaced[4 * KIB:] + hidden[12 * KIB:]
+
+
+@pytest.mark.parametrize("unmap", [False, True])
+def test_remainder_on_a_hidden_extents_key_keeps_that_extents_rest(unmap):
+    array = make_engine(seed=19, volume="v", size=64 * KIB)
+    rest = _collision_layout(array)
+    if unmap:
+        head = bytes(4 * KIB)
+        array.unmap("v", 0, 4 * KIB)
+    else:
+        head = _unique(4 * KIB, 16)
+        array.write("v", 0, head)
+    expected = head + rest
+    assert array.read("v", 0, 24 * KIB)[0] == expected
+    array.drain()
+    array.datapath.drop_caches()
+    assert array.read("v", 0, 24 * KIB)[0] == expected
+    recovered = _crash_and_recover(array)
+    assert recovered.read("v", 0, 24 * KIB)[0] == expected
+
+
+def test_unmap_on_an_extents_key_is_one_wal_record():
+    array = make_engine(seed=20, volume="v", size=64 * KIB)
+    old = _unique(16 * KIB, 17)
+    array.write("v", 0, old)
+    array.drain()
+    wal = array.pipeline.wal
+    commits = wal.commits
+    array.unmap("v", 0, 4 * KIB)
+    assert wal.commits - commits == 1
+    assert array.read("v", 0, 16 * KIB)[0] == bytes(4 * KIB) + old[4 * KIB:]
+
+
+def test_unmap_crash_after_its_record_keeps_hole_and_remainder_together():
+    """A crash right after the unmap's NVRAM append recovers to the old
+    bytes or to the hole plus the intact remainder — never a hole whose
+    extent lost the rest of its bytes."""
+    from repro.errors import InjectedCrashError
+    from repro.faults import plan as P
+    from repro.faults.injector import FaultInjector
+    from repro.faults.plan import FaultPlan, FaultSpec
+
+    array = make_engine(seed=21, volume="v", size=64 * KIB)
+    old = _unique(16 * KIB, 18)
+    array.write("v", 0, old)
+    array.drain()
+    plan = FaultPlan()
+    plan.add(FaultSpec(0, P.CRASH, "nvram.post-append"))
+    FaultInjector(plan).attach(array).advance_to_op(0)
+    with pytest.raises(InjectedCrashError):
+        array.unmap("v", 0, 4 * KIB)
+    shelf, boot_region, clock = array.crash()
+    recovered, _report = PurityArray.recover(array.config, shelf,
+                                             boot_region, clock)
+    recovered.datapath.drop_caches()
+    data = recovered.read("v", 0, 16 * KIB)[0]
+    assert data in (old, bytes(4 * KIB) + old[4 * KIB:])
+
+
+def test_unmap_flushes_the_cblock_its_remainder_points_at():
+    """The extent is still in the open segio's RAM: the unmap's WAL
+    record must not reference never-flushed bytes, so it flushes first."""
+    array = make_engine(seed=22, volume="v", size=64 * KIB)
+    old = _unique(16 * KIB, 19)
+    array.write("v", 0, old)
+    medium = array.volumes.anchor_medium("v")
+    value = array.datapath.tables.address_map.get((medium, 0)).value
+    segwriter = array.segwriter
+    assert segwriter.read_unflushed(value[1], value[2], value[3]) is not None
+    array.unmap("v", 0, 4 * KIB)
+    assert segwriter.read_unflushed(value[1], value[2], value[3]) is None
+    shelf, boot_region, clock = array.crash()
+    recovered, _report = PurityArray.recover(array.config, shelf,
+                                             boot_region, clock)
+    recovered.datapath.drop_caches()
+    data = recovered.read("v", 0, 16 * KIB)[0]
+    assert data in (old, bytes(4 * KIB) + old[4 * KIB:])

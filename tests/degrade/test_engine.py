@@ -148,3 +148,35 @@ def test_degraded_mode_report_carries_all_degrade_sections(array, volume,
     assert report["rebuild_governor"]["enabled"] is False
     for device in report["devices"].values():
         assert "stall_pressure" in device
+
+
+@pytest.mark.parametrize("offset", [4 * KIB, 0])
+def test_unmap_is_refused_on_the_read_only_rung(array, volume, stream,
+                                                offset):
+    """Inside an extent (4 KiB) or on its key (0): an unmap is a write."""
+    payload = unique_bytes(BLOCK, stream)
+    array.write(volume, 0, payload)
+    array.drain()
+    for name in sorted(array.drives)[:3]:  # parity budget is 2
+        array.fail_drive(name)
+    assert array.degrade.read_only
+    with pytest.raises(ReadOnlyModeError):
+        array.unmap(volume, offset, 4 * KIB)
+    assert array.read(volume, 0, BLOCK)[0] == payload
+
+
+@pytest.mark.parametrize("offset", [4 * KIB, 0])
+def test_unmap_drains_on_the_write_through_rung(array, volume, stream,
+                                                offset):
+    payload = unique_bytes(BLOCK, stream)
+    array.write(volume, 0, payload)
+    array.drain()
+    array.degrade.note_nvram_tear()
+    drains_before = array.degrade.write_through_drains
+    array.unmap(volume, offset, 4 * KIB)
+    assert array.degrade.write_through_drains == drains_before + 1
+    assert array.pipeline.wal.pending_count == 0
+    expected = bytearray(payload)
+    expected[offset:offset + 4 * KIB] = bytes(4 * KIB)
+    array.datapath.drop_caches()
+    assert array.read(volume, 0, BLOCK)[0] == bytes(expected)
