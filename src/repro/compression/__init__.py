@@ -17,7 +17,6 @@ from repro.compression.engine import (
 )
 from repro.compression.cblock import (
     build_cblock,
-    cblock_logical_length,
     parse_cblock,
     split_write,
 )
@@ -31,6 +30,5 @@ __all__ = [
     "decompress_payload",
     "build_cblock",
     "parse_cblock",
-    "cblock_logical_length",
     "split_write",
 ]

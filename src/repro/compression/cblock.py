@@ -9,7 +9,13 @@ always use the same alignment and size as the write that created the
 data.
 """
 
-from repro.compression.engine import best_effort_compress, decompress_payload
+import zlib
+
+from repro.compression.engine import (
+    CODEC_ZLIB,
+    best_effort_compress,
+    decompress_payload,
+)
 from repro.errors import EncodingError
 from repro.units import MAX_CBLOCK, SECTOR
 from repro.wire import decode_value, encode_value
@@ -40,21 +46,22 @@ def split_write(offset, data, max_cblock=MAX_CBLOCK):
         cursor += len(chunk)
 
 
-def build_cblock(data, compressor):
+def build_cblock(data, compressor, job=None):
     """Compress ``data`` into a self-describing cblock blob.
 
     Returns (blob, codec_id). The blob is what lands in a segment's
-    data region.
+    data region. ``job``, if given, is a helper-thread job that
+    compresses exactly ``data`` (see :mod:`repro.compression.helper`).
     """
     if not data:
         raise ValueError("cannot build an empty cblock")
-    codec_id, payload = best_effort_compress(data, compressor)
+    codec_id, payload = best_effort_compress(data, compressor, job)
     header = encode_value((codec_id, len(data), len(payload)))
     return header + payload, codec_id
 
 
-def parse_cblock(blob):
-    """Decompress a cblock blob back to its logical bytes."""
+def _unpack(blob):
+    """(codec id, logical length, payload view) of a cblock blob."""
     try:
         (codec_id, logical_length, payload_length), offset = decode_value(blob)
     except EncodingError as error:
@@ -65,16 +72,37 @@ def parse_cblock(blob):
             "cblock truncated: header claims %d payload bytes, have %d"
             % (payload_length, len(payload))
         )
-    data = decompress_payload(codec_id, payload)
+    return codec_id, logical_length, payload
+
+
+def zlib_payload(blob):
+    """``blob``'s payload if it is zlib-coded, else None.
+
+    None too for a blob whose header does not parse: no helper job is
+    made for it, so :func:`parse_cblock` raises on it where a serial
+    read would.
+    """
+    try:
+        codec_id, _logical_length, payload = _unpack(blob)
+    except EncodingError:
+        return None
+    return payload if codec_id == CODEC_ZLIB else None
+
+
+def parse_cblock(blob, job=None):
+    """Decompress a cblock blob back to its logical bytes.
+
+    ``job``, if given, is a helper-thread job that inflates this blob's
+    payload (see :mod:`repro.compression.helper`).
+    """
+    codec_id, logical_length, payload = _unpack(blob)
+    try:
+        data = decompress_payload(codec_id, payload, job)
+    except zlib.error as error:
+        raise EncodingError("corrupt cblock payload: %s" % error) from error
     if len(data) != logical_length:
         raise EncodingError(
             "cblock decompressed to %d bytes, header claims %d"
             % (len(data), logical_length)
         )
     return data
-
-
-def cblock_logical_length(blob):
-    """Logical (uncompressed) length recorded in a cblock header."""
-    (_codec_id, logical_length, _payload_length), _offset = decode_value(blob)
-    return logical_length

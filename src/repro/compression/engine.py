@@ -22,10 +22,10 @@ class Compressor:
 
     codec_id = None
 
-    def compress(self, data):
+    def compress(self, data, job=None):
         raise NotImplementedError
 
-    def decompress(self, payload):
+    def decompress(self, payload, job=None):
         raise NotImplementedError
 
 
@@ -34,10 +34,10 @@ class NullCompressor(Compressor):
 
     codec_id = CODEC_STORED
 
-    def compress(self, data):
+    def compress(self, data, job=None):
         return bytes(data)
 
-    def decompress(self, payload):
+    def decompress(self, payload, job=None):
         return bytes(payload)
 
 
@@ -51,12 +51,21 @@ class ZlibCompressor(Compressor):
             raise ValueError("zlib level must be 0-9, got %r" % level)
         self.level = level
 
-    def compress(self, data):
+    def compress(self, data, job=None):
+        """``zlib.compress(data)``. ``job`` is a helper-thread job for
+        these same bytes (see :mod:`repro.compression.helper`): its
+        answer if the helper took it, else the call runs here."""
+        if job is not None and not job.claim():
+            return job.result()
         # zlib accepts any buffer, so memoryview chunks compress without
         # an intermediate bytes copy.
         return zlib.compress(data, self.level)
 
-    def decompress(self, payload):
+    def decompress(self, payload, job=None):
+        """``zlib.decompress(payload)``, or ``job``'s answer, as in
+        :meth:`compress`."""
+        if job is not None and not job.claim():
+            return job.result()
         return zlib.decompress(payload)
 
 
@@ -66,24 +75,25 @@ _DECOMPRESSORS = {
 }
 
 
-def best_effort_compress(data, compressor):
+def best_effort_compress(data, compressor, job=None):
     """Compress if it helps; returns (codec_id, payload).
 
     Falls back to stored bytes when the codec fails to shrink the data,
-    so incompressible writes never inflate.
+    so incompressible writes never inflate. ``job`` is passed to the
+    codec (see :meth:`ZlibCompressor.compress`).
     """
-    compressed = compressor.compress(data)
+    compressed = compressor.compress(data, job)
     if len(compressed) < len(data):
         return compressor.codec_id, compressed
     return CODEC_STORED, bytes(data)
 
 
-def decompress_payload(codec_id, payload):
+def decompress_payload(codec_id, payload, job=None):
     """Invert :func:`best_effort_compress` using the recorded codec id."""
     codec = _DECOMPRESSORS.get(codec_id)
     if codec is None:
         raise EncodingError("unknown codec id %d" % codec_id)
-    return codec.decompress(payload)
+    return codec.decompress(payload, job)
 
 
 @dataclass

@@ -45,9 +45,10 @@ class ArrayConfig:
     pyramid_fanout: int = 8
     #: Controller DRAM cache: decompressed cblocks kept hot.
     cblock_cache_entries: int = 256
-    #: Host worker processes. The array's CPU stages are serial calls,
-    #: so 0 is the only legal value; the field stays so that callers
-    #: that pin it keep constructing.
+    #: Host worker processes. The worker pool was removed (only zlib
+    #: shares a large I/O with one helper thread, which nothing
+    #: configures), so 0 is the only legal value; the field stays so
+    #: that callers that pin it keep constructing.
     workers: int = 0
     #: Race parity reconstruction against slow/suspect direct reads.
     hedge_reads: bool = True
@@ -69,8 +70,8 @@ class ArrayConfig:
             raise ValueError("drive capacity must be a whole number of AUs")
         if self.workers != 0:
             raise ValueError(
-                "workers must be 0: the worker pool was removed and every "
-                "stage runs serially (got %r)" % (self.workers,)
+                "workers must be 0: the worker pool was removed (got %r)"
+                % (self.workers,)
             )
         if self.rebuild_slo_p99 is not None and self.rebuild_slo_p99 <= 0:
             raise ValueError("rebuild_slo_p99 must be > 0 (or None)")

@@ -21,7 +21,12 @@ import bisect
 from collections import OrderedDict
 
 from repro.compression.cblock import build_cblock, parse_cblock, split_write
-from repro.compression.engine import CompressionStats, ZlibCompressor
+from repro.compression.engine import (
+    CompressionStats,
+    NullCompressor,
+    ZlibCompressor,
+)
+from repro.compression.helper import compress_helper, inflate_helper
 from repro.core import tables as T
 from repro.dedup.hashing import HASH_BYTES, hash_values, sector_hash_vector
 from repro.dedup.index import DedupIndex, DedupLocation
@@ -134,7 +139,8 @@ class DataPath:
         self.segwriter = segwriter
         self.segreader = segreader
         self.config = config
-        self.compressor = ZlibCompressor()
+        self.compressor = (ZlibCompressor() if config.inline_compression
+                           else NullCompressor())
         self.compression_stats = CompressionStats()
         self.dedup_index = DedupIndex(
             recent_capacity=config.dedup_recent_capacity,
@@ -279,12 +285,20 @@ class DataPath:
         are known only per chunk, after dedup, so one range scan notes
         the extents that could be replaced and `_process_cblock` keeps
         the remainder of each one it lands on.
+
+        A large write's chunks are compressed ahead on a helper thread
+        while this thread works through them (see
+        :mod:`repro.compression.helper`); the helper is joined before
+        this returns or raises.
         """
         self.logical_bytes_written += len(data)
         end = offset + len(data)
         at_risk = self._at_risk_extents(medium_id, offset, end)
-        for cblock_offset, chunk in split_write(offset, data):
-            self._process_cblock(medium_id, cblock_offset, chunk, at_risk, end)
+        chunks = list(split_write(offset, data))
+        with compress_helper(chunks, self.compressor) as helper:
+            for index, (cblock_offset, chunk) in enumerate(chunks):
+                self._process_cblock(medium_id, cblock_offset, chunk, at_risk,
+                                     end, helper.reach(index))
 
     def _at_risk_extents(self, medium_id, offset, end):
         """{extent start: fact} of the extents that start inside
@@ -364,9 +378,12 @@ class DataPath:
             self.segwriter.flush()
         return entries
 
-    def _process_cblock(self, medium_id, offset, chunk, at_risk, write_end):
+    def _process_cblock(self, medium_id, offset, chunk, at_risk, write_end,
+                        job=None):
         # One hash pass per chunk: dedup probes with it, and each unique
-        # run's cblock is recorded from its slice of it.
+        # run's cblock is recorded from its slice of it. ``job``, if not
+        # None, compresses the whole chunk on the helper thread; it is
+        # used only if the chunk stays one unique run.
         vector = sector_hash_vector(chunk)
         if self.config.inline_dedup:
             deduper = self.deduper
@@ -392,6 +409,9 @@ class DataPath:
             inserts.append((match.byte_start, cursor, match))
         if cursor < len(chunk):
             inserts.append((cursor, len(chunk), None))
+        if job is not None and (len(inserts) != 1 or inserts[0][2] is not None):
+            job.claim()  # if not started, the helper now skips it
+            job = None
         if at_risk:
             for start, _stop, _match in inserts:
                 replaced = at_risk.pop(offset + start, None)
@@ -407,18 +427,14 @@ class DataPath:
                     medium_id, offset + start, chunk[start:stop],
                     vector[start // SECTOR * HASH_BYTES
                            : stop // SECTOR * HASH_BYTES],
+                    job,
                 )
 
-    def _store_unique(self, medium_id, offset, data, vector):
+    def _store_unique(self, medium_id, offset, data, vector, job):
         """Compress + append one unique cblock, record its extent."""
-        compressor = self.compressor if self.config.inline_compression else None
-        if compressor is None:
-            from repro.compression.engine import NullCompressor
-
-            compressor = NullCompressor()
         obs = self.obs
         with obs.span("compress", nbytes=len(data)) as span:
-            blob, codec_id = build_cblock(data, compressor)
+            blob, codec_id = build_cblock(data, self.compressor, job)
             span.set(stored=len(blob))
         with obs.span("segio-append", nbytes=len(blob)) as span:
             descriptor, payload_offset, flush_latency = (
@@ -567,7 +583,11 @@ class DataPath:
 
         Each cblock is looked up in the cache once, in plan order. The
         misses are read as runs of payload-adjacent cblocks, one read
-        per run, and every cblock in a run takes the run's latency.
+        per run, and every cblock in a run takes the run's latency. A
+        large fetch's every other zlib cblock is inflated on a helper
+        thread while this thread inflates the rest (see
+        :mod:`repro.compression.helper`), and the cache is filled in
+        ``misses`` order either way.
         """
         cache = self._cblock_cache
         cblocks = {}
@@ -593,10 +613,11 @@ class DataPath:
             for payload_offset, stored_length in run:
                 lo = payload_offset - start
                 blobs[(segment_id, payload_offset)] = view[lo : lo + stored_length]
-        for key in misses:
-            data = parse_cblock(blobs[key])
-            cache.put(key, data)
-            cblocks[key] = data
+        with inflate_helper([blobs[key] for key in misses]) as helper:
+            for index, key in enumerate(misses):
+                data = parse_cblock(blobs[key], helper.reach(index))
+                cache.put(key, data)
+                cblocks[key] = data
         return cblocks, latency
 
     def _runs(self, misses):

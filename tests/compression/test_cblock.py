@@ -1,6 +1,7 @@
 """Tests for the cblock format and write splitting."""
 
 import os
+import zlib
 
 import pytest
 from hypothesis import given
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.compression.cblock import (
     build_cblock,
-    cblock_logical_length,
     parse_cblock,
     split_write,
 )
@@ -23,7 +23,6 @@ def test_build_parse_roundtrip():
     assert codec_id == CODEC_ZLIB
     assert len(blob) < len(data)
     assert parse_cblock(blob) == data
-    assert cblock_logical_length(blob) == len(data)
 
 
 def test_incompressible_cblock_stored_raw():
@@ -43,6 +42,17 @@ def test_truncated_cblock_detected():
     blob, _ = build_cblock(b"y" * SECTOR, ZlibCompressor())
     with pytest.raises(EncodingError):
         parse_cblock(blob[: len(blob) - 2])
+
+
+def test_corrupt_payload_raises_encoding_error():
+    """A damaged zlib payload is the module's EncodingError, not
+    ``zlib.error``."""
+    blob = bytearray(build_cblock(b"database page " * 300, ZlibCompressor())[0])
+    header = len(blob) - len(zlib.compress(b"database page " * 300, 1))
+    blob[header] ^= 0xFF
+    blob[header + 1] ^= 0xFF
+    with pytest.raises(EncodingError, match="corrupt cblock payload"):
+        parse_cblock(bytes(blob))
 
 
 def test_split_write_respects_max_cblock():
