@@ -442,21 +442,15 @@ class PurityArray:
     def reduction_report(self):
         """Data-reduction accounting (the paper's 5.4x metric)."""
         logical_live = 0
-        unique = {}
+        unique = {}  # (segment, payload offset, stored length) -> logical
         for fact in self.datapath.visible_extents():
             value = fact.value
-            if value[0] == T.EXTENT_HOLE:
+            if T.is_hole(value):
                 continue
-            logical_live += value[4]
-            key = (value[1], value[2])
-            if value[0] == T.EXTENT_DIRECT:
-                unique[key] = (value[3], value[4])
-            else:
-                # Dedup-only references: the cblock's own logical size is
-                # unknown here; approximate it by its stored size.
-                unique.setdefault(key, (value[3], value[3]))
-        physical = sum(stored for stored, _logical in unique.values())
-        unique_logical = sum(logical for _stored, logical in unique.values())
+            logical_live += T.extent_length(value)
+            unique[T.extent_location(value)] = T.extent_cblock_length(value)
+        physical = sum(stored for _segment, _offset, stored in unique)
+        unique_logical = sum(unique.values())
         geometry = self.config.segment_geometry
         parity_factor = geometry.total_shards / geometry.data_shards
         return ReductionReport(

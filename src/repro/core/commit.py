@@ -91,15 +91,18 @@ class CommitPipeline:
         self._maybe_drain()
         return facts, latency
 
-    def insert_derived(self, relation_name, key, value):
+    def insert_derived(self, relation_name, key, value, seqno=None):
         """Insert a fact derived from an already-committed raw record.
 
         Derived facts skip their own WAL commit: replaying the raw
         record regenerates them idempotently, and a drain persists them
-        before (and together with) trimming the raw record.
+        before (and together with) trimming the raw record. A write's
+        facts take its raw record's ``seqno``, so in replay too a later
+        operation's fact at the same key stays the latest there.
         """
         relation = self.tables[relation_name]
-        fact = relation.make_fact(key, value, self.sequence.next())
+        fact = relation.make_fact(
+            key, value, self.sequence.next() if seqno is None else seqno)
         relation.insert_fact(fact)
         return fact
 

@@ -256,7 +256,7 @@ class DataPath:
         if cp is not None:
             cp.hit("datapath.write-start", medium_id=medium_id, offset=offset)
         with self.obs.span("nvram-commit", nbytes=len(data)) as span:
-            _fact, latency = self.pipeline.commit_raw_write(
+            fact, latency = self.pipeline.commit_raw_write(
                 medium_id, offset, data
             )
             span.set(lat=latency)
@@ -264,7 +264,7 @@ class DataPath:
         # loses the acknowledgement, never the data (recovery replays).
         if cp is not None:
             cp.hit("datapath.post-commit", medium_id=medium_id, offset=offset)
-        self.process_write(medium_id, offset, data)
+        self.process_write(medium_id, offset, data, fact.seqno)
         if cp is not None:
             cp.hit("datapath.post-process", medium_id=medium_id, offset=offset)
         self.pipeline.after_raw_write_processed()
@@ -277,10 +277,12 @@ class DataPath:
             degrade.note_write_through_drain()
         return latency
 
-    def process_write(self, medium_id, offset, data):
+    def process_write(self, medium_id, offset, data, rank):
         """Run the dedup/compress/segment pipeline (also recovery replay).
 
-        An extent inserted on the key of a longer one replaces it; every
+        ``rank`` (the raw record's seqno; a copy-up's is fresh) is each
+        new extent's rank and fact seqno, live and in replay alike. An
+        extent inserted on the key of a longer one replaces it; every
         other overlap is overlaid by the read path. The keys inserted
         are known only per chunk, after dedup, so one range scan notes
         the extents that could be replaced and `_process_cblock` keeps
@@ -298,7 +300,7 @@ class DataPath:
         with compress_helper(chunks, self.compressor) as helper:
             for index, (cblock_offset, chunk) in enumerate(chunks):
                 self._process_cblock(medium_id, cblock_offset, chunk, at_risk,
-                                     end, helper.reach(index))
+                                     end, rank, helper.reach(index))
 
     def _at_risk_extents(self, medium_id, offset, end):
         """{extent start: fact} of the extents that start inside
@@ -310,7 +312,7 @@ class DataPath:
         for fact in self.tables.address_map.scan(
             (medium_id, offset), (medium_id, end - 1)
         ):
-            if fact.key[1] + self._extent_logical_length(fact.value) > end:
+            if fact.key[1] + T.extent_length(fact.value) > end:
                 at_risk[fact.key[1]] = fact
         return at_risk
 
@@ -330,7 +332,7 @@ class DataPath:
         while pending:
             lo, fact = pending.pop()
             value = fact.value
-            hi = fact.key[1] + self._extent_logical_length(value)
+            hi = fact.key[1] + T.extent_length(value)
             if hi <= lo:
                 continue
             pieces = []
@@ -342,12 +344,8 @@ class DataPath:
                 hidden = self.tables.address_map.get((medium_id, at))
                 if hidden is not None:
                     pending.append((at + nbytes, hidden))
-                if value[0] == T.EXTENT_HOLE:
-                    kept_value = (T.EXTENT_HOLE, nbytes)
-                else:
-                    kept_value = (T.EXTENT_DEDUP, value[1], value[2],
-                                  value[3], nbytes, inner // SECTOR)
-                entries.append(((medium_id, at), kept_value))
+                entries.append(((medium_id, at),
+                                T.trimmed(value, inner, nbytes)))
                 kept += nbytes
             if kept:
                 self.tails_repointed += 1
@@ -372,14 +370,14 @@ class DataPath:
                 entries.extend(self._remainder(medium_id, end, replaced))
         # Durability barrier, as for GC's repoint: a WAL fact must not
         # point at bytes that exist only in the open segio's RAM.
-        if any(value[0] != T.EXTENT_HOLE and self.segwriter.read_unflushed(
-                value[1], value[2], value[3]) is not None
+        if any(not T.is_hole(value) and self.segwriter.read_unflushed(
+                *T.extent_location(value)) is not None
                for _key, value in entries):
             self.segwriter.flush()
         return entries
 
     def _process_cblock(self, medium_id, offset, chunk, at_risk, write_end,
-                        job=None):
+                        rank, job=None):
         # One hash pass per chunk: dedup probes with it, and each unique
         # run's cblock is recorded from its slice of it. ``job``, if not
         # None, compresses the whole chunk on the helper thread; it is
@@ -418,19 +416,21 @@ class DataPath:
                 if replaced is not None:
                     for key, value in self._remainder(medium_id, write_end,
                                                       replaced):
-                        self.pipeline.insert_derived(T.ADDRESS_MAP, key, value)
+                        self.pipeline.insert_derived(T.ADDRESS_MAP, key, value,
+                                                     rank)
         for start, stop, match in inserts:
             if match is not None:
-                self._record_dedup_extent(medium_id, offset + start, match)
+                self._record_dedup_extent(medium_id, offset + start, match,
+                                          rank)
             else:
                 self._store_unique(
                     medium_id, offset + start, chunk[start:stop],
                     vector[start // SECTOR * HASH_BYTES
                            : stop // SECTOR * HASH_BYTES],
-                    job,
+                    rank, job,
                 )
 
-    def _store_unique(self, medium_id, offset, data, vector, job):
+    def _store_unique(self, medium_id, offset, data, vector, rank, job):
         """Compress + append one unique cblock, record its extent."""
         obs = self.obs
         with obs.span("compress", nbytes=len(data)) as span:
@@ -445,8 +445,9 @@ class DataPath:
         self.pipeline.insert_derived(
             T.ADDRESS_MAP,
             (medium_id, offset),
-            (T.EXTENT_DIRECT, descriptor.segment_id, payload_offset,
-             len(blob), len(data)),
+            T.extent_ref(descriptor.segment_id, payload_offset, len(blob),
+                         len(data), 0, len(data), rank),
+            rank,
         )
         # Warm the cblock cache: freshly written data is the most likely
         # to be read (and to anchor dedup verifies) next.
@@ -469,14 +470,17 @@ class DataPath:
                               sector, vector),
             )
 
-    def _record_dedup_extent(self, medium_id, offset, match):
+    def _record_dedup_extent(self, medium_id, offset, match, rank):
         location = match.location
         self.dedup_bytes_saved += match.byte_length
         self.pipeline.insert_derived(
             T.ADDRESS_MAP,
             (medium_id, offset),
-            (T.EXTENT_DEDUP, location.segment_id, location.payload_offset,
-             location.stored_length, match.byte_length, location.sector_index),
+            T.extent_ref(location.segment_id, location.payload_offset,
+                         location.stored_length,
+                         len(location.cblock_hashes) // HASH_BYTES * SECTOR,
+                         location.sector_index, match.byte_length, rank),
+            rank,
         )
 
     # ------------------------------------------------------------------
@@ -508,8 +512,8 @@ class DataPath:
         self._plan(medium_id, [(offset, offset + length)], -offset, 0, pieces)
         cblocks, latency = self._fetch(pieces)
         for at, fact, inner, nbytes in pieces:
-            value = fact.value
-            data = cblocks[(value[1], value[2])][inner : inner + nbytes]
+            location = T.extent_location(fact.value)
+            data = cblocks[location[:2]][inner : inner + nbytes]
             if len(data) != nbytes:
                 raise VolumeError(
                     "extent at (%d, %d) shorter than mapped range"
@@ -523,9 +527,9 @@ class DataPath:
 
         ``windows`` are sorted, disjoint ``[lo, hi)`` ranges of
         ``medium_id``; the byte at ``x`` lands at buffer position
-        ``x + shift``. This medium's extents claim bytes newest first,
-        each only those no newer extent has claimed, so a hidden extent
-        yields no piece and is never fetched. A piece is (buffer
+        ``x + shift``. This medium's extents claim bytes by rank, newest
+        first, each only those no newer extent has claimed, so a hidden
+        extent yields no piece and is never fetched. A piece is (buffer
         position, fact, offset into its cblock, length); a hole claims
         its bytes and yields a piece only with ``holes`` set (never on
         a read). The medium chain is descended only under the bytes
@@ -538,15 +542,17 @@ class DataPath:
         for fact in self._extents_between(
             medium_id, max(0, lo - MAX_CBLOCK + SECTOR), hi - 1
         ):
-            if fact.key[1] + self._extent_logical_length(fact.value) > lo:
+            if fact.key[1] + T.extent_length(fact.value) > lo:
                 overlapping.append(fact)
-        overlapping.sort(key=lambda fact: fact.seqno, reverse=True)
+        overlapping.reverse()  # equal ranks are disjoint: fetch keys descending
+        overlapping.sort(key=lambda fact: T.extent_rank(fact.value),
+                         reverse=True)
         for fact in overlapping:
             value = fact.value
             start = fact.key[1]
-            end = start + self._extent_logical_length(value)
-            tag = value[0]
-            skew = value[5] * SECTOR if tag == T.EXTENT_DEDUP else 0
+            end = start + T.extent_length(value)
+            hole = T.is_hole(value)
+            skew = T.extent_skew(value)
             unclaimed = []
             for window_lo, window_hi in windows:
                 claim_lo = max(window_lo, start)
@@ -554,7 +560,7 @@ class DataPath:
                 if claim_lo >= claim_hi:
                     unclaimed.append((window_lo, window_hi))
                     continue
-                if tag != T.EXTENT_HOLE or holes:
+                if holes or not hole:
                     pieces.append((claim_lo + shift, fact,
                                    skew + claim_lo - start, claim_hi - claim_lo))
                 if window_lo < claim_lo:
@@ -593,13 +599,13 @@ class DataPath:
         cblocks = {}
         misses = {}  # (segment, payload offset) -> stored length
         for _at, fact, _inner, _nbytes in pieces:
-            value = fact.value
-            key = (value[1], value[2])
+            location = T.extent_location(fact.value)
+            key = location[:2]
             if key in cblocks or key in misses:
                 continue
             data = cache.get(key)
             if data is None:
-                misses[key] = value[3]
+                misses[key] = location[2]
             else:
                 cblocks[key] = data
         if not misses:
@@ -666,13 +672,6 @@ class DataPath:
         return facts[bisect.bisect_left(starts, lo)
                      : bisect.bisect_right(starts, hi)]
 
-    @staticmethod
-    def _extent_logical_length(value):
-        tag = value[0]
-        if tag == T.EXTENT_HOLE:
-            return value[1]
-        return value[4]
-
     # ------------------------------------------------------------------
     # Liveness accounting (GC + telemetry)
 
@@ -684,9 +683,7 @@ class DataPath:
         """segment_id -> {(payload_offset, stored_length)} of live cblocks."""
         by_segment = {}
         for fact in self.visible_extents():
-            value = fact.value
-            if value[0] == T.EXTENT_HOLE:
-                continue
-            segment_id = value[1]
-            by_segment.setdefault(segment_id, set()).add((value[2], value[3]))
+            if not T.is_hole(fact.value):
+                segment_id, offset, stored = T.extent_location(fact.value)
+                by_segment.setdefault(segment_id, set()).add((offset, stored))
         return by_segment

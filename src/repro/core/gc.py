@@ -15,8 +15,10 @@ delegation chains short enough that reads touch at most three levels.
 from dataclasses import dataclass, field, replace
 
 from repro.core import tables as T
+from repro.dedup.hashing import sector_hashes
 from repro.errors import AllocationError
 from repro.mediums.medium import MEDIUM_NONE
+from repro.units import MAX_CBLOCK, SECTOR
 
 
 @dataclass
@@ -128,7 +130,8 @@ class GarbageCollector:
                     return False
             referencing = [
                 fact for fact in datapath.visible_extents()
-                if fact.value[0] != T.EXTENT_HOLE and fact.value[1] == segment_id
+                if not T.is_hole(fact.value)
+                and T.extent_location(fact.value)[0] == segment_id
             ]
             relocations = self._rewrite_live_cblocks(
                 descriptor, referencing, report
@@ -173,7 +176,7 @@ class GarbageCollector:
         """
         reference_counts = {}
         for fact in referencing:
-            key = (fact.value[2], fact.value[3])
+            key = T.extent_location(fact.value)[1:]
             reference_counts[key] = reference_counts.get(key, 0) + 1
         blobs = self._read_live_blobs(descriptor, reference_counts)
         ordered = sorted(
@@ -228,14 +231,12 @@ class GarbageCollector:
         return blobs
 
     def _repoint_extents(self, referencing, relocations):
+        """Repoint moved cblocks' extents; the rank moves with them."""
         entries = []
         for fact in referencing:
-            value = list(fact.value)
-            target = relocations.get((value[2], value[3]))
-            if target is None:
-                continue
-            value[1], value[2] = target
-            entries.append((fact.key, tuple(value)))
+            target = relocations.get(T.extent_location(fact.value)[1:])
+            if target is not None:
+                entries.append((fact.key, T.relocated(fact.value, *target)))
         if entries:
             self.array.pipeline.insert_meta_batch(T.ADDRESS_MAP, entries)
 
@@ -270,100 +271,74 @@ class GarbageCollector:
 
         Inline dedup only consults a bounded index of recent and
         frequent hashes; as garbage collection scans in the background
-        it re-hashes live data exhaustively and remaps whole extents
-        whose bytes already exist elsewhere. Byte-equality is verified
-        before any remap (hashes select candidates, never decide).
+        it re-hashes live data exhaustively and remaps direct extents
+        whose bytes already exist elsewhere, each at its own rank.
+        Byte-equality is verified before any remap (hashes select
+        candidates, never decide).
 
         Returns (extents remapped, logical bytes deduplicated).
         """
-        from repro.dedup.hashing import sector_hashes
-        from repro.units import SECTOR
-
         datapath = self.array.datapath
-        min_run = (
-            min_run_sectors
-            if min_run_sectors is not None
-            else datapath.deduper.min_run_sectors
-        )
-        # Canonical map: sector hash -> (cblock key, sector index).
+        min_run = (min_run_sectors if min_run_sectors is not None
+                   else datapath.deduper.min_run_sectors)
+        # Canonical map: sector hash -> (direct extent value, sector index).
         canonical_sectors = {}
-        canonical_keys = set()
         remapped = 0
         bytes_saved = 0
         entries = []
         for fact in sorted(datapath.visible_extents()):
             value = fact.value
-            if value[0] != T.EXTENT_DIRECT:
+            if not T.is_direct(value):
                 continue
-            _tag, segment_id, payload_offset, stored_length, logical = value
-            cblock_key = (segment_id, payload_offset)
             try:
-                data, _latency = datapath._read_cblock(
-                    segment_id, payload_offset, stored_length
-                )
+                data, _latency = datapath._read_cblock(*T.extent_location(value))
             except Exception:
                 continue
-            usable = (len(data) // SECTOR) * SECTOR
-            hashes = sector_hashes(data[:usable])
-            target = self._whole_extent_match(
-                data, hashes, canonical_sectors, canonical_keys,
-                cblock_key, min_run, datapath,
-            )
+            hashes = sector_hashes(data)
+            target = self._whole_extent_match(data, hashes, canonical_sectors,
+                                              value, min_run, datapath)
             if target is not None:
-                target_key, target_sector, target_stored = target
-                entries.append(
-                    (
-                        fact.key,
-                        (T.EXTENT_DEDUP, target_key[0], target_key[1],
-                         target_stored, logical, target_sector),
-                    )
-                )
+                canonical, sector = target
+                logical = T.extent_length(value)
+                entries.append((fact.key, T.extent_ref(
+                    *T.extent_location(canonical),
+                    T.extent_cblock_length(canonical), sector, logical,
+                    T.extent_rank(value))))
                 remapped += 1
                 bytes_saved += logical
                 continue
             # This cblock becomes canonical for its sectors.
-            canonical_keys.add(cblock_key)
             for sector, value_hash in enumerate(hashes):
-                canonical_sectors.setdefault(
-                    value_hash, (cblock_key, sector, stored_length)
-                )
+                canonical_sectors.setdefault(value_hash, (value, sector))
         if entries:
             self.array.pipeline.insert_meta_batch(T.ADDRESS_MAP, entries)
         return remapped, bytes_saved
 
-    def _whole_extent_match(self, data, hashes, canonical_sectors,
-                            canonical_keys, own_key, min_run, datapath):
+    def _whole_extent_match(self, data, hashes, canonical_sectors, own,
+                            min_run, datapath):
         """Find a canonical run holding this extent's exact bytes.
 
-        Returns (canonical cblock key, start sector, stored_length) or
-        None. Only whole-extent matches are remapped: partial overlap
-        would fragment extents for marginal savings.
+        Returns (canonical direct extent's value, start sector) or None.
+        Only whole-extent matches are remapped: partial overlap would
+        fragment extents for marginal savings.
         """
-        from repro.units import SECTOR
-
         if len(hashes) < min_run:
             return None
         first = canonical_sectors.get(hashes[0])
         if first is None:
             return None
-        (target_key, start_sector, stored_length) = first
-        if target_key == own_key or target_key not in canonical_keys:
+        canonical, start_sector = first
+        location = T.extent_location(canonical)
+        if location == T.extent_location(own):
             return None
         try:
-            target_data, _latency = datapath._read_cblock(
-                target_key[0], target_key[1], stored_length
-            )
+            target_data, _latency = datapath._read_cblock(*location)
         except Exception:
             return None
         start = start_sector * SECTOR
-        usable = (len(data) // SECTOR) * SECTOR
-        if start + len(data) > len(target_data):
-            return None
-        if target_data[start : start + usable] != data[:usable]:
+        if target_data[start : start + len(data)] != data:
             return None  # hash collision: the byte compare is the law
-        if data[usable:] and target_data[start + usable : start + len(data)] != data[usable:]:
-            return None
-        return (target_key, start_sector, stored_length)
+        return first
 
     # ------------------------------------------------------------------
     # Medium-tree maintenance
@@ -447,15 +422,12 @@ class GarbageCollector:
 
         The content is read through the chain and rewritten into the
         medium (deduplication collapses the copies back onto the
-        existing cblocks), the derived facts are drained durable, and
-        only then are the delegating ranges retargeted to "own data" —
-        a crash in between leaves the old chain intact plus harmless
-        duplicate facts.
+        existing cblocks) at a fresh rank: it is exactly what a read
+        returns now, so covering what lies below changes no byte. The
+        derived facts are drained durable, and only then are the
+        delegating ranges retargeted to "own data" — a crash in between
+        leaves the old chain intact plus harmless duplicate facts.
         """
-        from repro.units import MAX_CBLOCK
-
-        from repro.units import SECTOR
-
         report = report if report is not None else GCReport()
         array = self.array
         table = array.medium_table
@@ -470,7 +442,8 @@ class GarbageCollector:
             while cursor < row.end:
                 length = min(MAX_CBLOCK, row.end - cursor)
                 data, _latency = array.datapath.read(medium_id, cursor, length)
-                array.datapath.process_write(medium_id, cursor, data)
+                array.datapath.process_write(medium_id, cursor, data,
+                                             array.pipeline.sequence.next())
                 cursor += length
         array.pipeline.drain()
         for row in rows:
@@ -502,13 +475,7 @@ class GarbageCollector:
         return target, offset, hops
 
     def _has_extents(self, medium_id, offset, length):
-        address_map = self.array.tables.address_map
-        from repro.units import MAX_CBLOCK, SECTOR
-
         lo = (medium_id, max(0, offset - MAX_CBLOCK + SECTOR))
         hi = (medium_id, offset + length - 1)
-        for fact in address_map.scan(lo, hi):
-            logical = self.array.datapath._extent_logical_length(fact.value)
-            if fact.key[1] + logical > offset:
-                return True
-        return False
+        return any(fact.key[1] + T.extent_length(fact.value) > offset
+                   for fact in self.array.tables.address_map.scan(lo, hi))

@@ -230,11 +230,12 @@ def _recover_body(array, boot_region, clock, full_scan, warm_cache_fraction):
     report.extra["elides_replayed"] = array.pipeline.replay_elides()
     _restore_medium_counter(array)
 
-    # 6. Replay raw writes, in NVRAM (= commit) order.
+    # 6. Replay raw writes, in NVRAM (= commit) order, under their seqnos.
     replay_start = clock.now
     for fact in raw_writes:
         medium_id, offset = fact.key
-        array.datapath.process_write(medium_id, offset, fact.value[0])
+        array.datapath.process_write(medium_id, offset, fact.value[0],
+                                     fact.seqno)
         report.raw_writes_replayed += 1
     report.replay_latency = clock.now - replay_start
 

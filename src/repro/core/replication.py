@@ -12,6 +12,7 @@ again on arrival.
 
 from dataclasses import dataclass, field
 
+from repro.core import tables as T
 from repro.errors import ReplicationError, VolumeNotFoundError
 from repro.units import KIB, MIB
 
@@ -126,9 +127,9 @@ class AsyncReplicator:
                 if fact.seqno <= seq_mark:
                     continue
                 extent_offset = fact.key[1]
-                logical = self.source.datapath._extent_logical_length(fact.value)
                 lo = max(extent_offset, m_off)
-                hi = min(extent_offset + logical, m_off + length)
+                hi = min(extent_offset + T.extent_length(fact.value),
+                         m_off + length)
                 if lo < hi:
                     changed.add(v_off + (lo - m_off), v_off + (hi - m_off) - 1)
         return [(lo, hi - lo + 1) for lo, hi in changed]

@@ -6,23 +6,69 @@ snapshot catalogs. Each is a :class:`~repro.pyramid.relation.Relation`
 of immutable facts; this module fixes their names, key shapes, and
 value layouts so the data path, recovery, and garbage collector agree.
 
-Address-map values are tagged tuples:
+Address-map values take two forms, built and read only here:
 
-* direct extent:  (EXTENT_DIRECT, segment_id, payload_offset,
-  stored_length, logical_length)
-* dedup reference: (EXTENT_DEDUP, segment_id, payload_offset,
-  stored_length, logical_length, sector_skew) — points into another
-  extent's cblock, ``sector_skew`` sectors in; made by inline dedup or
-  by a displaced extent's remainder.
-* hole: (EXTENT_HOLE, logical_length) — an overwrite that explicitly
-  zeroes a range (volume truncation, unmap).
+* reference: (EXTENT_REF, segment_id, payload_offset, stored_length,
+  cblock_length, skew_sectors, length, rank) — ``length`` bytes of a
+  stored cblock from ``skew_sectors`` in; a direct extent is all of it.
+* hole: (EXTENT_HOLE, length, rank) — explicit zeroes (unmap).
+
+``rank``, the seqno of the client operation that supplied the bytes,
+orders a medium's overlapping extents. A value keeps it wherever a
+background path moves it, so none can reorder what a read returns.
 """
 
-from repro.pyramid.relation import Relation
+import operator
 
-EXTENT_DIRECT = 0
-EXTENT_DEDUP = 1
+from repro.pyramid.relation import Relation
+from repro.units import SECTOR
+
+EXTENT_REF = 0
 EXTENT_HOLE = 2
+
+
+def extent_ref(segment_id, payload_offset, stored_length, cblock_length,
+               skew_sectors, length, rank):
+    return (EXTENT_REF, segment_id, payload_offset, stored_length,
+            cblock_length, skew_sectors, length, rank)
+
+
+def extent_hole(length, rank):
+    return (EXTENT_HOLE, length, rank)
+
+
+#: Readers; both forms end in (length, rank).
+extent_length = operator.itemgetter(-2)
+extent_rank = operator.itemgetter(-1)
+#: (segment_id, payload_offset, stored_length) of a reference's cblock.
+extent_location = operator.itemgetter(1, 2, 3)
+extent_cblock_length = operator.itemgetter(4)
+
+
+def is_hole(value):
+    return value[0] == EXTENT_HOLE
+
+
+def is_direct(value):
+    return value[0] == EXTENT_REF and value[5] == 0 and value[6] == value[4]
+
+
+def extent_skew(value):
+    """Bytes into its cblock where the extent starts (0 for a hole)."""
+    return 0 if value[0] == EXTENT_HOLE else value[5] * SECTOR
+
+
+def relocated(value, segment_id, payload_offset):
+    return (value[0], segment_id, payload_offset) + value[3:]
+
+
+def trimmed(value, skew, length):
+    """``length`` bytes of the extent from ``skew`` bytes into its
+    cblock, at its rank."""
+    if value[0] == EXTENT_HOLE:
+        return extent_hole(length, value[-1])
+    return value[:5] + (skew // SECTOR, length, value[-1])
+
 
 #: Relation names are stable identifiers used in WAL records and
 #: boot-region patch pointers.

@@ -149,10 +149,11 @@ class VolumeManager:
         if degrade is not None:
             degrade.check_writable()
         holes = []
+        rank = self.pipeline.sequence.next()
         cursor = offset
         while cursor < offset + length:
             chunk = min(_HOLE_CHUNK, offset + length - cursor)
-            holes.append(((medium_id, cursor), (T.EXTENT_HOLE, chunk)))
+            holes.append(((medium_id, cursor), T.extent_hole(chunk, rank)))
             cursor += chunk
         remainders = self.datapath.remainder_entries(
             medium_id, offset, length, [key[1] for key, _value in holes]

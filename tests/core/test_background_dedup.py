@@ -105,12 +105,9 @@ def test_background_dedup_survives_recovery(array, stream):
     assert data == payload
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="defect (vii): background_dedup re-inserts the duplicate's "
-    "extent under a fresh seqno, so it paints over the newer 4 KiB write",
-)
 def test_background_dedup_keeps_a_newer_overlapping_write(array, stream):
+    """The remapped extent keeps its rank, so the newer 4 KiB write that
+    overlaps it at another key still wins there."""
     array.create_volume("v", MIB)
     payload = unique_bytes(16 * KIB, stream)
     patch = unique_bytes(4 * KIB, stream)

@@ -184,10 +184,11 @@ def test_relocated_cblock_keeps_its_hashes_for_dedup(array, stream):
     datapath = array.datapath
     assert_entries_carry_their_cblocks_hashes(datapath)
     address_map = array.tables.address_map
-    home = address_map.get((array.volumes.anchor_medium("a"), 0)).value[1]
+    anchor_a = array.volumes.anchor_medium("a")
+    home = T.extent_location(address_map.get((anchor_a, 0)).value)
     array.run_gc(max_segments=50)
-    moved = address_map.get((array.volumes.anchor_medium("a"), 0)).value[1]
-    assert moved != home
+    moved = T.extent_location(address_map.get((anchor_a, 0)).value)
+    assert moved[0] != home[0]
     assert_entries_carry_their_cblocks_hashes(datapath)
     deduper = datapath.deduper
     datapath.drop_caches()
@@ -197,7 +198,7 @@ def test_relocated_cblock_keeps_its_hashes_for_dedup(array, stream):
     assert deduper.matches_found == found + 1
     assert deduper.anchors_fetched == fetched + 1
     value = address_map.get((array.volumes.anchor_medium("b"), 0)).value
-    assert value[:2] == (T.EXTENT_DEDUP, moved)
+    assert T.extent_location(value) == moved
 
     fetched, screened = deduper.anchors_fetched, deduper.anchors_screened
     array.write("b", 64 * KIB,

@@ -2,17 +2,18 @@
 
 A seeded tape of sector-aligned writes of 0.5–80 KiB (so extents
 overlap at arbitrary offsets, multi-cblock writes included), unmaps,
-reads, snapshot + clone, ``drain`` and ``drain`` → ``crash`` →
-``recover`` runs against one ``bytearray`` per volume. Every read, and
+reads, snapshot + clone, ``drain``, GC, background dedup, a flatten of
+a volume's medium, and ``crash`` → ``recover`` with and without a
+drain first runs against one ``bytearray`` per volume. Every read, and
 a full read of every volume at the end (then again off the drives,
 whole and with two drives pulled), must equal the model: an
 overwrite may shadow an older extent anywhere, and only the extent it
 replaces at its key keeps a remainder by reference — whichever the
-write path picks, the bytes a client sees are the model's.
+write path picks, the bytes a client sees are the model's. The
+background paths (GC's repoint, background dedup, flatten) and replay
+put extents back into the map, and none of them may change a byte.
 
-Deterministic like ``test_stateful.py`` (fixed seeds, no search), and
-deliberately without ``run_gc`` or an undrained crash: ROADMAP item 1's
-defects (ii) and (iv) live there and have their own pinned repros.
+Deterministic like ``test_stateful.py`` (fixed seeds, no search).
 """
 
 import pytest
@@ -68,13 +69,25 @@ def _play(seed, ops, inline_dedup):
             array.snapshot(volume, "s-%s" % clone)
             array.clone(volume, "s-%s" % clone, clone)
             model[clone] = bytearray(model[volume])
+        elif roll < 0.95:
+            array.drain()
+        elif roll < 0.96:
+            array.run_gc(max_segments=4)
+        elif roll < 0.965:
+            array.gc.background_dedup()
         elif roll < 0.97:
-            array.drain()
+            array.gc.flatten_medium(array.volumes.anchor_medium(volume))
         else:
-            array.drain()
+            if roll < 0.995:
+                array.drain()
             shelf, boot_region, clock = array.crash()
             array, _report = PurityArray.recover(config, shelf, boot_region,
                                                  clock)
+            # Defect (iv), a strict xfail in test_stateful.py: until its
+            # first drain a recovered controller holds index state no
+            # boot pointer covers, so a frontier checkpoint and then a
+            # crash lose it. Drop this drain once that is fixed.
+            array.drain()
     for volume, expected in sorted(model.items()):
         assert array.read(volume, 0, VOLUME_SIZE)[0] == expected, \
             "seed %d final read of %s" % (seed, volume)

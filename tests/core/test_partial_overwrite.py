@@ -150,9 +150,11 @@ def _write_with_dedup_split(array, cblock):
     array.write("v", 0, data)
     medium = array.volumes.anchor_medium("v")
     address_map = array.datapath.tables.address_map
-    assert address_map.get((medium, 4 * KIB)).value[0] == T.EXTENT_DEDUP
+    match = address_map.get((medium, 4 * KIB)).value
+    assert not T.is_hole(match) and not T.is_direct(match)
     after_match = address_map.get((medium, 12 * KIB)).value
-    assert (after_match[0], after_match[4]) == (T.EXTENT_DIRECT, 4 * KIB)
+    assert T.is_direct(after_match)
+    assert T.extent_length(after_match) == 4 * KIB
     return data
 
 
@@ -259,7 +261,8 @@ class _RecordingDict(dict):
 def test_process_cblock_inserts_the_keys_it_checked(monkeypatch):
     """The keys looked up in the at-risk map and the address-map keys
     inserted come from one list: a dedup-split chunk (three extents)
-    checks exactly the three keys it then writes."""
+    checks exactly the three keys it then writes, each under the
+    write's rank."""
     array = make_engine(seed=17, volume="v", size=128 * KIB)
     datapath = array.datapath
     medium = array.volumes.anchor_medium("v")
@@ -269,17 +272,19 @@ def test_process_cblock_inserts_the_keys_it_checked(monkeypatch):
     chunk = _unique(4 * KIB, 23) + cblock[:8 * KIB] + _unique(4 * KIB, 24)
     inserted = []
     insert_derived = datapath.pipeline.insert_derived
+    rank = datapath.pipeline.sequence.next()
 
-    def spy(relation, key, value):
+    def spy(relation, key, value, seqno=None):
         if relation == T.ADDRESS_MAP:
+            assert seqno == T.extent_rank(value) == rank
             inserted.append(key)
-        return insert_derived(relation, key, value)
+        return insert_derived(relation, key, value, seqno)
 
     monkeypatch.setattr(datapath.pipeline, "insert_derived", spy)
     # Non-empty so the check runs; its one entry is on none of the keys.
     at_risk = _RecordingDict({8 * KIB: far})
     datapath._process_cblock(medium, 0, chunk, at_risk=at_risk,
-                             write_end=16 * KIB)
+                             write_end=16 * KIB, rank=rank)
     assert inserted == [(medium, 0), (medium, 4 * KIB), (medium, 12 * KIB)]
     assert [(medium, key) for key in at_risk.asked] == inserted
     assert at_risk == {8 * KIB: far}
@@ -326,7 +331,8 @@ def test_write_on_an_extents_key_reads_nothing_and_stores_only_itself(
     assert datapath.tails_repointed == 1
     assert datapath.tail_bytes_repointed == 12 * KIB
     assert datapath.tables.address_map.get((medium, 4 * KIB)).value == (
-        T.EXTENT_DEDUP, original[1], original[2], original[3], 12 * KIB, 8)
+        T.extent_ref(*T.extent_location(original), 16 * KIB, 8, 12 * KIB,
+                     T.extent_rank(original)))
     expected = new + old[4 * KIB:]
     array.drain()
     datapath.drop_caches()

@@ -70,8 +70,8 @@ def test_an_unreadable_hidden_extent_does_not_fail_the_read():
     cover = _hidden_then_cover(array, "v")
     medium = array.volumes.anchor_medium("v")
     hidden = array.datapath.tables.address_map.get((medium, 4 * KIB)).value
-    assert hidden[0] == T.EXTENT_DIRECT
-    _tag, segment_id, payload_offset, stored_length = hidden[:4]
+    assert T.is_direct(hidden)
+    segment_id, payload_offset, stored_length = T.extent_location(hidden)
     reader = array.segreader
     read_payload = reader.read_payload
 
@@ -123,12 +123,14 @@ def _sequential_array():
         (medium, 0), (medium, 2 ** 62)
     ))
     assert len(facts) == 512 * KIB // MAX_CBLOCK
-    segments = {fact.value[1] for fact in facts}
+    locations = [T.extent_location(fact.value) for fact in facts]
+    segments = {segment for segment, _offset, _stored in locations}
     assert len(segments) == 1
-    start = min(fact.value[2] for fact in facts)
-    end = max(fact.value[2] + fact.value[3] for fact in facts)
+    start = min(offset for _segment, offset, _stored in locations)
+    end = max(offset + stored for _segment, offset, stored in locations)
     # Written back to back into one segio: one payload-adjacent run.
-    assert sum(fact.value[3] for fact in facts) == end - start
+    assert sum(stored for _segment, _offset, stored in locations) \
+        == end - start
     per_segio = config.segment_geometry.payload_per_segio
     assert start // per_segio == (end - 1) // per_segio
     return array, data, (segments.pop(), start, end - start)

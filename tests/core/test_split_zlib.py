@@ -20,6 +20,7 @@ from repro.compression import helper
 from repro.compression.cblock import build_cblock, parse_cblock, zlib_payload
 from repro.compression.engine import ZlibCompressor
 from repro.core import datapath as datapath_module
+from repro.core import tables as T
 from repro.core.array import PurityArray
 from repro.core.telemetry import perf_report, reset_perf_counters
 from repro.errors import EncodingError
@@ -269,16 +270,17 @@ def test_a_corrupt_payload_is_an_encoding_error(split, monkeypatch, chunk):
     array.drain()
     array.datapath.drop_caches()
     medium = array.volumes.anchor_medium("v")
-    victim = array.datapath.tables.address_map.get(
-        (medium, chunk * MAX_CBLOCK)).value
+    victim_segment, victim_offset, victim_stored = T.extent_location(
+        array.datapath.tables.address_map.get(
+            (medium, chunk * MAX_CBLOCK)).value)
     read_run = array.datapath._read_run
 
     def damaged(segment_id, start, end):
         blob, latency = read_run(segment_id, start, end)
-        if segment_id != victim[1] or not start <= victim[2] < end:
+        if segment_id != victim_segment or not start <= victim_offset < end:
             return blob, latency
         blob = bytearray(blob)
-        middle = victim[2] - start + victim[3] // 2
+        middle = victim_offset - start + victim_stored // 2
         blob[middle : middle + 2] = bytes(b ^ 0xFF for b in blob[middle : middle + 2])
         return bytes(blob), latency
 
