@@ -17,7 +17,8 @@ checkpoint, or (c) a log record inside the persisted frontier scan set
 patches persisted *after* the last checkpoint necessarily live in
 frontier segments the recovery scan visits. This is exactly the
 Figure 5 design, and it is why frontier/boot writes stay well under 1 %
-of all writes.
+of all writes. Recovery adopts what (b) and (c) supply with their
+pointers (``adopt_persisted_patch``), so the invariant holds from then on.
 
 Raw application writes commit to NVRAM (the client acknowledgement
 point) and are replayed through the data path on recovery; the
@@ -304,11 +305,7 @@ class CommitPipeline:
             checkpoint.update(extra_state)
         latency = self.boot_region.write_checkpoint(checkpoint)
         self.frontier.mark_persisted()
-        self._checkpointed_identities = {
-            (pointer_chunk[0][0], pointer_chunk[0][1])
-            for _relation_name, pointer in checkpoint["patch_pointers"]
-            for pointer_chunk in pointer
-        }
+        self.restore_checkpoint_identities(checkpoint["patch_pointers"])
         self.checkpoints += 1
         return latency
 
@@ -360,8 +357,15 @@ class CommitPipeline:
             changed = True
         return changed
 
+    def adopt_persisted_patch(self, relation_name, patch, pointer):
+        """Recovery: install a patch already on flash at ``pointer``, as
+        if a drain had written it there (pinned, never persisted again)."""
+        self.tables[relation_name].adopt_patch(patch)
+        self._patch_pointers[relation_name][patch] = pointer
+
     def restore_checkpoint_identities(self, patch_pointers):
-        """Recovery: re-pin the segments the boot checkpoint references.
+        """Pin the segments a boot checkpoint references: the one just
+        written, or, at recovery, the one read.
 
         Until this controller writes its own checkpoint, a further crash
         recovers from the *old* boot pointers — GC must not free or

@@ -9,12 +9,15 @@ sources, cheapest first:
 2. **Frontier scan** — segio headers in the persisted frontier and
    speculative AUs. Because the allocator only ever uses frontier AUs,
    every segment written since the checkpoint lives here; their headers
-   surface the log records to replay. (The full-array header scan this
+   surface the records no boot pointer names. (The full-array scan this
    replaces is the 12 s baseline; the frontier scan is the 0.1 s fix.)
 3. **NVRAM** — commit records not yet trimmed: metadata facts are
    unioned in, raw application writes are replayed through the data
-   path.
+   path. NVRAM covers them until the next drain.
 
+Each log record is read once and stays put: steps 1–2 adopt what they
+read as patches that keep pointers to it (one per relation for the
+scan), so no drain writes them again and a checkpoint points at them.
 Because all tuples are immutable facts, recovery is a set union —
 re-inserting anything already present is harmless.
 """
@@ -42,6 +45,7 @@ class RecoveryReport:
     patches_loaded: int = 0
     facts_recovered: int = 0
     raw_writes_replayed: int = 0
+    log_records_read: int = 0
     extra: dict = field(default_factory=dict)
 
     @property
@@ -95,6 +99,7 @@ def recover_array(cls, config, shelf, boot_region, clock,
             nvram=report.nvram_latency,
             replay=report.replay_latency,
             facts=report.facts_recovered,
+            log_records_read=report.log_records_read,
             raw_writes=report.raw_writes_replayed,
         )
     obs.metrics.histogram("recovery.downtime").record(report.total_latency)
@@ -131,6 +136,7 @@ def _recover_body(array, boot_region, clock, full_scan, warm_cache_fraction):
     # 2. Patch pointers: bulk-load persisted index state. These records
     # were checkpointed *after* a successful drain, so an unreadable one
     # is genuine loss — detected and reported, never silently skipped.
+    loaded = set()
     for relation_name, pointer in checkpoint["patch_pointers"]:
         facts = []
         for flat_placements, offset, length in pointer:
@@ -147,10 +153,13 @@ def _recover_body(array, boot_region, clock, full_scan, warm_cache_fraction):
                     % (relation_name, exc)
                 ) from exc
             report.patch_load_latency += latency * (1.0 - warm_cache_fraction)
+            report.log_records_read += 1
+            loaded.add((flat_placements, offset, length))
             _name, chunk, _end = decode_commit_record(blob)
             facts.extend(chunk)
         if facts:
-            array.tables[relation_name].adopt_patch(Patch(facts))
+            array.pipeline.adopt_persisted_patch(relation_name, Patch(facts),
+                                                 pointer)
             report.patches_loaded += 1
             report.facts_recovered += len(facts)
 
@@ -171,6 +180,7 @@ def _recover_body(array, boot_region, clock, full_scan, warm_cache_fraction):
     report.scan_latency = scan_latency
     report.headers_found = len(headers)
     max_segment_id = checkpoint["next_segment_id"] - 1
+    scanned = {}  # relation name -> (facts, pointer triples), scan order
     for header in headers:
         descriptor = header.descriptor()
         max_segment_id = max(max_segment_id, header.segment_id)
@@ -181,12 +191,11 @@ def _recover_body(array, boot_region, clock, full_scan, warm_cache_fraction):
             # lint: allow[no-bare-except] already marked used (pre-checkpoint segment)
             except AllocationError:
                 pass
-        if array.tables.segments.get((header.segment_id,)) is None:
-            placements = tuple(tuple(pair) for pair in descriptor.placements)
-            array.pipeline.insert_derived(
-                T.SEGMENTS, (header.segment_id,), (placements,)
-            )
+        flat = tuple(item for pair in descriptor.placements for item in pair)
         for locator in header.log_locators:
+            triple = (flat, locator[0], locator[1])
+            if triple in loaded:
+                continue  # step 2 read it through a boot pointer
             try:
                 blob, latency = array.segreader.read_log_record(
                     descriptor, locator
@@ -199,10 +208,21 @@ def _recover_body(array, boot_region, clock, full_scan, warm_cache_fraction):
                 torn_log_records += 1
                 continue
             report.scan_latency += latency
-            relation_name, facts, _end = decode_commit_record(blob)
-            for fact in facts:
-                array.tables[relation_name].insert_fact(fact)
-                report.facts_recovered += 1
+            report.log_records_read += 1
+            relation_name, chunk, _end = decode_commit_record(blob)
+            facts, triples = scanned.setdefault(relation_name, ([], []))
+            facts.extend(chunk)
+            triples.append(triple)
+    for relation_name, (facts, triples) in scanned.items():
+        array.pipeline.adopt_persisted_patch(relation_name, Patch(facts),
+                                             tuple(triples))
+        report.facts_recovered += len(facts)
+    for header in headers:  # after adoption: the rows may be in a patch
+        if array.tables.segments.get((header.segment_id,)) is None:
+            placements = tuple(map(tuple, header.descriptor().placements))
+            array.pipeline.insert_derived(
+                T.SEGMENTS, (header.segment_id,), (placements,)
+            )
     array.segwriter.set_next_segment_id(max_segment_id + 1)
     report.extra["torn_log_records"] = torn_log_records
 

@@ -7,6 +7,7 @@
   breakdown;
 * **gauge series** — queue depth, cache hit rate, and any other sampled
   series, summarized with an ASCII sparkline;
+* **recoveries** — downtime, facts, log records read, writes replayed;
 * **fault correlation** — every injector event joined onto the client
   I/O latencies around it: mean/max latency in a window before versus
   after the fault, so a latency cliff points straight at its cause.
@@ -218,6 +219,17 @@ def fault_correlation(records, window=None):
               % window)
 
 
+def recovery_table(records):
+    """One row per completed ``recovery`` span, or None without one."""
+    fields = ("lat", "facts", "log_records_read", "raw_writes")
+    rows = [[span["start"]] + [span["attrs"].get(name) for name in fields]
+            for span in records if span["type"] == "span"
+            and span["name"] == "recovery" and "lat" in span["attrs"]]
+    return format_table(["Start (s)", "Downtime (s)", "Facts",
+                         "Log records read", "Raw writes replayed"],
+                        rows, title="Recoveries") if rows else None
+
+
 def render_report(trace_records, metrics_records=None, window=None):
     """The full text report over one run's records."""
     sections = [per_stage_table(trace_records)]
@@ -228,6 +240,9 @@ def render_report(trace_records, metrics_records=None, window=None):
         tenants = service_tenant_table(metrics_records)
         if tenants is not None:
             sections.append(tenants)
+    recoveries = recovery_table(trace_records)
+    if recoveries is not None:
+        sections.append(recoveries)
     sections.append(fault_correlation(trace_records, window=window))
     return "\n\n".join(sections)
 

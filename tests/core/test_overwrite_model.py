@@ -83,11 +83,6 @@ def _play(seed, ops, inline_dedup):
             shelf, boot_region, clock = array.crash()
             array, _report = PurityArray.recover(config, shelf, boot_region,
                                                  clock)
-            # Defect (iv), a strict xfail in test_stateful.py: until its
-            # first drain a recovered controller holds index state no
-            # boot pointer covers, so a frontier checkpoint and then a
-            # crash lose it. Drop this drain once that is fixed.
-            array.drain()
     for volume, expected in sorted(model.items()):
         assert array.read(volume, 0, VOLUME_SIZE)[0] == expected, \
             "seed %d final read of %s" % (seed, volume)

@@ -24,7 +24,6 @@ from hypothesis.stateful import (
 from repro.core.array import PurityArray
 from repro.core.config import ArrayConfig
 from repro.core.recovery import recover_array
-from repro.errors import VolumeNotFoundError
 from repro.sim.rand import RandomStream
 from repro.units import KIB, SECTOR
 
@@ -186,12 +185,6 @@ ArrayMachine.TestCase.settings = settings(
 TestArrayStateMachine = ArrayMachine.TestCase
 
 
-@pytest.mark.xfail(
-    strict=True, raises=VolumeNotFoundError,
-    reason="ROADMAP item 1 defect (iv): volume lost after a second "
-           "crash -> recover on a degraded shelf; whoever fixes it "
-           "drops this marker",
-)
 def test_double_recovery_on_a_degraded_shelf_keeps_the_volume():
     """The sequence the random search used to find one run in six."""
     machine = ArrayMachine()

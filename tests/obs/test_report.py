@@ -67,6 +67,16 @@ def test_render_report_composes_all_sections(faulted_run):
     assert "Sampled series" in text
 
 
+def test_recovery_table_lists_each_recovery(faulted_run):
+    harness, trace_path, _metrics = faulted_run
+    table = R.recovery_table(load_jsonl(trace_path))
+    assert harness.report.crashes > 0
+    assert "Log records read" in table
+    # Title, header and rule, then one row per crash -> recover.
+    assert len(table.splitlines()) == 3 + harness.report.crashes
+    assert R.recovery_table([]) is None
+
+
 def test_cli_main(faulted_run, capsys):
     _harness, trace_path, metrics_path = faulted_run
     assert R.main([trace_path, metrics_path]) == 0
