@@ -111,6 +111,7 @@ class PurityArray:
             self.config,
         )
         self.segwriter.checkpointer = self.pipeline.checkpoint
+        self.segwriter.on_segio_flushed = self.pipeline.segio_flushed
         self.medium_table = MediumTable(
             self.tables.mediums,
             inserter=lambda key, value: self.pipeline.insert_meta(
@@ -192,9 +193,11 @@ class PurityArray:
         return array
 
     def _on_segment_opened(self, descriptor):
+        # Committed to NVRAM: no raw record regenerates the row, and a
+        # checkpoint before the next drain would not point at it.
         placements = tuple(tuple(pair) for pair in descriptor.placements)
-        self.pipeline.insert_derived(
-            T.SEGMENTS, (descriptor.segment_id,), (placements,)
+        self.pipeline.insert_meta_unchecked(
+            T.SEGMENTS, [((descriptor.segment_id,), (placements,))]
         )
 
     def _avoid_policy(self, drive):

@@ -1,19 +1,35 @@
 """The commit pipeline (paper Figure 4).
 
-Everything durable flows through here, in two tempos:
+Everything durable flows through here. A *drain* seals every dirty
+memtable into patches and writes the patches into segment *log
+records*; it runs in two tempos:
 
-* **drain** (frequent): seal every dirty memtable into patches, write
-  the patches into segment *log records*, flush the open segio, and
-  trim NVRAM. Runs whenever NVRAM passes its high watermark. Draining
-  never touches the boot region.
-* **checkpoint** (rare): persist the boot region — frontier and
-  speculative sets, allocator state, counters, and pointers to every
-  patch persisted so far. Runs when the frontier needs a refill.
+* **watermark drain** (frequent, ``_maybe_drain``): once NVRAM passes
+  ``NVRAM_HIGH_WATERMARK``, seal and write the log records, but leave
+  the open segio open, so segios leave the controller full. The first
+  flush after the seal — when that segio fills, or at the next forced
+  flush — trims NVRAM through the records the seal covered
+  (``segio_flushed``). While that trim is pending no further watermark
+  seal starts. Past ``NVRAM_FORCE_WATERMARK`` the watermark path drains
+  in full instead, and a record too large for the room left flushes
+  that segio first, so a pending trim never fills NVRAM.
+* **forced drain** (``drain``, for every caller that needs durability
+  now: ``PurityArray.drain``, GC's repoint and flatten barriers,
+  ``unpin_segment``, the write-through rung, shutdown): seal, write,
+  flush the open segio however empty it is, and trim NVRAM.
+
+Draining never touches the boot region. A **checkpoint** (rare)
+persists it — frontier and speculative sets, allocator state, counters,
+and pointers to every patch persisted so far — when the frontier needs
+a refill. It flushes first when a watermark seal is pending, so no boot
+pointer names a log record that exists only in RAM.
 
 Recovery coverage invariant: every fact is recoverable from (a) NVRAM
-(WAL records not yet trimmed), (b) a patch pointer in the last boot
-checkpoint, or (c) a log record inside the persisted frontier scan set
-— because allocation only ever uses AUs from the persisted frontier,
+(WAL records not yet trimmed — including every record a watermark
+drain sealed whose segio is still open, because NVRAM is trimmed only
+after that segio's flush completes), (b) a patch pointer in the last
+boot checkpoint, or (c) a log record inside the persisted frontier scan
+set — because allocation only ever uses AUs from the persisted frontier,
 patches persisted *after* the last checkpoint necessarily live in
 frontier segments the recovery scan visits. This is exactly the
 Figure 5 design, and it is why frontier/boot writes stay well under 1 %
@@ -24,18 +40,24 @@ Raw application writes commit to NVRAM (the client acknowledgement
 point) and are replayed through the data path on recovery; the
 address-map facts derived from them skip their own WAL record because a
 drain always persists the derived facts and trims their raw record
-together.
+together. A segment's ``SEGMENTS`` row has no raw record to be derived
+from, so it commits to NVRAM itself (``insert_meta_unchecked``).
 """
 
 from repro.core import tables as T
+from repro.errors import OutOfSpaceError
 from repro.pyramid.tuples import Fact, SequenceGenerator
 from repro.pyramid.wal import MonotonicWAL, encode_commit_record
 
 #: Facts per patch log record; large patches are chunked so each record
 #: fits comfortably inside a segio's log region.
 PATCH_CHUNK_FACTS = 64
-#: Seal memtables and drain once NVRAM passes this fill fraction.
+#: Seal memtables once NVRAM passes this fill fraction; the open segio
+#: that takes their log records flushes when it fills.
 NVRAM_HIGH_WATERMARK = 0.5
+#: Past this fill fraction the watermark path drains in full, flushing
+#: the open segio however empty it is, so NVRAM never runs out.
+NVRAM_FORCE_WATERMARK = 0.85
 
 
 class CommitPipeline:
@@ -63,9 +85,18 @@ class CommitPipeline:
         self._checkpointed_identities = set()
         self._medium_id_hint = 1
         self._draining = False
+        #: NVRAM record id a watermark drain sealed through while its log
+        #: records wait in the open segio; the next flush trims to it.
+        self._trim_pending = None
         self.drains = 0
         self.checkpoints = 0
         self.metadata_commits = 0
+
+    @property
+    def trim_pending(self):
+        """NVRAM record id a watermark drain sealed through while its log
+        records still wait in the open segio, or None."""
+        return self._trim_pending
 
     # ------------------------------------------------------------------
     # Inserts
@@ -80,16 +111,23 @@ class CommitPipeline:
 
     def insert_meta_batch(self, relation_name, entries):
         """Insert many facts as one WAL record; returns (facts, latency)."""
+        facts, latency = self.insert_meta_unchecked(relation_name, entries)
+        self._maybe_drain()
+        return facts, latency
+
+    def insert_meta_unchecked(self, relation_name, entries):
+        """:meth:`insert_meta_batch` without the NVRAM watermark check,
+        for callers inside the segment writer or recovery, where a
+        drain must not start."""
         relation = self.tables[relation_name]
         facts = [
             relation.make_fact(key, value, self.sequence.next())
             for key, value in entries
         ]
-        _record_id, latency = self.wal.commit(relation_name, facts)
+        latency = self._wal_commit(relation_name, facts)
         for fact in facts:
             relation.insert_fact(fact)
         self.metadata_commits += 1
-        self._maybe_drain()
         return facts, latency
 
     def insert_derived(self, relation_name, key, value, seqno=None):
@@ -118,8 +156,23 @@ class CommitPipeline:
             seqno=self.sequence.next(),
             value=(bytes(data),),
         )
-        _record_id, latency = self.wal.commit(T.RAW_WRITES, [fact])
+        latency = self._wal_commit(T.RAW_WRITES, [fact])
         return fact, latency
+
+    def _wal_commit(self, relation_name, facts):
+        """Append one record to NVRAM; returns its commit latency.
+
+        A record too large for what NVRAM has left while a watermark
+        seal waits for its segio first flushes that segio, which trims
+        the sealed records; past that, a full NVRAM still raises.
+        """
+        try:
+            return self.wal.commit(relation_name, facts)[1]
+        except OutOfSpaceError:
+            if self._trim_pending is None:
+                raise
+        self.segwriter.flush()
+        return self.wal.commit(relation_name, facts)[1]
 
     # ------------------------------------------------------------------
     # Durable elision (Section 4.10)
@@ -198,9 +251,13 @@ class CommitPipeline:
         return replayed
 
     def _maybe_drain(self):
-        used = self.wal.nvram.bytes_used
-        if used > NVRAM_HIGH_WATERMARK * self.wal.nvram.capacity_bytes:
+        nvram = self.wal.nvram
+        used = nvram.bytes_used
+        if used > NVRAM_FORCE_WATERMARK * nvram.capacity_bytes:
             self.drain()
+        elif (used > NVRAM_HIGH_WATERMARK * nvram.capacity_bytes
+              and self._trim_pending is None):
+            self.drain(flush=False)
 
     def after_raw_write_processed(self):
         """Hook the data path calls once a raw write's facts are inserted."""
@@ -232,12 +289,15 @@ class CommitPipeline:
             pointer_chunks.append((flat_placements, locator[0], locator[1]))
         return tuple(pointer_chunks)
 
-    def drain(self):
+    def drain(self, flush=True):
         """Seal dirty memtables, persist patches, flush, trim NVRAM.
 
-        Returns simulated latency (flush cost). Reentrancy-guarded:
-        persisting patches appends log records, which can trigger the
-        NVRAM watermark check recursively.
+        Returns simulated latency (flush cost). ``flush=False`` is the
+        watermark tempo: a non-empty open segio stays open, and the next
+        flush trims NVRAM through what this drain sealed
+        (:meth:`segio_flushed`). Reentrancy-guarded: persisting patches
+        appends log records, which can trigger the NVRAM watermark check
+        recursively.
         """
         if self._draining:
             return 0.0
@@ -256,12 +316,25 @@ class CommitPipeline:
                         )
                 for stale in [p for p in pointers if id(p) not in live_ids]:
                     del pointers[stale]
+            self.drains += 1
+            segio = self.segwriter.current_segio
+            if not flush and segio is not None and not (
+                    segio.finalized or segio.is_empty):
+                self._trim_pending = wal_snapshot
+                return 0.0
             latency = self.segwriter.flush()
             self.wal.mark_persisted(wal_snapshot)
-            self.drains += 1
             return latency
         finally:
             self._draining = False
+
+    def segio_flushed(self, _descriptor, _segio):
+        """Segment writer hook: the first flush after a watermark seal
+        puts the last of its log records on flash, so NVRAM trims
+        through the records that seal covered."""
+        if self._trim_pending is not None:
+            sealed_through, self._trim_pending = self._trim_pending, None
+            self.wal.mark_persisted(sealed_through)
 
     def compact(self):
         """Background LSM maintenance: merge patches, dropping elisions.
@@ -282,6 +355,9 @@ class CommitPipeline:
         (via the segment writer's checkpointer hook) and at clean
         shutdowns.
         """
+        if self._trim_pending is not None:
+            # Boot pointers may name the pending seal's log records.
+            self.segwriter.flush()
         self.frontier.refill()
         open_descriptor = self.segwriter.current_descriptor
         open_units = (

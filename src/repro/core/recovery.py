@@ -219,9 +219,11 @@ def _recover_body(array, boot_region, clock, full_scan, warm_cache_fraction):
         report.facts_recovered += len(facts)
     for header in headers:  # after adoption: the rows may be in a patch
         if array.tables.segments.get((header.segment_id,)) is None:
+            # Committed to NVRAM, as the segment writer does, so a
+            # checkpoint before the next drain cannot drop the row.
             placements = tuple(map(tuple, header.descriptor().placements))
-            array.pipeline.insert_derived(
-                T.SEGMENTS, (header.segment_id,), (placements,)
+            array.pipeline.insert_meta_unchecked(
+                T.SEGMENTS, [((header.segment_id,), (placements,))]
             )
     array.segwriter.set_next_segment_id(max_segment_id + 1)
     report.extra["torn_log_records"] = torn_log_records

@@ -73,6 +73,9 @@ class SegmentWriter:
         self.data_bytes_written = 0
         self.log_bytes_written = 0
         self.flush_bytes_written = 0
+        #: Payload bytes flushes programmed that no blob or log record
+        #: used: the padding of segios flushed before they filled.
+        self.padding_bytes_written = 0
 
     def set_next_segment_id(self, next_id):
         """Continue segment numbering after recovery."""
@@ -200,6 +203,7 @@ class SegmentWriter:
         if self._segio is None or self._segio.finalized or self._segio.is_empty:
             return 0.0
         segio = self._segio
+        padding = segio.free_bytes
         cp = self.crashpoints
         obs = self.obs
         with obs.span("segio.flush", segment=segio.descriptor.segment_id,
@@ -255,13 +259,15 @@ class SegmentWriter:
                 elapsed += wave_latency
             if cp is not None:
                 cp.hit("segwriter.post-flush", descriptor=descriptor)
-            flush_span.set(lat=elapsed, shards=len(pending))
+            fill = 1.0 - padding / self.geometry.payload_per_segio
+            flush_span.set(lat=elapsed, shards=len(pending), fill=fill)
         obs.metrics.histogram("segio.flush.latency").record(elapsed)
         if skipped_shards and self.degrade is not None:
             # Written at reduced stripe width: count the repair debt so
             # rebuild burns it down instead of rediscovering it.
             self.degrade.note_degraded_stripe(descriptor.segment_id)
         self.segios_flushed += 1
+        self.padding_bytes_written += padding
         if self.on_segio_flushed is not None:
             self.on_segio_flushed(descriptor, segio)
         # The write units hold their own copies now; recycle the

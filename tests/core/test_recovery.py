@@ -275,3 +275,34 @@ def test_gc_after_recovery_keeps_every_byte(array, stream, drain_first):
     recovered.run_gc(max_segments=8)
     second, _report = crash_and_recover(recovered)
     _assert_model(second, model)
+
+
+def test_checkpoint_before_a_drain_keeps_every_segment_row():
+    """A segment's row commits to NVRAM when the segment opens, so a
+    checkpoint that moves its AUs out of the frontier scan set, then a
+    crash, cannot drop it — and GC still frees what the row owns."""
+    from repro.core.config import ArrayConfig
+    from repro.sim.rand import RandomStream
+
+    array = PurityArray.create(ArrayConfig.small(seed=3))
+    array.create_volume("v", 2 * MIB)
+    stream = RandomStream(3)
+    model = bytearray(2 * MIB)
+    for index in range(60):
+        offset = stream.randint(0, (2 * MIB - 16 * KIB) // 512) * 512
+        payload = stream.randbytes(16 * KIB)
+        array.write("v", offset, payload)
+        model[offset:offset + 16 * KIB] = payload
+        if index == 29:
+            array.drain()
+    recovered, _report = crash_and_recover(array)
+    rows = {fact.key for fact in recovered.tables.segments.scan()}
+    recovered.pipeline.checkpoint()
+    second, _report = crash_and_recover(recovered)
+    assert rows <= {fact.key for fact in second.tables.segments.scan()}
+    for _ in range(3):
+        second.run_gc()
+    owned = {tuple(unit) for fact in second.tables.segments.scan()
+             for unit in fact.value[0]}
+    assert {tuple(unit) for unit in second.allocator.used_units()} == owned
+    _assert_model(second, {"v": model})

@@ -36,6 +36,7 @@ def test_segio_rollover_on_overflow(writer, geometry):
     assert offset_b >= geometry.payload_per_segio  # landed in segio 1
     assert descriptor_b.segment_id == descriptor_a.segment_id
     assert writer.segios_flushed == 1  # overflow forced a flush
+    assert writer.padding_bytes_written == 100  # the gap b"b" did not fit
 
 
 def test_segment_rollover_allocates_new_group(writer, geometry):
