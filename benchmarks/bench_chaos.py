@@ -28,9 +28,9 @@ TOTAL_OPS = 200
 
 def run_chaos(seed, plan=None):
     harness = ChaosHarness(seed=seed, plan=plan, total_ops=TOTAL_OPS)
-    start = harness.array.clock.now
+    start = harness.target.array.clock.now
     report = harness.run()
-    elapsed = harness.array.clock.now - start
+    elapsed = harness.target.array.clock.now - start
     return report, elapsed
 
 
@@ -56,11 +56,11 @@ def collect():
     quiet_rate = quiet_report.ops / quiet_elapsed
     chaos_rate = chaos_report.ops / chaos_elapsed
     traced = _run_traced()
-    trace_events = [r for r in traced.array.obs.records
+    trace_events = [r for r in traced.obs.records
                     if r["type"] == "event" and r["name"] == "fault"]
     metrics = [
         Metric("sweep_max_downtime",
-               max(report.max_downtime for _s, report, _e in results), "s",
+               max(report.max_outage for _s, report, _e in results), "s",
                shape_max(CLIENT_TIMEOUT_SECONDS,
                          paper="inside the 30 s client timeout")),
         Metric("sweep_violations",
@@ -78,7 +78,7 @@ def collect():
                len(trace_events) == traced.report.faults_fired, "",
                shape_equal(1, paper="every fault lands in the trace")),
     ]
-    return metrics, traced.array.obs.records
+    return metrics, traced.obs.records
 
 
 def test_chaos_schedule_survival(once):
@@ -89,11 +89,11 @@ def test_chaos_schedule_survival(once):
             seed,
             report.faults_fired,
             ",".join(k.split("-")[0] for k in report.kinds_used),
-            report.crashes,
-            round(report.max_downtime, 3),
-            report.drives_replaced,
-            report.segments_rebuilt,
-            report.scrub_passes,
+            report.counts["crashes"],
+            round(report.max_outage, 3),
+            report.counts["drives_replaced"],
+            report.counts["segments_rebuilt"],
+            report.counts["scrub_passes"],
             len(report.violations),
         ])
     emit("chaos_schedules", format_table(
@@ -105,7 +105,7 @@ def test_chaos_schedule_survival(once):
     for seed, report, _elapsed in results:
         assert report.violations == [], seed
         assert report.data_loss is None, seed
-        assert report.max_downtime < CLIENT_TIMEOUT_SECONDS
+        assert report.max_outage < CLIENT_TIMEOUT_SECONDS
 
 
 def test_chaos_throughput_cost(once):
@@ -126,7 +126,7 @@ def test_chaos_throughput_cost(once):
          round(quiet_rate, 1), 0, 0.0],
         ["under chaos", chaos_report.ops, round(chaos_elapsed, 3),
          round(chaos_rate, 1), chaos_report.faults_fired,
-         round(chaos_report.max_downtime, 3)],
+         round(chaos_report.max_outage, 3)],
     ]
     emit("chaos_throughput_cost", format_table(
         ["Schedule", "Ops", "Sim time (s)", "Ops/s (sim)", "Faults",

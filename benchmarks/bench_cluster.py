@@ -37,8 +37,10 @@ from repro.bench import (
     shape_equal,
     shape_min,
 )
-from repro.cluster import Cluster, ClusterChaosHarness, ClusterConfig
+from repro.cluster import Cluster, ClusterConfig, ClusterTarget
 from repro.cluster.config import DEAD_AFTER, HEARTBEAT_INTERVAL, REROUTE_BOUND
+from repro.faults.chaos import ChaosHarness
+from repro.faults.plan import ARRAY_KILL, ARRAY_REVIVE
 from repro.sim.rand import RandomStream
 from repro.units import KIB
 
@@ -164,16 +166,15 @@ def run_rebalance():
 
 def run_chaos():
     """One seeded array-kill schedule; the zero-acked-loss invariant."""
-    report = ClusterChaosHarness(
-        CHAOS_SEED, num_arrays=REBALANCE_ARRAYS,
-        total_ops=240, maintenance_every=40,
+    report = ChaosHarness(
+        CHAOS_SEED, target=ClusterTarget, total_ops=240, maintenance_every=40,
     ).run()
     return {
         "seed": CHAOS_SEED,
         "ops": report.ops,
-        "kills": report.kills,
-        "revives": report.revives,
-        "failovers": report.failovers,
+        "kills": report.counts[ARRAY_KILL],
+        "revives": report.counts[ARRAY_REVIVE],
+        "failovers": len(report.outages),
         "violations": len(report.violations),
         "zero_acked_write_loss": report.data_loss is None
         and not report.violations,

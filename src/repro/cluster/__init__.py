@@ -18,15 +18,11 @@ sim clock, per-node configs and metric registries) behind three roles:
 :class:`~repro.cluster.cluster.Cluster` wires the stack; with one
 array it is a bit-for-bit passthrough to the bare engine (the
 differential test's contract). :class:`~repro.cluster.chaos.
-ClusterChaosHarness` kills whole arrays mid-workload and proves zero
-acknowledged-write loss on the sim clock.
+ClusterTarget` lets the one chaos harness kill whole arrays
+mid-workload and prove zero acknowledged-write loss on the sim clock.
 """
 
-from repro.cluster.chaos import (
-    ClusterChaosHarness,
-    ClusterChaosReport,
-    ClusterInvariantViolation,
-)
+from repro.cluster.chaos import ClusterTarget
 from repro.cluster.client import ClusterClient
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
@@ -44,11 +40,9 @@ __all__ = [
     "ALIVE",
     "ArrayNode",
     "Cluster",
-    "ClusterChaosHarness",
-    "ClusterChaosReport",
     "ClusterClient",
     "ClusterConfig",
-    "ClusterInvariantViolation",
+    "ClusterTarget",
     "DEAD",
     "MetadataManager",
     "NetworkFabric",

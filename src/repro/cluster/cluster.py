@@ -218,7 +218,7 @@ class Cluster:
         return self.clock.now - start
 
     # ------------------------------------------------------------------
-    # Fault entry points (used by the cluster chaos harness)
+    # Fault entry points (used by the chaos harness's cluster target)
 
     def kill(self, node_id):
         """Crash a whole member array (its substrate survives)."""

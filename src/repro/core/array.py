@@ -100,7 +100,7 @@ class PurityArray:
             avoid_policy=self._avoid_policy,
             health=self.health,
         )
-        self.tables = TableSet(fanout=self.config.pyramid_fanout)
+        self.tables = TableSet()
         self.pipeline = CommitPipeline(
             self.tables,
             shelf.nvram,

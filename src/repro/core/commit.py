@@ -11,8 +11,11 @@ records*; it runs in two tempos:
   flush — trims NVRAM through the records the seal covered
   (``segio_flushed``). While that trim is pending no further watermark
   seal starts. Past ``NVRAM_FORCE_WATERMARK`` the watermark path drains
-  in full instead, and a record too large for the room left flushes
-  that segio first, so a pending trim never fills NVRAM.
+  in full. With a seal pending it seals into that seal's segio instead
+  and flushes it only if the new log records fit: when they overflow
+  it, that flush trims the earlier seal and the tail waits in the next
+  segio like any watermark seal's. A record too large for the room left
+  flushes that segio first, so a pending trim never fills NVRAM.
 * **forced drain** (``drain``, for every caller that needs durability
   now: ``PurityArray.drain``, GC's repoint and flatten barriers,
   ``unpin_segment``, the write-through rung, shutdown): seal, write,
@@ -56,7 +59,8 @@ PATCH_CHUNK_FACTS = 64
 #: that takes their log records flushes when it fills.
 NVRAM_HIGH_WATERMARK = 0.5
 #: Past this fill fraction the watermark path drains in full, flushing
-#: the open segio however empty it is, so NVRAM never runs out.
+#: the open segio however empty it is, so NVRAM never runs out (with a
+#: seal pending, a segio its log records overflow flushes instead).
 NVRAM_FORCE_WATERMARK = 0.85
 
 
@@ -251,10 +255,23 @@ class CommitPipeline:
         return replayed
 
     def _maybe_drain(self):
+        if self._draining:
+            return  # an insert the running drain made: no flush mid-drain
         nvram = self.wal.nvram
         used = nvram.bytes_used
         if used > NVRAM_FORCE_WATERMARK * nvram.capacity_bytes:
-            self.drain()
+            if self._trim_pending is None:
+                self.drain()
+            else:
+                # Seal into the pending seal's segio. If the records
+                # overflow it, that flush trims NVRAM through the earlier
+                # seal and the tail waits in the next segio like any
+                # watermark seal's: flushing the tail as well would
+                # program a segio nearly empty.
+                flushed = self.segwriter.segios_flushed
+                self.drain(flush=False)
+                if self.segwriter.segios_flushed == flushed:
+                    self.segwriter.flush()
         elif (used > NVRAM_HIGH_WATERMARK * nvram.capacity_bytes
               and self._trim_pending is None):
             self.drain(flush=False)

@@ -41,8 +41,6 @@ class ArrayConfig:
     inline_compression: bool = True
     #: Read scheduler: reconstruct around busy-writing drives.
     read_around_writes: bool = True
-    #: LSM fanout before background compaction merges patches.
-    pyramid_fanout: int = 8
     #: Controller DRAM cache: decompressed cblocks kept hot.
     cblock_cache_entries: int = 256
     #: Host worker processes. The worker pool was removed (only zlib
@@ -86,12 +84,6 @@ class ArrayConfig:
     def raw_capacity_bytes(self):
         """Raw flash across all drives."""
         return self.num_drives * self.ssd_geometry.capacity_bytes
-
-    @property
-    def usable_fraction(self):
-        """Fraction of raw capacity left after parity overhead."""
-        geometry = self.segment_geometry
-        return geometry.data_shards / geometry.total_shards
 
     @classmethod
     def small(cls, num_drives=11, drive_capacity=8 * MIB, seed=0, **overrides):

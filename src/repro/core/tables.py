@@ -86,20 +86,20 @@ RAW_WRITES = "__raw_writes"
 class TableSet:
     """All relations of one array, keyed by name."""
 
-    def __init__(self, fanout=8):
+    def __init__(self):
         self.relations = {
             # (medium_id, byte_offset) -> extent value
-            ADDRESS_MAP: Relation(ADDRESS_MAP, key_arity=2, fanout=fanout),
+            ADDRESS_MAP: Relation(ADDRESS_MAP, key_arity=2),
             # (medium_id, start) -> (end, target, target_offset, status)
-            MEDIUMS: Relation(MEDIUMS, key_arity=2, fanout=fanout),
+            MEDIUMS: Relation(MEDIUMS, key_arity=2),
             # (segment_id,) -> (placements_flat..., ) as a nested tuple
-            SEGMENTS: Relation(SEGMENTS, key_arity=1, fanout=fanout),
+            SEGMENTS: Relation(SEGMENTS, key_arity=1),
             # (volume_name,) -> (size, anchor_medium, status)
-            VOLUMES: Relation(VOLUMES, key_arity=1, fanout=fanout),
+            VOLUMES: Relation(VOLUMES, key_arity=1),
             # (volume_name, snapshot_name) -> (medium_id, size)
-            SNAPSHOTS: Relation(SNAPSHOTS, key_arity=2, fanout=fanout),
+            SNAPSHOTS: Relation(SNAPSHOTS, key_arity=2),
             # (target_relation_name, predicate_spec) -> ()
-            ELIDES: Relation(ELIDES, key_arity=2, fanout=fanout),
+            ELIDES: Relation(ELIDES, key_arity=2),
         }
 
     def __getitem__(self, name):

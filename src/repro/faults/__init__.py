@@ -12,9 +12,10 @@ something tests poke in by hand:
   hooks inside the simulated SSD timeline, and named ``crashpoint``
   hooks threaded through the datapath, segment writer, WAL, and GC.
 * :mod:`repro.faults.chaos` — the chaos harness: run a workload under a
-  plan, crash and recover on schedule, and verify the availability
-  invariants (byte-exact reads, bounded recovery time, loss is always
-  *reported*).
+  plan against a target (one array by default, or a cluster through
+  :class:`repro.cluster.chaos.ClusterTarget`), crash and recover on
+  schedule, and verify the availability invariants (byte-exact reads,
+  bounded outages, loss is always *reported*).
 
 Same seed → same plan → same fault trace, so any chaos failure replays
 exactly.
@@ -32,9 +33,15 @@ from repro.faults.plan import (
     FaultSpec,
 )
 from repro.faults.injector import CrashpointRouter, FaultEvent, FaultInjector
-from repro.faults.chaos import ChaosHarness, ChaosReport, InvariantViolation
+from repro.faults.chaos import (
+    ArrayTarget,
+    ChaosHarness,
+    ChaosReport,
+    InvariantViolation,
+)
 
 __all__ = [
+    "ArrayTarget",
     "ChaosHarness",
     "ChaosReport",
     "InvariantViolation",

@@ -33,7 +33,7 @@ STALL_STORM = "stall-storm"
 TORN_FLUSH = "torn-flush"
 NVRAM_TORN = "nvram-torn"
 CRASH = "crash"
-# Cluster-level kinds (fired by the cluster chaos harness, see
+# Cluster-level kinds (fired by the chaos harness's cluster target, see
 # repro.cluster.chaos): a whole-array controller kill, the matching
 # revive, and a timed network partition isolating one array.
 ARRAY_KILL = "array-kill"

@@ -194,12 +194,6 @@ class MetricsRegistry:
     def histograms(self):
         return [self._histograms[name] for name in sorted(self._histograms)]
 
-    def histogram_names(self):
-        return sorted(self._histograms)
-
-    def all_series(self):
-        return [self._series[name] for name in sorted(self._series)]
-
     # -- snapshots ------------------------------------------------------
 
     def snapshot(self):

@@ -14,6 +14,7 @@ cannot silently break fixture setup in one directory but not another.
 
 from repro.core.array import PurityArray
 from repro.core.config import ArrayConfig
+from repro.faults.chaos import ArrayTarget
 from repro.sim import rand as _rand
 
 
@@ -33,6 +34,16 @@ def make_engine(config=None, seed=0, volume=None, size=None, clock=None,
     if volume is not None:
         array.create_volume(volume, size)
     return array
+
+
+def assert_chaos_clean(report, target=ArrayTarget):
+    """Nothing broke or was lost; each read carries a visited state."""
+    assert report.violations == []
+    assert report.data_loss is None
+    assert report.max_outage < target.OUTAGE_BOUND
+    assert report.ops == report.reads + report.writes + report.rmws
+    assert sum(report.reads_by_state.values()) >= report.reads
+    assert set(report.reads_by_state) <= set(report.ladder_states)
 
 
 def pytest_configure(config):

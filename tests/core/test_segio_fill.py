@@ -238,3 +238,29 @@ def test_explicit_drain_still_flushes_and_trims():
     recovered, report = _recover(array)
     assert report.raw_writes_replayed == 0
     _assert_reads_back(recovered, tape)
+
+
+def test_a_ceiling_drain_flushes_at_most_one_segio(monkeypatch):
+    """At the NVRAM ceiling with a seal pending, flushing that seal's
+    segio is what trims NVRAM. Draining into it instead overflowed it,
+    and the drain then flushed a second segio holding only the seal's
+    tail."""
+    array = _array(seed=5)
+    nvram, segwriter = array.shelf.nvram, array.segwriter
+    flushed = []  # segios each drain at the ceiling flushed
+    maybe_drain = CommitPipeline._maybe_drain
+
+    def watched_maybe_drain(self):
+        before = segwriter.segios_flushed
+        at_ceiling = nvram.bytes_used > (NVRAM_FORCE_WATERMARK
+                                         * nvram.capacity_bytes)
+        maybe_drain(self)
+        if at_ceiling:
+            flushed.append(segwriter.segios_flushed - before)
+
+    monkeypatch.setattr(CommitPipeline, "_maybe_drain", watched_maybe_drain)
+    tape = _Tape(array, "rdbms", seed=5)
+    for _ in range(3000):
+        tape.write()
+    assert len(flushed) >= 3 and max(flushed) <= 1, flushed
+    _assert_reads_back(array, tape)

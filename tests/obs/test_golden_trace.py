@@ -27,13 +27,6 @@ from repro.sim.rand import RandomStream
 from repro.units import KIB
 
 
-@pytest.fixture(autouse=True)
-def _clean_perf():
-    reset_perf_counters()
-    yield
-    reset_perf_counters()
-
-
 def _run_workload(seed, tracing):
     """A fixed mixed workload; returns the array."""
     array = PurityArray.create(ArrayConfig.small(seed=seed))
@@ -133,6 +126,6 @@ def test_chaos_trace_survives_failover_as_one_trace():
     harness = ChaosHarness(seed=3, total_ops=60, maintenance_every=20,
                            tracing=True)
     harness.run()
-    assert harness.obs is harness.array.obs  # one handle across crashes
-    if harness.report.recoveries:
+    assert harness.obs is harness.target.array.obs  # one handle across crashes
+    if harness.report.outages:
         assert harness.obs.spans("recovery")

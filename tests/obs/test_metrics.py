@@ -3,14 +3,7 @@
 import pytest
 
 from repro.obs.metrics import BUCKET_BOUNDS, Histogram, MetricsRegistry
-from repro.perf import PERF, reset_perf_counters
-
-
-@pytest.fixture(autouse=True)
-def _clean_perf():
-    reset_perf_counters()
-    yield
-    reset_perf_counters()
+from repro.perf import PERF
 
 
 def test_counter_and_gauge_roundtrip():

@@ -10,14 +10,6 @@ import pytest
 from repro.faults.chaos import ChaosHarness
 from repro.obs import report as R
 from repro.obs.export import load_jsonl
-from repro.perf import reset_perf_counters
-
-
-@pytest.fixture(autouse=True)
-def _clean_perf():
-    reset_perf_counters()
-    yield
-    reset_perf_counters()
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +34,7 @@ def test_per_stage_table_renders(faulted_run):
 def test_fault_correlation_joins_faults_onto_io(faulted_run):
     harness, trace_path, _metrics = faulted_run
     records = load_jsonl(trace_path)
-    assert harness.injector.faults_fired > 0
+    assert harness.target.injector.faults_fired > 0
     view = R.fault_correlation(records)
     # Every fired fault kind shows up as a row in the view.
     for kind in harness.plan.kinds_used():
@@ -70,10 +62,10 @@ def test_render_report_composes_all_sections(faulted_run):
 def test_recovery_table_lists_each_recovery(faulted_run):
     harness, trace_path, _metrics = faulted_run
     table = R.recovery_table(load_jsonl(trace_path))
-    assert harness.report.crashes > 0
+    assert harness.report.counts["crashes"] > 0
     assert "Log records read" in table
     # Title, header and rule, then one row per crash -> recover.
-    assert len(table.splitlines()) == 3 + harness.report.crashes
+    assert len(table.splitlines()) == 3 + harness.report.counts["crashes"]
     assert R.recovery_table([]) is None
 
 

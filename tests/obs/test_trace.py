@@ -3,15 +3,8 @@
 import pytest
 
 from repro.obs.trace import NO_SPAN, NULL_OBS, Observability
-from repro.perf import PERF, reset_perf_counters
+from repro.perf import PERF
 from repro.sim.clock import SimClock
-
-
-@pytest.fixture(autouse=True)
-def _clean_perf():
-    reset_perf_counters()
-    yield
-    reset_perf_counters()
 
 
 @pytest.fixture
