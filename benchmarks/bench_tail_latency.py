@@ -17,7 +17,6 @@ from repro.analysis.reporting import format_table
 from repro.bench import Metric, bench_seed, register, shape_max, shape_min
 from repro.core.array import PurityArray
 from repro.core.config import ArrayConfig
-from repro.core.telemetry import format_perf_report, reset_perf_counters
 from repro.obs.export import metrics_lines
 from repro.obs.report import per_stage_table, series_table
 from repro.sim.distributions import percentile
@@ -69,8 +68,19 @@ def run_workload(read_around_writes, seed=None):
     return read_latencies, array
 
 
+def event_counters(array):
+    """One array's own cache, retry and health event counts."""
+    cache = array.datapath._cblock_cache.counters()
+    retries = array.segreader.retry_report().values()
+    health = array.health.report().values()
+    return [cache["hits"], cache["misses"], cache["evictions"],
+            sum(drive["attempts"] for drive in retries),
+            sum(drive["exhausted"] for drive in retries),
+            sum(drive["corrupted_reads"] for drive in health),
+            sum(drive["stalled_reads"] for drive in health)]
+
+
 def _run_ablation():
-    reset_perf_counters()
     with_scheduler, array_on = run_workload(True)
     without_scheduler, array_off = run_workload(False)
     return with_scheduler, array_on, without_scheduler, array_off
@@ -136,8 +146,14 @@ def test_read_around_writes_flattens_tail(once):
         rows,
         title="Tail latency: read around busy-writing drives "
               "(30%% writes, %d ops)" % OPERATIONS))
-    # Cache, retry and health event counters of the two workloads.
-    emit("tail_latency_perf_counters", format_perf_report())
+    # Each array's own cache, retry and health event counters.
+    emit("tail_latency_event_counters", format_table(
+        ["Scheduler", "cache hits", "cache misses", "cache evictions",
+         "read retries", "retries exhausted", "corrupted reads",
+         "stalled reads"],
+        [["read-around-writes ON"] + event_counters(array_on),
+         ["scheduler OFF"] + event_counters(array_off)],
+        title="Event counters per array"))
     # Per-stage *simulated* latency from the trace of the scheduler-on
     # run, plus the sampled queue-depth / cache-hit series.
     emit("tail_latency_obs_stages", per_stage_table(array_on.obs.records))

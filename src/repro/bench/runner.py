@@ -1,9 +1,10 @@
 """The deterministic benchmark runner.
 
-Runs registered benches one at a time, each under freshly reset
-:mod:`repro.perf` counters, and assembles the schema-versioned group
-documents the CLI writes to the repo root. Nothing here reads the host
-clock: two same-seed runs produce byte-identical documents.
+Runs registered benches one at a time and assembles the
+schema-versioned group documents the CLI writes to the repo root. Each
+bench counts on the arrays it builds, so no state carries from one
+bench to the next. Nothing here reads the host clock: two same-seed
+runs produce byte-identical documents.
 
 Benches that trace an array can hand their span records to
 :func:`obs_stage_rows`, which rolls them into the same per-stage
@@ -21,7 +22,6 @@ from repro.bench.schema import (
     group_document,
 )
 from repro.bench.seeds import ROOT_SEED
-from repro.perf import reset_perf_counters
 from repro.sim.distributions import percentile
 
 #: group -> repo-root artifact filename.
@@ -78,13 +78,12 @@ class CollectedBench:
 
 
 def run_bench(spec):
-    """Run one bench under clean perf counters; returns CollectedBench.
+    """Run one bench; returns CollectedBench.
 
     The collector may return a bare metric list, or a
     ``(metrics, obs_records)`` pair when it traced an array and wants
     the per-stage sim-latency table attached.
     """
-    reset_perf_counters()
     result = spec.collect()
     obs_stages = None
     if isinstance(result, tuple):

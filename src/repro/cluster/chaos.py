@@ -31,7 +31,6 @@ from repro.faults.plan import (
     NET_PARTITION,
     FaultPlan,
 )
-from repro.perf import PERF
 
 #: Member arrays: RF=2 leaves one spare to fail over to.
 NUM_ARRAYS = 3
@@ -95,7 +94,6 @@ class ClusterTarget:
         self.fault_events.append(FaultEvent(
             op, cluster.clock.now, spec.kind, spec.target, tuple(spec.params)))
         self.obs.event("fault", kind=spec.kind, target=spec.target)
-        PERF.incr("fault-fired")
 
     def ladder_state(self):
         client = self.cluster.client

@@ -10,7 +10,7 @@ before the call returns or raises: no thread outlives the I/O that
 started it.
 
 The helper runs ``zlib.compress(view, level)`` and
-``zlib.decompress(payload)`` and nothing else: no ``PERF``, ``obs``,
+``zlib.decompress(payload)`` and nothing else: no counter, ``obs``,
 sim clock, RNG or traced entry point. The controller thread still makes
 every ``build_cblock`` / ``parse_cblock`` / ``ZlibCompressor`` call
 itself, in the serial order with the serial arguments, handing each the

@@ -493,14 +493,3 @@ class PurityArray:
         registry.gauge("drives.alive").set(
             sum(1 for drive in self.drives.values() if not drive.failed)
         )
-
-    def capacity_report(self):
-        """Raw/allocated capacity view."""
-        geometry = self.config.segment_geometry
-        return {
-            "raw_bytes": self.config.raw_capacity_bytes,
-            "allocated_aus": self.allocator.used_count(),
-            "free_aus": self.allocator.free_count(),
-            "au_size": geometry.au_size,
-            "alive_drives": len(self.shelf.alive_drives),
-        }

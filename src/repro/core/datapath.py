@@ -35,11 +35,17 @@ from repro.errors import SnapshotError, VolumeError
 from repro.layout.segment import SegmentDescriptor
 from repro.mediums.medium import MEDIUM_NONE
 from repro.obs.trace import NULL_OBS
-from repro.perf import PERF
 from repro.units import MAX_CBLOCK, SECTOR
 
 #: Depth guard for medium recursion (GC keeps real chains <= 3).
 MAX_PAINT_DEPTH = 64
+
+
+#: Cblock-cache hits, misses and evictions summed over every cache in
+#: the process, reported by :mod:`repro.core.telemetry` for the
+#: ``benchmarks/perf`` harness. Nothing in the program reads it.
+CACHE_TALLY = dict.fromkeys(
+    ("cblock-cache-hit", "cblock-cache-miss", "cblock-cache-eviction"), 0)
 
 
 class CBlockCache:
@@ -50,9 +56,10 @@ class CBlockCache:
     readers slice them and dedup compares them (memcmp) without a
     defensive copy. A per-segment key index makes
     :meth:`invalidate_segment` proportional to the entries cached *for
-    that segment* instead of a scan of the whole cache, and every
-    lookup/eviction/invalidation feeds both local counters (unit
-    tests) and the global perf counters (``perf_report()``).
+    that segment* instead of a scan of the whole cache. Each cache
+    counts its own hits, misses, evictions and invalidations; hits,
+    misses and evictions also add to the process-wide
+    :data:`CACHE_TALLY`.
     """
 
     def __init__(self, capacity):
@@ -74,11 +81,11 @@ class CBlockCache:
         value = self._entries.get(key)
         if value is None:
             self.misses += 1
-            PERF.incr("cblock-cache-miss")
+            CACHE_TALLY["cblock-cache-miss"] += 1
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        PERF.incr("cblock-cache-hit")
+        CACHE_TALLY["cblock-cache-hit"] += 1
         return value
 
     def _drop_key_index(self, key):
@@ -102,7 +109,7 @@ class CBlockCache:
             evicted_key, _value = entries.popitem(last=False)
             self._drop_key_index(evicted_key)
             self.evictions += 1
-            PERF.incr("cblock-cache-eviction")
+            CACHE_TALLY["cblock-cache-eviction"] += 1
 
     def invalidate_segment(self, segment_id):
         """Drop every entry of one segment; returns how many went."""
@@ -112,7 +119,6 @@ class CBlockCache:
         for key in keys:
             del self._entries[key]
         self.invalidations += len(keys)
-        PERF.incr("cblock-cache-invalidation", len(keys))
         return len(keys)
 
     def clear(self):
@@ -350,8 +356,6 @@ class DataPath:
             if kept:
                 self.tails_repointed += 1
                 self.tail_bytes_repointed += kept
-                PERF.incr("displaced-tail")
-                PERF.incr("displaced-tail-bytes", kept)
         return entries
 
     def remainder_entries(self, medium_id, offset, length, keys):

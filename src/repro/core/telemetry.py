@@ -3,34 +3,40 @@
 Section 5.1: arrays continuously report request rates, sizes, volume
 sizes and deduplication ratios. Here the same numbers drive the
 benchmarks — latency percentiles, data-reduction ratios, and
-availability accounting.
+availability accounting. Each array's counts are its own: its
+``obs.metrics`` registry and the counters its caches, readers and
+health monitor keep.
 """
 
 from dataclasses import dataclass
 
-# The event-counter layer lives in :mod:`repro.perf` (below every
-# subsystem, so dedup/layout/faults can feed it without import cycles);
-# this is its public face alongside the rest of telemetry, as is the
-# health monitor's SUSPECT grade.
+from repro.core.datapath import CACHE_TALLY
+
+# The health monitor's SUSPECT grade is part of telemetry's public face.
 from repro.core.health import SUSPECT  # noqa: F401  (re-exported)
-from repro.perf import (  # noqa: F401  (re-exported)
-    PerfCounters,
-    format_perf_report,
-    perf_report,
-    reset_perf_counters,
-)
 
 __all__ = [
     # re-exports
-    "PerfCounters",
     "SUSPECT",
-    "format_perf_report",
-    "perf_report",
-    "reset_perf_counters",
     # this module's own public surface
     "degraded_mode_report",
+    "perf_report",
+    "reset_perf_counters",
     "ReductionReport",
 ]
+
+
+def perf_report():
+    """Cblock-cache hits, misses and evictions summed over every array
+    in the process, as ``{"counters": {name: count}}``. One array's own
+    counts are its cblock cache's (:meth:`CBlockCache.counters`)."""
+    return {"counters": dict(CACHE_TALLY)}
+
+
+def reset_perf_counters():
+    """Zero :func:`perf_report`'s process-wide cache tally."""
+    for name in CACHE_TALLY:
+        CACHE_TALLY[name] = 0
 
 
 def degraded_mode_report(array, service=None):

@@ -52,7 +52,6 @@ from repro.errors import (
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.perf import PERF
 from repro.sim.rand import RandomStream
 
 #: The op mix: ``READ_FRACTION`` of the ops are reads and
@@ -125,7 +124,6 @@ def replace_failed_drives(array, counts):
         if array.drives[name].failed:
             array.replace_drive(name)
             counts["drives_replaced"] += 1
-            PERF.incr("chaos-drive-replaced")
 
 
 class ArrayTarget:
@@ -189,7 +187,6 @@ class ArrayTarget:
     def recover(self):
         """Fail the controller over the surviving substrate."""
         self.report.counts["crashes"] += 1
-        PERF.incr("chaos-crash")
         self.report.fold_ladder(self.array.degrade.ladder)
         shelf, boot_region, clock = self.array.crash()
         before = clock.now
@@ -220,10 +217,8 @@ class ArrayTarget:
             self.array.checkpoint()
         # Scrub last: maintenance exits with the array verified clean,
         # so two destructive faults always have a repair between them.
-        scrub = self.array.scrub()
+        self.array.scrub()
         counts["scrub_passes"] += 1
-        if scrub.corrupt_shards or scrub.parity_mismatches:
-            PERF.incr("chaos-scrub-found-damage")
 
     def final_checks(self):
         counts = self.report.counts
@@ -328,7 +323,6 @@ class ChaosHarness:
 
     def _violate(self, invariant, detail):
         self.report.violations.append((invariant, detail))
-        PERF.incr("chaos-invariant-violation")
         raise InvariantViolation(invariant, detail)
 
     # ------------------------------------------------------------------
@@ -416,7 +410,6 @@ class ChaosHarness:
                     # crashpoint hit by a flush a read triggered).
                     self.target.recover()
                 self.report.ops += 1
-                PERF.incr("chaos-op")
                 if self.obs.tracing and (op + 1) % self.SAMPLE_EVERY == 0:
                     self.target.backend.observe_sample()
                 if (op + 1) % self.maintenance_every == 0:
@@ -430,7 +423,6 @@ class ChaosHarness:
             # and a client write was refused instead of being accepted
             # into an unprotectable stripe.
             self.report.data_loss = str(exc)
-            PERF.incr("chaos-data-loss-detected")
             if not self.expect_data_loss:
                 self._violate(
                     "survivable-schedule-survived",

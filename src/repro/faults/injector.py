@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from repro.errors import InjectedCrashError
 from repro.faults import plan as P
 from repro.obs.trace import NULL_OBS
-from repro.perf import PERF
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,6 @@ class FaultInjector:
             return
         self.array.fail_drive(target)
         self._record(P.DRIVE_FAIL, target)
-        PERF.incr("fault-drive-fail")
 
     def _record(self, kind, target, detail=()):
         self.faults_fired += 1
@@ -198,7 +196,6 @@ class FaultInjector:
             FaultEvent(self.op_index, self.clock.now, kind, target,
                        tuple(detail))
         )
-        PERF.incr("fault-fired")
         self.obs.event("fault", op=self.op_index, kind=kind, target=target,
                        detail=list(detail))
         self.obs.metrics.counter("faults.fired").inc()
@@ -221,16 +218,13 @@ class FaultInjector:
         stall = 0.0
         if self._overlaps_torn(drive.name, offset, nbytes):
             corrupted = True
-            PERF.incr("fault-torn-read")
         remaining = self._corrupt_bursts.get(drive.name, 0)
         if remaining > 0:
             self._corrupt_bursts[drive.name] = remaining - 1
             corrupted = True
-            PERF.incr("fault-corrupt-read")
         until = self._stall_until.get(drive.name, 0.0)
         if now < until:
             stall = drive.timing.write_interference_stall * 4
-            PERF.incr("fault-stalled-read")
         return corrupted, stall
 
     def peek_stall(self, drive, now):
@@ -309,7 +303,6 @@ class FaultInjector:
             "segment-%d" % descriptor.segment_id,
             tuple(torn_names),
         )
-        PERF.incr("fault-torn-flush")
         return kept
 
     # ------------------------------------------------------------------
@@ -326,7 +319,6 @@ class FaultInjector:
                 note(dropped)
             self._record(P.NVRAM_TORN, name, (record_id,))
             self.crashes_fired += 1
-            PERF.incr("fault-crash")
             raise InjectedCrashError(name, "NVRAM commit torn at record %d"
                                      % record_id)
         if name in self._armed_crashpoints:
@@ -341,5 +333,4 @@ class FaultInjector:
                     )
             self._record(P.CRASH, name, ("fired",))
             self.crashes_fired += 1
-            PERF.incr("fault-crash")
             raise InjectedCrashError(name)

@@ -16,7 +16,6 @@ records, and sequence bounds are rediscovered.
 from repro.errors import DeviceFailedError, UncorrectableError
 from repro.layout.segment import SegioHeader
 from repro.obs.trace import NULL_OBS
-from repro.perf import PERF
 from repro.units import MICROSECOND
 
 #: Device-level re-reads of a corrupted page before falling back to
@@ -125,7 +124,6 @@ class SegmentReader:
             if drive.failed:
                 break  # the health monitor auto-failed it under us
             self.stats_for(drive.name).attempts += 1
-            PERF.incr("segread-retry")
             backoff = READ_RETRY_BACKOFF * (2 ** attempts)
             attempts += 1
             result = drive.read(offset, length)
@@ -135,7 +133,6 @@ class SegmentReader:
                 health.note_stalled(drive.name)
         if result.corrupted:
             self.stats_for(drive.name).exhausted += 1
-            PERF.incr("segread-retry-exhausted")
             if health is not None:
                 health.note_corrupted(drive.name, region=region)
                 health.note_exhausted(drive.name, region=region)

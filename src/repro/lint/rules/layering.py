@@ -10,7 +10,7 @@ import into a function is how an upward dependency hides, not how it
 goes away.
 
 :data:`SHARED` is the vocabulary and instrumentation every layer uses
-(errors, units, tracing, host timers, the buffer sanitizer). Any module
+(errors, units, tracing and metrics, the buffer sanitizer). Any module
 may import it, and it sits outside the order. The root facade
 (``src/repro/__init__.py``) sits above everything. A package in neither
 table is itself a finding at every import that touches it, so a new
@@ -40,7 +40,7 @@ LAYERS = (
 )
 
 #: Importable from any layer; outside the order.
-SHARED = frozenset({"errors", "obs", "perf", "sanitize", "units"})
+SHARED = frozenset({"errors", "obs", "sanitize", "units"})
 
 RANK = {package: rank for rank, layer in enumerate(LAYERS)
         for package in layer}
@@ -69,7 +69,7 @@ class Layering(Rule):
 
     id = "layering"
     summary = ("src/repro imports strictly down the layer table; errors, "
-               "units, obs, perf and sanitize are shared")
+               "units, obs and sanitize are shared")
     rationale = (
         "The engine is a stack: a layer may use the layers beneath it\n"
         "and nothing above. An upward import ties a low layer to a high\n"

@@ -10,8 +10,7 @@ when the tail spiked, which injected fault caused which latency cliff.
   seed replays to a byte-identical trace;
 * :mod:`repro.obs.metrics` — one registry of counters, gauges,
   log-bucket latency histograms, and time series (the one source of
-  ``io.<op>.latency`` truth), unifying with the :mod:`repro.perf`
-  hot-path counters under one namespace;
+  ``io.<op>.latency`` truth), one per array;
 * :mod:`repro.obs.export` — deterministic JSONL snapshots of traces and
   metrics;
 * :mod:`repro.obs.report` — ``python -m repro.obs.report`` renders

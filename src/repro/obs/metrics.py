@@ -12,11 +12,9 @@ One namespace for every number the simulation reports:
 
 Naming convention: dotted ``<subsystem>.<thing>[.<unit>]`` — e.g.
 ``io.write.latency``, ``device.queue_depth``, ``gc.segments_collected``.
-The :mod:`repro.perf` event counters join the same namespace in
-:meth:`MetricsRegistry.snapshot` under ``perf.counter.*``.
+Each array owns its registry, so a snapshot holds only what that array
+counted.
 """
-
-from repro import perf as _perf
 
 #: Histogram bucket upper bounds in seconds: 4 log-scale buckets per
 #: decade from 1 µs to ~100 s, then +inf. Fixed when the module loads,
@@ -197,19 +195,12 @@ class MetricsRegistry:
     # -- snapshots ------------------------------------------------------
 
     def snapshot(self):
-        """Everything, as one sorted plain dict.
-
-        The global :mod:`repro.perf` counters join under
-        ``perf.counter.*``.
-        """
-        perf_report = _perf.perf_report()
-        counters = {
-            name: self._counters[name].value for name in sorted(self._counters)
-        }
-        for name in sorted(perf_report["counters"]):
-            counters["perf.counter.%s" % name] = perf_report["counters"][name]
+        """Everything, as one sorted plain dict."""
         return {
-            "counters": counters,
+            "counters": {
+                name: self._counters[name].value
+                for name in sorted(self._counters)
+            },
             "gauges": {
                 name: self._gauges[name].value for name in sorted(self._gauges)
             },

@@ -20,13 +20,13 @@ Cost contract: every instrumented site is one ``with obs.span(name,
 When tracing is off, :meth:`Observability.span` returns the shared
 :data:`NO_SPAN`, whose ``set`` does nothing, and :meth:`~Observability.event`
 returns ``None``: a site then costs one call and its attribute dict,
-and creates no :class:`Span` and no record. Span construction bumps the
-``obs-span`` perf counter (and events ``obs-event``), which is how the
-golden test proves the disabled hot path allocates nothing.
+and creates no :class:`Span` and no record. Every span and event takes
+the next id of the trace buffer's sequence, so an unmoved
+``buffer.next_id`` is how the golden test proves the disabled hot path
+allocates nothing.
 """
 
 from repro.obs.metrics import DiscardingRegistry
-from repro.perf import PERF
 
 
 class Span:
@@ -169,7 +169,6 @@ class Observability:
         The primitive under :meth:`span`, which pairs it with
         :meth:`end`; instrumented sites use :meth:`span`.
         """
-        PERF.incr("obs-span")
         buffer = self.buffer
         span = Span(self, buffer.next_id, self.current_span_id, name,
                     self.clock.now, attrs)
@@ -204,7 +203,6 @@ class Observability:
         """
         if not self.tracing:
             return None
-        PERF.incr("obs-event")
         buffer = self.buffer
         record = {
             "type": "event",

@@ -12,7 +12,6 @@ import hashlib
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.obs.export import metrics_text, trace_text
-from repro.perf import reset_perf_counters
 from repro.sim.rand import RandomStream
 from repro.units import KIB
 
@@ -38,7 +37,6 @@ def _drive_fingerprint(array):
 
 def _run(kind):
     """Drive one workload through a bare engine or a 1-array cluster."""
-    reset_perf_counters()
     config = ClusterConfig(num_arrays=1, seed=SEED)
     stream = RandomStream(SEED).fork("cluster-differential")
     if kind == "bare":

@@ -160,10 +160,3 @@ def test_crashed_array_rejects_operations(array, volume):
     array.crash()
     with pytest.raises(RuntimeError):
         array.read(volume, 0, SECTOR)
-
-
-def test_capacity_report(array):
-    report = array.capacity_report()
-    assert report["alive_drives"] == array.config.num_drives
-    assert report["raw_bytes"] == array.config.raw_capacity_bytes
-    assert report["allocated_aus"] >= 0

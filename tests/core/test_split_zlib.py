@@ -22,7 +22,6 @@ from repro.compression.engine import ZlibCompressor
 from repro.core import datapath as datapath_module
 from repro.core import tables as T
 from repro.core.array import PurityArray
-from repro.core.telemetry import perf_report, reset_perf_counters
 from repro.errors import EncodingError
 from repro.sim.rand import RandomStream
 from repro.units import KIB, MAX_CBLOCK, SECTOR
@@ -118,6 +117,7 @@ def _play(array):
     seen.append(("stats", datapath.compression_stats))
     seen.append(("counters", (datapath.logical_bytes_written,
                               datapath.dedup_bytes_saved)))
+    seen.append(("own-counters", _own_counters(array)))
     recovered, _report = PurityArray.recover(array.config, *array.crash())
     recovered.datapath.drop_caches()
     seen.append(("recovered", recovered.read("v", 0, 3 * 1024 * KIB)[0]))
@@ -126,14 +126,21 @@ def _play(array):
     seen.append(("recovered-stats", recovered.datapath.compression_stats))
     seen.append(("recovered-cache",
                  list(recovered.datapath._cblock_cache._entries)))
+    seen.append(("recovered-counters", _own_counters(recovered)))
     return seen
+
+
+def _own_counters(array):
+    """The datapath's and segment reader's own event counters."""
+    datapath, reader = array.datapath, array.segreader
+    return (datapath._cblock_cache.counters(), datapath.tails_repointed,
+            datapath.tail_bytes_repointed, reader.direct_reads,
+            reader.reconstructed_reads, reader.retry_report())
 
 
 def _observe(on, split):
     ran = split(on)
-    reset_perf_counters()
     seen = _play(make_engine(seed=3, volume="v", size=VOLUME))
-    seen.append(("perf", perf_report()))
     return seen, len(ran)
 
 

@@ -26,7 +26,6 @@ from repro.faults.plan import (
     FaultPlan,
     FaultSpec,
 )
-from repro.perf import perf_report, reset_perf_counters
 
 from tests.conftest import assert_chaos_clean
 
@@ -110,16 +109,6 @@ def test_beyond_budget_schedule_reports_data_loss():
             or "read-only" in report.data_loss)
     assert report.ladder_states[-1] == "read-only"
     assert report.violations == []  # loss was detected, nothing lied
-
-
-def test_chaos_counters_flow_into_perf_report():
-    reset_perf_counters()
-    report = run_seed(3, total_ops=80)
-    assert_chaos_clean(report)
-    counters = perf_report()["counters"]
-    assert counters["chaos-op"] == report.ops
-    assert counters.get("fault-fired", 0) == report.faults_fired
-    assert counters.get("chaos-data-loss-detected", 0) == 0
 
 
 @pytest.mark.slow

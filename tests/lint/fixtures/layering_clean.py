@@ -5,7 +5,6 @@ import json
 import repro.ssd.device
 from repro import obs, sanitize
 from repro.errors import EncodingError
-from repro.perf import PERF
 from repro.sim.clock import SimClock
 from repro.units import KIB
 from repro.wire import encode_value
@@ -16,5 +15,5 @@ from .pools import BufferPool
 
 def header(clock):
     from repro.erasure import rs            # function-local, still downward
-    return (json, repro.ssd.device, obs, sanitize, EncodingError, PERF,
+    return (json, repro.ssd.device, obs, sanitize, EncodingError,
             SimClock, KIB, encode_value, segment, BufferPool, rs, clock)

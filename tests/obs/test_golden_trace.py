@@ -5,13 +5,13 @@ byte-identical JSONL — timestamps come from the sim clock, ids from a
 per-run sequence, and JSON keys are sorted — and both must match the
 committed files under ``golden/``, so a change that moves trace bytes
 deterministically still fails. With tracing off, the write hot path
-must construct zero spans (proved via the ``obs-span`` perf counter
-that ``Observability.begin`` bumps unconditionally).
+must construct zero spans (proved by the trace buffer's id sequence,
+which every span and event advances).
 
 The workload's payloads are random, so every cblock is stored raw and
 the zlib version cannot move the golden files. After a deliberate
 change to what the trace records, regenerate them from
-``_run_workload(11, tracing=True)`` with fresh perf counters.
+``_run_workload(11, tracing=True)``.
 """
 
 import os
@@ -22,7 +22,6 @@ from repro.core.array import PurityArray
 from repro.core.config import ArrayConfig
 from repro.faults.chaos import ChaosHarness
 from repro.obs.export import metrics_text, trace_text
-from repro.perf import PERF, reset_perf_counters
 from repro.sim.rand import RandomStream
 from repro.units import KIB
 
@@ -77,20 +76,14 @@ def test_trace_covers_the_span_taxonomy():
 
 
 def test_metrics_snapshot_is_deterministic():
-    # Snapshots merge the process-global perf counters, so each run
-    # gets a clean slate — exactly what a fresh process would see.
     first = metrics_text(_run_workload(11, tracing=True).obs)
-    reset_perf_counters()
     second = metrics_text(_run_workload(11, tracing=True).obs)
     assert "io.write.latency" in first
     assert first == second
 
 
 def test_tracing_off_allocates_no_spans():
-    reset_perf_counters()
-    _run_workload(11, tracing=False)
-    assert PERF.counter("obs-span") == 0
-    assert PERF.counter("obs-event") == 0
+    assert _run_workload(11, tracing=False).obs.buffer.next_id == 1
 
 
 def test_registry_still_records_with_tracing_off():
@@ -109,7 +102,6 @@ def test_chaos_same_seed_byte_identical_trace(tmp_path):
         return harness.export_obs(str(directory))
 
     first_trace, first_metrics = run(tmp_path / "a")
-    reset_perf_counters()
     second_trace, second_metrics = run(tmp_path / "b")
     with open(first_trace, "rb") as fh:
         a = fh.read()

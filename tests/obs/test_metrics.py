@@ -3,7 +3,6 @@
 import pytest
 
 from repro.obs.metrics import BUCKET_BOUNDS, Histogram, MetricsRegistry
-from repro.perf import PERF
 
 
 def test_counter_and_gauge_roundtrip():
@@ -83,11 +82,23 @@ def test_series_sampling():
     ]
 
 
-def test_snapshot_merges_perf_counters():
-    registry = MetricsRegistry()
-    registry.counter("obs.local").inc()
-    PERF.incr("some-hot-path-counter", 5)
-    snapshot = registry.snapshot()
-    assert snapshot["counters"]["perf.counter.some-hot-path-counter"] == 5
-    assert snapshot["counters"]["obs.local"] == 1
 
+def test_an_arrays_snapshot_holds_only_its_own_counts():
+    """A fresh array snapshots the same before and after another array
+    in the process has served I/O."""
+    from repro.core.array import PurityArray
+    from repro.core.config import ArrayConfig
+    from repro.units import KIB
+
+    def fresh_snapshot():
+        array = PurityArray.create(ArrayConfig.small(seed=7))
+        return array.obs.metrics.snapshot()
+
+    before = fresh_snapshot()
+    busy = PurityArray.create(ArrayConfig.small(seed=7))
+    busy.create_volume("v", 128 * KIB)
+    for slot in range(32):
+        busy.write("v", slot * 4 * KIB, bytes([slot]) * 4 * KIB)
+        busy.read("v", slot * 4 * KIB, 4 * KIB)
+    assert busy.datapath._cblock_cache.hits > 0
+    assert fresh_snapshot() == before

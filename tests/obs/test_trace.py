@@ -3,7 +3,6 @@
 import pytest
 
 from repro.obs.trace import NO_SPAN, NULL_OBS, Observability
-from repro.perf import PERF
 from repro.sim.clock import SimClock
 
 
@@ -68,12 +67,12 @@ def test_span_ids_are_sequential_and_reset(obs):
     assert again.span_id == first.span_id
 
 
-def test_tracing_bumps_perf_counters(obs):
+def test_spans_and_events_share_one_id_sequence(obs):
     with obs.span("io.write"):
         pass
     obs.event("fault")
-    assert PERF.counter("obs-span") == 1
-    assert PERF.counter("obs-event") == 1
+    assert [record["id"] for record in obs.records] == [1, 2]
+    assert obs.buffer.next_id == 3
 
 
 def test_null_obs_is_off():
@@ -135,11 +134,11 @@ def test_span_with_tracing_off_is_the_shared_no_span():
         with obs.span("io.read"):
             raise _Injected()
     assert obs.records == []
-    assert PERF.counter("obs-span") == 0
+    assert obs.buffer.next_id == 1
 
 
 def test_event_with_tracing_off_records_nothing():
     obs = Observability(SimClock())
     assert obs.event("fault", kind="stall") is None
     assert obs.records == []
-    assert PERF.counter("obs-event") == 0
+    assert obs.buffer.next_id == 1
