@@ -24,13 +24,15 @@ acknowledged byte. Primaries are only ever chosen from the clean set;
 a volume whose clean replicas all die is *detected* loss (reported,
 never wrong bytes — the cluster face of the single-array ladder
 contract). Refresh copies stream a volume from a clean source to a
-dirty replica in rate-limited chunks on the event loop, and the chunk
-callback re-reads the source at copy time, so a client write landing
-between chunks can never be undone by a stale copy.
+dirty replica in rate-limited chunks on the event loop (through
+replication's ``ship_chunk``), and the chunk callback re-reads the
+source at copy time, so a client write landing between chunks can
+never be undone by a stale copy.
 """
 
 from repro.cluster.config import DEAD_AFTER, HEARTBEAT_INTERVAL, SUSPECT_AFTER
 from repro.cluster.placement import PlacementMap
+from repro.core.replication import ship_chunk
 from repro.errors import DataLossError
 
 ALIVE = "alive"
@@ -350,16 +352,21 @@ class MetadataManager:
         for node_id in self.placement.replicas(volume):
             if node_id == dst:
                 continue
+            # A member that died before the failure detector noticed
+            # is still ALIVE to the MDM: ask the node too.
             if node_id in self._clean.get(volume, ()) \
                     and self.members[node_id].status == ALIVE \
+                    and self.nodes[node_id].alive \
                     and not self.fabric.isolated(node_id):
                 return node_id
         return None
 
     def _copy_step(self, volume, dst, state):
         """Copy one chunk; the read happens *now*, inside this callback,
-        so a client write between chunks is already in the source bytes
-        this step streams — the copy can never resurrect stale data."""
+        from the source volume's live medium, so a client write between
+        chunks is already in the source bytes this step streams — the
+        copy can never resurrect stale data. A destination that is down
+        or cut off stalls the copy, as a missing source does."""
         key = (volume, dst)
         if key not in self._copies_pending:
             return
@@ -372,7 +379,8 @@ class MetadataManager:
             self._copies_pending.discard(key)
             return
         src = self._copy_source(volume, dst)
-        if src is None or self.fabric.isolated(dst):
+        if src is None or not self.nodes[dst].alive \
+                or self.fabric.isolated(dst):
             state["stalls"] += 1
             if state["stalls"] > COPY_MAX_STALLS:
                 self._copies_pending.discard(key)
@@ -384,12 +392,10 @@ class MetadataManager:
         size = self.volume_sizes[volume]
         offset = state["offset"]
         chunk = min(COPY_CHUNK_BYTES, size - offset)
-        data, _lat = self.nodes[src].array.read(
-            volume, offset, chunk, advance_clock=False
-        )
+        source = self.nodes[src].array
         self.nodes[dst].ensure_volume(volume, size)
-        self.nodes[dst].array.write(volume, offset, data,
-                                    advance_clock=False)
+        ship_chunk(source, source.volumes.anchor_medium(volume),
+                   self.nodes[dst].array, volume, offset, chunk)
         self._copied.inc(chunk)
         state["offset"] = offset + chunk
         if state["offset"] >= size:

@@ -4,13 +4,13 @@ Purity arrays include replication ports and ship volumes to a second
 array without pausing service. The replicator here is snapshot-based:
 each cycle snapshots the source volume, ships the delta since the last
 replicated snapshot (full content on the first cycle), and applies it
-to the target array. A zero chunk travels as an ``unmap``, not as
-data, and is skipped outright on a target volume created this cycle;
-the target's own dedup/compression pipeline reduces the shipped bytes
-again on arrival.
+to the target array through :func:`ship_chunk`, which the cluster's
+refresh copy uses too. The target's own dedup/compression pipeline
+reduces the shipped bytes again on arrival.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.core import tables as T
 from repro.errors import ReplicationError, VolumeNotFoundError
@@ -24,6 +24,27 @@ LINK_LATENCY = 0.03
 CHUNK_SIZE = 64 * KIB
 
 
+def ship_chunk(source, medium_id, target, volume, offset, length,
+               fresh=False):
+    """Copy one chunk of ``source``'s ``medium_id`` onto ``target``'s
+    ``volume`` at the same offset: the one cross-array copy path.
+    Returns whether the chunk went on the wire as data.
+
+    The read skips the source's ``io.read`` histogram and rebuild
+    governor: a copy is background work. A zero chunk becomes an
+    ``unmap``, since a zero-write or an unmap on the source must reach
+    the target too, unless the target volume is ``fresh`` and so reads
+    as zeroes already.
+    """
+    data, _latency = source.datapath.read(medium_id, offset, length)
+    if any(data):
+        target.write(volume, offset, data, advance_clock=False)
+        return True
+    if not fresh:
+        target.unmap(volume, offset, length)
+    return False
+
+
 @dataclass
 class ReplicationCycle:
     """Accounting for one replication round of one volume."""
@@ -34,7 +55,6 @@ class ReplicationCycle:
     bytes_shipped: int = 0
     chunks_shipped: int = 0
     link_seconds: float = 0.0
-    extra: dict = field(default_factory=dict)
 
 
 class AsyncReplicator:
@@ -43,7 +63,7 @@ class AsyncReplicator:
     def __init__(self, source, target):
         self.source = source
         self.target = target
-        self._last_snapshot = {}  # volume -> (snapshot_name, medium, seqno mark)
+        self._last_snapshot = {}  # volume -> (snapshot_name, seqno mark)
         self._cycle_counter = 0
         self.cycles = []
 
@@ -67,8 +87,7 @@ class AsyncReplicator:
         """Run one replication cycle for ``volume``; returns the cycle.
 
         The first cycle ships the whole volume; later cycles ship only
-        ranges whose address-map facts are newer than the previous
-        cycle's sequence mark.
+        the ranges a client changed since the previous cycle's mark.
         """
         created = self._ensure_target_volume(volume)
         self._cycle_counter += 1
@@ -81,83 +100,44 @@ class AsyncReplicator:
         if previous is None:
             ranges = [(0, size)]
         else:
-            ranges = self._changed_ranges(snap_medium, previous[2], size)
-        for start, length in ranges:
-            self._ship_range(snap_medium, volume, start, length, cycle,
-                             created)
+            ranges = self._changed_ranges(snap_medium, previous[1], size)
+        for start, end in ranges:
+            for cursor in range(start, end, CHUNK_SIZE):
+                length = min(CHUNK_SIZE, end - cursor)
+                cycle.bytes_examined += length
+                if ship_chunk(self.source, snap_medium, self.target, volume,
+                              cursor, length, fresh=created):
+                    cycle.bytes_shipped += length
+                    cycle.chunks_shipped += 1
+                    cycle.link_seconds += (LINK_LATENCY
+                                           + length / LINK_BANDWIDTH)
         if previous is not None:
             self.source.destroy_snapshot(volume, previous[0])
-        self._last_snapshot[volume] = (snapshot_name, snap_medium, seq_mark_now)
+        self._last_snapshot[volume] = (snapshot_name, seq_mark_now)
         self.cycles.append(cycle)
         return cycle
 
     def _changed_ranges(self, snap_medium, seq_mark, size):
-        """Byte ranges written since the previous cycle's mark.
+        """The [start, end) ranges a client changed since ``seq_mark``.
 
-        Walks the snapshot's medium chain and collects extents newer
-        than the mark, coalescing them into chunk-aligned ranges.
+        The read planner names the piece that supplies each byte of the
+        snapshot, holes included, and a piece changed if its rank (the
+        seqno of the client operation that supplied it) is past the
+        mark. GC, remainders and dedup keep ranks, so bytes that only
+        moved are not shipped again.
         """
-        from repro.mediums.medium import MEDIUM_NONE
-        from repro.metadata.rangecode import IntRangeSet
-
-        table = self.source.medium_table
-        address_map = self.source.tables.address_map
-        changed = IntRangeSet()
-        frontier = [(snap_medium, 0, 0, size)]
-        seen = set()
-        while frontier:
-            medium_id, m_off, v_off, length = frontier.pop()
-            if (medium_id, m_off, v_off) in seen:
+        pieces = []
+        self.source.datapath._plan(snap_medium, [(0, size)], 0, 0, pieces,
+                                   holes=True)
+        ranges = []
+        for at, fact, _inner, nbytes in sorted(pieces, key=itemgetter(0)):
+            if T.extent_rank(fact.value) <= seq_mark:
                 continue
-            seen.add((medium_id, m_off, v_off))
-            for row in table.ranges_of(medium_id):
-                sub_start = max(m_off, row.start)
-                sub_end = min(m_off + length, row.end)
-                if sub_start >= sub_end or row.target == MEDIUM_NONE:
-                    continue
-                frontier.append(
-                    (
-                        row.target,
-                        row.target_offset + (sub_start - row.start),
-                        v_off + (sub_start - m_off),
-                        sub_end - sub_start,
-                    )
-                )
-            for fact in address_map.scan((medium_id, 0), (medium_id, 2 ** 62)):
-                if fact.seqno <= seq_mark:
-                    continue
-                extent_offset = fact.key[1]
-                lo = max(extent_offset, m_off)
-                hi = min(extent_offset + T.extent_length(fact.value),
-                         m_off + length)
-                if lo < hi:
-                    changed.add(v_off + (lo - m_off), v_off + (hi - m_off) - 1)
-        return [(lo, hi - lo + 1) for lo, hi in changed]
-
-    def _ship_range(self, snap_medium, volume, start, length, cycle,
-                    created):
-        """Ship one range chunk by chunk. A zero chunk becomes an unmap
-        on the target, since a zero-write or an unmap on the source must
-        reach it too, unless the target volume is fresh (``created``)
-        and so reads as zeroes already."""
-        cursor = start
-        end = start + length
-        while cursor < end:
-            chunk_length = min(CHUNK_SIZE, end - cursor)
-            data, _latency = self.source.datapath.read(
-                snap_medium, cursor, chunk_length
-            )
-            cycle.bytes_examined += chunk_length
-            if any(data):
-                cycle.bytes_shipped += chunk_length
-                cycle.chunks_shipped += 1
-                cycle.link_seconds += (
-                    LINK_LATENCY + chunk_length / LINK_BANDWIDTH
-                )
-                self.target.write(volume, cursor, data, advance_clock=False)
-            elif not created:
-                self.target.unmap(volume, cursor, chunk_length)
-            cursor += chunk_length
+            if ranges and ranges[-1][1] == at:
+                ranges[-1][1] += nbytes
+            else:
+                ranges.append([at, at + nbytes])
+        return ranges
 
     def total_bytes_shipped(self):
         return sum(cycle.bytes_shipped for cycle in self.cycles)

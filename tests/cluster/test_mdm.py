@@ -1,10 +1,13 @@
 """MetadataManager behavior: membership, clean sets, refresh copies."""
 
+import random
+
 import pytest
 
-from repro.cluster import ALIVE, DEAD, SUSPECT
+from repro.cluster import ALIVE, DEAD, SUSPECT, Cluster, ClusterConfig
 from repro.cluster.config import DEAD_AFTER, HEARTBEAT_INTERVAL, SUSPECT_AFTER
 from repro.errors import DataLossError
+from repro.units import KIB, MIB
 
 from tests.cluster.conftest import RECORD_SIZE, RECORD_SLOTS, \
     VOLUME_SIZE, make_cluster
@@ -158,3 +161,49 @@ def test_epoch_advances_on_every_membership_change(cluster3):
     for node_id, node in cluster3.nodes.items():
         if node.alive:
             assert node.epoch == cluster3.mdm.epoch
+
+
+def _kill_mid_copy(side):
+    """Kill one end of a refresh copy 20 ms (four chunks) into it, while
+    the failure detector still has the victim alive, and revive it
+    100 ms later. Regression: the copy used to read from a killed
+    source or write to a killed destination and raise out of the event
+    loop."""
+    size = 4 * MIB
+    cluster = Cluster(ClusterConfig(num_arrays=3, seed=5))
+    cluster.create_volume("v", size)
+    stream = random.Random(5)
+    acked = bytearray(size)
+    for offset in range(0, size, 64 * KIB):
+        data = stream.randbytes(64 * KIB)
+        cluster.write("v", offset, data)
+        acked[offset:offset + len(data)] = data
+    primary, secondary = cluster.mdm.routing("v")
+    copied = cluster.obs.metrics.counter("cluster.rebalance.bytes_copied")
+    cluster.partition(secondary, SUSPECT_AFTER + 0.3)
+    while copied.value == 0:
+        cluster.advance(0.001)
+    cluster.advance(0.02 - 0.001)
+    assert copied.value == 512 * KIB
+    victim = primary if side == "source" else secondary
+    cluster.kill(victim)
+    assert cluster.mdm.status(victim) == ALIVE
+    cluster.advance(0.1)
+    # Stalled: nothing was copied from or to the dead array.
+    assert copied.value == 512 * KIB
+    cluster.revive(victim)
+    cluster.settle()
+    clean = cluster.mdm.clean_replicas("v")
+    assert clean == sorted((primary, secondary))
+    for node_id in clean:
+        data = cluster.nodes[node_id].array.read(
+            "v", 0, size, advance_clock=False)[0]
+        assert data == acked, node_id
+
+
+def test_killing_the_copy_source_mid_copy_stalls_the_copy():
+    _kill_mid_copy("source")
+
+
+def test_killing_the_copy_destination_mid_copy_stalls_the_copy():
+    _kill_mid_copy("destination")

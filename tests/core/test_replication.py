@@ -1,5 +1,7 @@
 """Asynchronous replication between two arrays."""
 
+import random
+
 import pytest
 
 from repro.core.array import PurityArray
@@ -7,7 +9,7 @@ from repro.core.config import ArrayConfig
 from repro.core.replication import AsyncReplicator
 from repro.errors import ReplicationError
 from repro.sim.clock import SimClock
-from repro.units import KIB, MIB
+from repro.units import KIB, MIB, SECTOR
 
 from tests.core.conftest import unique_bytes
 
@@ -137,3 +139,64 @@ def test_zeroes_reach_the_target(pair, stream):
         image, _ = source.read("image%d" % index, 0, 2 * MIB)
         replica, _ = target.read("v", 0, 2 * MIB)
         assert replica == image
+
+
+def test_gc_moving_bytes_does_not_reship_them(pair, stream):
+    """Regression: GC's repoint renews a fact's seqno but not its rank,
+    so a cycle after GC ships nothing when no client wrote."""
+    source, target = pair
+    rng = random.Random(3)
+    for _ in range(300):
+        length = rng.choice([4, 8, 16, 32]) * KIB
+        offset = rng.randrange(0, 2 * MIB - length + 1, 4 * KIB)
+        source.write("v", offset, unique_bytes(length, stream))
+    replicator = AsyncReplicator(source, target)
+    replicator.replicate("v")
+    source.drain()
+    assert source.run_gc(max_segments=8).segments_collected > 0
+    cycle = replicator.replicate("v")
+    assert cycle.bytes_shipped == 0
+    assert target.read("v", 0, 2 * MIB)[0] == source.read("v", 0, 2 * MIB)[0]
+
+
+def _replicate_tape(seed, cycles=12, ops_per_cycle=30):
+    """Writes at sector offsets, unmaps, zero writes, GC passes and
+    flattens between replication cycles; after every cycle the target
+    reads back exactly the source."""
+    size = MIB
+    clock = SimClock()
+    source = PurityArray.create(ArrayConfig.small(seed=seed), clock=clock)
+    target = PurityArray.create(ArrayConfig.small(seed=seed + 1),
+                                clock=clock)
+    source.create_volume("v", size)
+    rng = random.Random(seed)
+    replicator = AsyncReplicator(source, target)
+    for cycle in range(cycles):
+        for _ in range(ops_per_cycle):
+            length = rng.randint(1, 128) * SECTOR
+            offset = rng.randrange(0, size - length + 1, SECTOR)
+            roll = rng.random()
+            if roll < 0.6:
+                source.write("v", offset, rng.randbytes(length))
+            elif roll < 0.75:
+                source.unmap("v", offset, length)
+            elif roll < 0.85:
+                source.write("v", offset, bytes(length))
+            elif roll < 0.95:
+                source.drain()
+                source.run_gc(max_segments=4)
+            else:
+                source.gc.flatten_medium(source.volumes.anchor_medium("v"))
+        replicator.replicate("v")
+        assert target.read("v", 0, size)[0] == source.read("v", 0, size)[0], \
+            "seed %d cycle %d" % (seed, cycle)
+
+
+def test_every_cycle_of_a_churning_tape_matches_the_source():
+    _replicate_tape(0)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(1, 5))
+def test_every_cycle_of_a_churning_tape_matches_the_source_long(seed):
+    _replicate_tape(seed)
