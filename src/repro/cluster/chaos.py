@@ -76,8 +76,7 @@ class ClusterTarget:
         cluster = self.cluster
         if spec.kind == ARRAY_KILL:
             # The revive boots a new controller with a new ladder.
-            self.report.fold_ladder(cluster.nodes[spec.target].array
-                                    .degrade.ladder)
+            self.report.fold_ladder(cluster.nodes[spec.target].array.degrade)
             cluster.kill(spec.target)
         elif spec.kind == ARRAY_REVIVE:
             cluster.revive(spec.target)
@@ -130,8 +129,7 @@ class ClusterTarget:
 
     def finish(self):
         for node_id in sorted(self.cluster.nodes):
-            self.report.fold_ladder(
-                self.cluster.nodes[node_id].array.degrade.ladder)
+            self.report.fold_ladder(self.cluster.nodes[node_id].array.degrade)
         self.report.outages.extend(self.cluster.client.reroute_times)
         counter = self.obs.metrics.counter
         self.report.counts.update(

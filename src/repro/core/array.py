@@ -151,7 +151,7 @@ class PurityArray:
         self._write_latency = self.obs.metrics.histogram("io.write.latency")
         self._read_latency = self.obs.metrics.histogram("io.read.latency")
         # Degraded-mode policy layer (see :mod:`repro.degrade`): the
-        # ladder/ledger engine, the hedged-read policy, and the rebuild
+        # degradation ladder, the hedged-read policy, and the rebuild
         # governor. The hedge policy is wired unconditionally so the
         # reconstruction candidate ordering is identical with hedging
         # on or off; ``enabled`` only controls whether hedges fire.
@@ -288,7 +288,7 @@ class PurityArray:
         self._check_alive()
         self.pipeline.drain()
         result = self.pipeline.checkpoint()
-        if self.degrade.nvram_degraded:
+        if self.degrade.write_through:
             self.degrade.note_nvram_repaired()
             self.shelf.nvram.mark_repaired()
         return result
@@ -322,11 +322,8 @@ class PurityArray:
         drive = self.drives.get(drive_name)
         if drive is None or drive.failed:
             return
-        drive.fail()
-        self.allocator.drop_drive(drive_name)
-        self.frontier.drop_drive(drive_name)
         self._rebuild_pending = True
-        self._note_drive_failures()
+        self.fail_drive(drive_name)
 
     def _note_drive_failures(self):
         """Feed current drive-failure evidence to the degrade engine.

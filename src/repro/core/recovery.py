@@ -89,9 +89,8 @@ def recover_array(cls, config, shelf, boot_region, clock,
         # is only known now, so charge it as nvram-replay debt — it stays
         # outstanding until a checkpoint (or write-through drain) settles
         # it.
-        if array.degrade.nvram_degraded and report.raw_writes_replayed:
-            array.degrade.debt.charge("nvram-replay",
-                                      report.raw_writes_replayed)
+        if array.degrade.write_through:
+            array.degrade.note_nvram_tear(report.raw_writes_replayed)
         span.set(
             lat=report.total_latency,
             boot=report.boot_latency,

@@ -34,8 +34,11 @@ def ship_chunk(source, medium_id, target, volume, offset, length,
     governor: a copy is background work. A zero chunk becomes an
     ``unmap``, since a zero-write or an unmap on the source must reach
     the target too, unless the target volume is ``fresh`` and so reads
-    as zeroes already.
+    as zeroes already. A crashed ``source`` is refused as its façade
+    refuses a read: its datapath still holds the dead controller's
+    memory.
     """
+    source._check_alive()
     data, _latency = source.datapath.read(medium_id, offset, length)
     if any(data):
         target.write(volume, offset, data, advance_clock=False)

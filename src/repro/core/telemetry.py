@@ -70,7 +70,7 @@ def degraded_mode_report(array, service=None):
         "direct_reads": array.segreader.direct_reads,
     }
     report["ladder"] = array.degrade.report()
-    report["repair_debt"] = array.degrade.debt.snapshot()
+    report["repair_debt"] = array.degrade.repair_debt()
     report["hedge"] = array.segreader.hedge.report()
     report["rebuild_governor"] = array.rebuild_governor.report()
     if service is not None:

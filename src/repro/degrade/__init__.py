@@ -6,17 +6,15 @@ reconstruct around busy or sick drives, writes keep flowing at reduced
 protection through failures, and background repair is throttled so it
 never ruins foreground latency. This package is that reaction layer:
 
-- :mod:`repro.degrade.ladder` — the explicit write-path degradation
-  state machine (``normal → nvram-degraded → reduced-parity →
-  read-only``) plus the repair-debt ledger that tracks what must be
-  burned down before a rung can be descended.
+- :mod:`repro.degrade.engine` — :class:`DegradeEngine`, the explicit
+  write-path degradation ladder (``normal → nvram-degraded →
+  reduced-parity → read-only``) and the repair debt it counts; the
+  array wires it through datapath/segwriter/recovery/rebuild.
 - :mod:`repro.degrade.hedge` — the deadline-aware hedged-read policy
   consulted by ``segreader`` before every direct device read.
 - :mod:`repro.degrade.backpressure` — the token-bucket rebuild governor
   that throttles segment evacuation when foreground p99 crosses the
   configured SLO.
-- :mod:`repro.degrade.engine` — :class:`DegradeEngine`, the façade the
-  array wires through datapath/segwriter/recovery/rebuild.
 
 Everything here runs on the sim clock and is deterministic: policies
 only *read* device state (never mutate it), so same-seed traces are
@@ -24,9 +22,7 @@ byte-identical with hedging on or off when no hedge fires.
 """
 
 from repro.degrade.backpressure import RebuildGovernor, TokenBucket
-from repro.degrade.engine import DegradeEngine
-from repro.degrade.hedge import HedgePolicy
-from repro.degrade.ladder import (
+from repro.degrade.engine import (
     COND_LOSS,
     COND_NVRAM,
     COND_PARITY,
@@ -35,16 +31,15 @@ from repro.degrade.ladder import (
     NVRAM_DEGRADED,
     READ_ONLY,
     REDUCED_PARITY,
-    DegradationLadder,
+    DegradeEngine,
     LadderTransition,
-    RepairDebtLedger,
 )
+from repro.degrade.hedge import HedgePolicy
 
 __all__ = [
     "COND_LOSS",
     "COND_NVRAM",
     "COND_PARITY",
-    "DegradationLadder",
     "DegradeEngine",
     "HedgePolicy",
     "LADDER_STATES",
@@ -54,6 +49,5 @@ __all__ = [
     "READ_ONLY",
     "REDUCED_PARITY",
     "RebuildGovernor",
-    "RepairDebtLedger",
     "TokenBucket",
 ]

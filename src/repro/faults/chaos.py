@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from repro.core.array import PurityArray
 from repro.core.config import ArrayConfig
 from repro.core.ha import CLIENT_TIMEOUT_SECONDS
-from repro.degrade.ladder import RUNG
+from repro.degrade.engine import RUNG
 from repro.errors import (
     DataLossError,
     InjectedCrashError,
@@ -104,17 +104,18 @@ class ChaosReport:
     def max_outage(self):
         return max(self.outages, default=0.0)
 
-    def fold_ladder(self, ladder):
-        """Add every state ``ladder`` has been in to :attr:`ladder_states`.
+    def fold_ladder(self, engine):
+        """Add every state ``engine``'s ladder has been in to
+        :attr:`ladder_states`.
 
-        Each controller has its own ladder (rebuilt from substrate
-        evidence at boot), so targets fold a controller's ladder before
-        it is replaced and every live one at run end.
+        Each controller has its own :class:`DegradeEngine` (rebuilt from
+        substrate evidence at boot), so targets fold a controller's
+        engine before it is replaced and every live one at run end.
         """
         seen = set(self.ladder_states)
-        seen.add(ladder.state)
-        seen.update(t.to_state for t in ladder.transitions)
-        seen.update(t.from_state for t in ladder.transitions)
+        seen.add(engine.state)
+        seen.update(t.to_state for t in engine.transitions)
+        seen.update(t.from_state for t in engine.transitions)
         self.ladder_states = sorted(seen, key=RUNG.__getitem__)
 
 
@@ -187,7 +188,7 @@ class ArrayTarget:
     def recover(self):
         """Fail the controller over the surviving substrate."""
         self.report.counts["crashes"] += 1
-        self.report.fold_ladder(self.array.degrade.ladder)
+        self.report.fold_ladder(self.array.degrade)
         shelf, boot_region, clock = self.array.crash()
         before = clock.now
         self.array, _report = PurityArray.recover(
@@ -245,7 +246,7 @@ class ArrayTarget:
                            "drive %s" % (fact.key[0], drive_name))
 
     def finish(self):
-        self.report.fold_ladder(self.array.degrade.ladder)
+        self.report.fold_ladder(self.array.degrade)
 
 
 class ChaosHarness:

@@ -90,7 +90,7 @@ METRIC_NAMES = frozenset({
     "hedge.won",
     "hedge.lost",
     "hedge.wasted",
-    # degradation ladder / repair debt (see repro.degrade.ladder)
+    # degradation ladder / repair debt (see repro.degrade.engine)
     "degrade.transitions",
     "degrade.write_through",
     "pool.segio.hits",

@@ -29,7 +29,7 @@ front end's ``ADMISSION_DELAY``; a SHED verdict completes it
 immediately with no backend work.
 """
 
-from repro.degrade.ladder import NVRAM_DEGRADED, READ_ONLY, REDUCED_PARITY
+from repro.degrade.engine import NVRAM_DEGRADED, READ_ONLY, REDUCED_PARITY
 from repro.service.config import PRIORITY_CLASSES
 from repro.service.request import (
     MUTATING_OPS,

@@ -3,7 +3,7 @@ client-visible-behavior matrix from DESIGN.md, executed."""
 
 import pytest
 
-from repro.degrade.ladder import (
+from repro.degrade.engine import (
     NORMAL,
     NVRAM_DEGRADED,
     READ_ONLY,
@@ -46,7 +46,7 @@ def test_drive_failure_enters_reduced_parity_and_rebuild_exits(
     fresh = unique_bytes(BLOCK, stream)
     array.write(volume, 40 * BLOCK, fresh)
     array.drain()
-    assert array.degrade.debt.outstanding("segments") > 0
+    assert array.degrade.repair_debt()["segments"] > 0
 
     # Rebuild with the dead slot still empty re-protects the data but
     # cannot leave reduced-parity (the failure evidence is still live).
@@ -58,7 +58,7 @@ def test_drive_failure_enters_reduced_parity_and_rebuild_exits(
     while array.rebuild():
         pass
     assert array.degrade.state == NORMAL
-    assert array.degrade.debt.outstanding() == 0
+    assert array.degrade.repair_debt() == {}
     assert array.degrade.failed_drives == frozenset()
     data, _latency = array.read(volume, 40 * BLOCK, BLOCK)
     assert data == fresh
@@ -92,7 +92,7 @@ def test_beyond_budget_failures_pin_read_only(array, volume, stream):
     assert served > 0
 
     # The transition log walked every rung on the way up.
-    states = [t.to_state for t in array.degrade.ladder.transitions]
+    states = [t.to_state for t in array.degrade.transitions]
     assert states == [NVRAM_DEGRADED, REDUCED_PARITY, READ_ONLY]
 
 
@@ -113,14 +113,14 @@ def test_nvram_tear_forces_write_through_until_checkpoint(array, volume,
     array.degrade.note_nvram_tear(pending_records=3)
     assert array.degrade.state == NVRAM_DEGRADED
     assert array.degrade.write_through
-    assert array.degrade.debt.outstanding("nvram-replay") == 3
+    assert array.degrade.repair_debt() == {"nvram-replay": 3}
 
     # Every write in write-through mode drains straight to flash and
     # settles the replay debt (nothing is pending in NVRAM anymore).
     drains_before = array.degrade.write_through_drains
     array.write(volume, 0, unique_bytes(BLOCK, stream))
     assert array.degrade.write_through_drains == drains_before + 1
-    assert array.degrade.debt.outstanding("nvram-replay") == 0
+    assert array.degrade.repair_debt() == {}
 
     # A checkpoint is the repair: the ladder descends to normal.
     array.checkpoint()
@@ -180,3 +180,77 @@ def test_unmap_drains_on_the_write_through_rung(array, volume, stream,
     expected[offset:offset + 4 * KIB] = bytes(4 * KIB)
     array.datapath.drop_caches()
     assert array.read(volume, 0, BLOCK)[0] == bytes(expected)
+
+
+def _degrade_gauges(array):
+    """The published degrade gauges and counter, as an observer reads
+    them (a metric never set reads 0)."""
+    snapshot = array.obs.metrics.snapshot()
+    gauges, counters = snapshot["gauges"], snapshot["counters"]
+    return (gauges.get("degrade.repair_debt", 0),
+            gauges.get("degrade.ladder_state", 0),
+            counters.get("degrade.transitions", 0))
+
+
+def _assert_gauges_track_the_engine(array):
+    report = array.degrade.report()
+    assert _degrade_gauges(array) == (
+        len(array.degrade.degraded_segments),
+        report["rung"],
+        report["transitions"],
+    )
+    assert report["repair_debt"] == (
+        {"segments": len(array.degrade.degraded_segments)}
+        if array.degrade.degraded_segments else {}
+    )
+
+
+def test_gauges_track_a_drive_failure_through_its_rebuild(array, volume,
+                                                          stream):
+    write_blocks(array, volume, stream)
+    name = sorted(array.drives)[0]
+    array.fail_drive(name)
+    _assert_gauges_track_the_engine(array)
+    assert _degrade_gauges(array)[1:] == (2, 2)
+
+    array.write(volume, 40 * BLOCK, unique_bytes(BLOCK, stream))
+    _assert_gauges_track_the_engine(array)
+    array.drain()
+    _assert_gauges_track_the_engine(array)
+    assert array.degrade.degraded_segments
+
+    assert array.rebuild() > 0  # the slot is still empty
+    _assert_gauges_track_the_engine(array)
+    assert array.degrade.state == REDUCED_PARITY
+
+    array.replace_drive(name)
+    _assert_gauges_track_the_engine(array)
+    while array.rebuild():
+        _assert_gauges_track_the_engine(array)
+    _assert_gauges_track_the_engine(array)
+    assert _degrade_gauges(array) == (0, 0, 4)
+    assert array.degrade.state == NORMAL
+
+
+def test_replay_debt_after_a_torn_mirror_crash_settles_at_checkpoint(
+        array, volume, stream):
+    from repro.core.array import PurityArray
+
+    array.drain()
+    array.shelf.nvram.note_tear()
+    for block in range(3):
+        array.write(volume, block * BLOCK, unique_bytes(BLOCK, stream))
+    shelf, boot, clock = array.crash()
+    recovered, report = PurityArray.recover(array.config, shelf, boot, clock)
+    assert report.raw_writes_replayed > 0
+    assert recovered.degrade.state == NVRAM_DEGRADED
+    assert recovered.degrade.write_through
+    assert recovered.degrade.report()["repair_debt"] == {
+        "nvram-replay": report.raw_writes_replayed
+    }
+    assert _degrade_gauges(recovered) == (report.raw_writes_replayed, 1, 1)
+
+    recovered.checkpoint()
+    assert recovered.degrade.report()["repair_debt"] == {}
+    assert recovered.degrade.state == NORMAL
+    assert _degrade_gauges(recovered) == (0, 0, 2)

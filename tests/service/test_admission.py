@@ -1,6 +1,6 @@
 """Admission-control unit tests: one verdict per ladder rung."""
 
-from repro.degrade.ladder import (
+from repro.degrade.engine import (
     NVRAM_DEGRADED,
     READ_ONLY,
     REDUCED_PARITY,
