@@ -372,13 +372,18 @@ class DataPath:
             replaced = at_risk.pop(key, None)
             if replaced is not None:
                 entries.extend(self._remainder(medium_id, end, replaced))
-        # Durability barrier, as for GC's repoint: a WAL fact must not
-        # point at bytes that exist only in the open segio's RAM.
+        self.flush_referenced(entries)
+        return entries
+
+    def flush_referenced(self, entries):
+        """Durability barrier, as for GC's repoint: a WAL fact must not
+        point at bytes that exist only in the open segio's RAM, so flush
+        it if any ``(key, value)`` entry about to be logged refers to a
+        cblock still there."""
         if any(not T.is_hole(value) and self.segwriter.read_unflushed(
                 *T.extent_location(value)) is not None
                for _key, value in entries):
             self.segwriter.flush()
-        return entries
 
     def _process_cblock(self, medium_id, offset, chunk, at_risk, write_end,
                         rank, job=None):
