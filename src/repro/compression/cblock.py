@@ -11,14 +11,10 @@ data.
 
 import zlib
 
-from repro.compression.engine import (
-    CODEC_ZLIB,
-    best_effort_compress,
-    decompress_payload,
-)
+from repro.compression.engine import best_effort_compress, decompress_payload
 from repro.errors import EncodingError
 from repro.units import MAX_CBLOCK, SECTOR
-from repro.wire import decode_value, encode_value
+from repro.wire import TAG_INT, decode_varint, encode_value
 
 
 def split_write(offset, data, max_cblock=MAX_CBLOCK):
@@ -60,12 +56,29 @@ def build_cblock(data, compressor, job=None):
     return header + payload, codec_id
 
 
-def _unpack(blob):
-    """(codec id, logical length, payload view) of a cblock blob."""
+def unpack_cblock(blob):
+    """(codec id, logical length, payload view) of a cblock blob.
+
+    The header is what :func:`repro.wire.encode_value` makes of three
+    non-negative ints: a varint count of 3, then three int-tagged
+    zigzag varints. Any other count, tag or sign is corrupt; so is a
+    payload shorter than the header declares.
+    """
     try:
-        (codec_id, logical_length, payload_length), offset = decode_value(blob)
+        count, offset = decode_varint(blob, 0)
+        if count != 3:
+            raise EncodingError("%d header fields, not 3" % count)
+        fields = []
+        for _ in range(3):
+            if offset >= len(blob) or blob[offset] != TAG_INT:
+                raise EncodingError("header field is not an int")
+            raw, offset = decode_varint(blob, offset + 1)
+            if raw & 1:
+                raise EncodingError("negative header field")
+            fields.append(raw >> 1)
     except EncodingError as error:
         raise EncodingError("corrupt cblock header: %s" % error) from error
+    codec_id, logical_length, payload_length = fields
     payload = memoryview(blob)[offset : offset + payload_length]
     if len(payload) != payload_length:
         raise EncodingError(
@@ -75,27 +88,14 @@ def _unpack(blob):
     return codec_id, logical_length, payload
 
 
-def zlib_payload(blob):
-    """``blob``'s payload if it is zlib-coded, else None.
-
-    None too for a blob whose header does not parse: no helper job is
-    made for it, so :func:`parse_cblock` raises on it where a serial
-    read would.
-    """
-    try:
-        codec_id, _logical_length, payload = _unpack(blob)
-    except EncodingError:
-        return None
-    return payload if codec_id == CODEC_ZLIB else None
-
-
-def parse_cblock(blob, job=None):
+def parse_cblock(blob, job=None, header=None):
     """Decompress a cblock blob back to its logical bytes.
 
     ``job``, if given, is a helper-thread job that inflates this blob's
-    payload (see :mod:`repro.compression.helper`).
+    payload (see :mod:`repro.compression.helper`). ``header``, if given,
+    is the blob's :func:`unpack_cblock`, already parsed by the caller.
     """
-    codec_id, logical_length, payload = _unpack(blob)
+    codec_id, logical_length, payload = header or unpack_cblock(blob)
     try:
         data = decompress_payload(codec_id, payload, job)
     except zlib.error as error:

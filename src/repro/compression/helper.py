@@ -1,13 +1,13 @@
-"""One helper thread for a large I/O's zlib work.
+"""One resident helper thread for large I/Os' zlib work.
 
 Purity compresses every write inline on multi-core controllers
 (Sections 3.1, 4.6). ``zlib.compress`` and ``zlib.decompress`` release
 the GIL, so while the controller thread runs one cblock's zlib call a
 second core can run another's. A write or a read whose zlib work covers
-at least :data:`SPLIT_MIN_CBLOCKS` cblocks shares it with a helper
-thread started for that one call (:class:`ZlibHelper`) and joined
-before the call returns or raises: no thread outlives the I/O that
-started it.
+at least :data:`SPLIT_MIN_CBLOCKS` cblocks shares it with the process's
+one resident helper thread (:class:`ZlibHelper`), which is done with
+that I/O's jobs before it returns or raises: no job, and no view of a
+caller's buffer, outlives the I/O.
 
 The helper runs ``zlib.compress(view, level)`` and
 ``zlib.decompress(payload)`` and nothing else: no counter, ``obs``,
@@ -21,17 +21,20 @@ or not.
 """
 
 import os
+import queue
 import threading
 import zlib
 
-from repro.compression.cblock import zlib_payload
-from repro.compression.engine import ZlibCompressor
+from repro.compression.engine import CODEC_ZLIB, ZlibCompressor
 
-#: Fewest zlib cblocks one write or read must cover before a helper
-#: thread shares them. Starting and joining the thread costs about
-#: 100 us (2-vCPU Xeon): two 32 KiB inflates broke even (197 us inline,
-#: 196 us shared), four gained (396 and 350 us).
+#: Fewest zlib cblocks one write or read must cover before the helper
+#: thread shares them. Each job handed over costs a GIL hand-off; the
+#: break-even runs are in EXPERIMENTS.md ("One resident zlib helper").
 SPLIT_MIN_CBLOCKS = 4
+
+#: (pid, job queue) of this process's helper thread, once started.
+_resident = (None, None)
+_starting = threading.Lock()
 
 
 def _usable_cpus():
@@ -43,6 +46,24 @@ def _usable_cpus():
 
 def _worth_a_helper(cblocks):
     return cblocks >= SPLIT_MIN_CBLOCKS and _usable_cpus() >= 2
+
+
+def _serve(tasks):
+    while True:
+        tasks.get()()
+
+
+def _helper_queue():
+    """This process's helper job queue. The ``zlib-helper`` daemon thread
+    starts on first use, and again in a forked child (its pid differs)."""
+    global _resident
+    with _starting:
+        if _resident[0] != os.getpid():
+            tasks = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(tasks,), name="zlib-helper",
+                             daemon=True).start()
+            _resident = (os.getpid(), tasks)
+        return _resident[1]
 
 
 class ZlibJob:
@@ -96,26 +117,25 @@ class ZlibJob:
 class ZlibHelper:
     """Context manager over one I/O's ``{cblock index: job}``.
 
-    From ``__enter__`` a helper thread runs, in index order, each job at
-    least ``lead`` cblocks ahead of the one the controller thread has
-    :meth:`reach`-ed; the controller thread runs inline any job it
+    From ``__enter__`` the helper thread runs, in ``jobs`` order, each
+    job at least ``lead`` cblocks ahead of the one the controller thread
+    has :meth:`reach`-ed; the controller thread runs inline any job it
     reaches first, so neither thread waits on work the other has not
-    started. ``__exit__`` claims every job not yet started and joins the
-    thread. No jobs, no thread.
+    started. ``__exit__`` claims every job not yet started and waits
+    until the helper is done with this I/O. No jobs, nothing submitted.
     """
 
     def __init__(self, jobs, lead):
         self._jobs = jobs
         self._lead = lead
         self._position = 0
-        self._thread = None
+        self._done = None
 
     def __enter__(self):
         if self._jobs:
-            self._thread = threading.Thread(
-                target=self._run, name="zlib-helper", daemon=True
-            )
-            self._thread.start()
+            self._done = threading.Lock()
+            self._done.acquire()
+            _helper_queue().put(self._run)
         return self
 
     def reach(self, index):
@@ -124,15 +144,18 @@ class ZlibHelper:
         return self._jobs.get(index)
 
     def _run(self):
-        for index, job in self._jobs.items():
-            if index >= self._position + self._lead:
-                job.run()
+        try:
+            for index, job in self._jobs.items():
+                if index >= self._position + self._lead:
+                    job.run()
+        finally:
+            self._done.release()
 
     def __exit__(self, *exc_info):
         for job in self._jobs.values():
             job.claim()
-        if self._thread is not None:
-            self._thread.join()
+        if self._done is not None:
+            self._done.acquire()  # released once the helper is through
         return False
 
 
@@ -154,19 +177,21 @@ def compress_helper(chunks, compressor):
     return ZlibHelper(jobs, lead=2)
 
 
-def inflate_helper(blobs):
-    """The helper for one read's cblock ``blobs``, in fetch order.
+def inflate_helper(headers):
+    """The helper for one read's cblocks, given as their parsed
+    ``(codec id, logical length, payload)`` headers in fetch order.
 
-    A read does little between inflates, so the two threads take turns:
-    every other zlib-coded blob is a job. No jobs when there are too
-    few zlib-coded blobs or the host offers one CPU.
+    Every zlib-coded payload is a job. The helper takes them from the
+    last one back while the controller thread inflates from the first,
+    so the two meet wherever their work balances. No jobs when there
+    are too few zlib-coded payloads or the host offers one CPU.
     """
     jobs = {}
-    if len(blobs) >= SPLIT_MIN_CBLOCKS:
+    if len(headers) >= SPLIT_MIN_CBLOCKS:
         coded = [(index, payload)
-                 for index, payload in enumerate(map(zlib_payload, blobs))
-                 if payload is not None]
+                 for index, (codec_id, _length, payload) in enumerate(headers)
+                 if codec_id == CODEC_ZLIB]
         if _worth_a_helper(len(coded)):
             jobs = {index: ZlibJob(zlib.decompress, payload)
-                    for index, payload in coded[1::2]}
+                    for index, payload in reversed(coded)}
     return ZlibHelper(jobs, lead=1)

@@ -38,8 +38,6 @@ from repro.units import MILLISECOND
 MAX_CONCURRENT_WRITES = 2
 #: Recycled segio payload buffers kept by the flush-path pool.
 SEGIO_BUFFER_POOL = 4
-#: Recycled read paint buffers kept by the read-path pool.
-READ_BUFFER_POOL = 8
 #: Predicted direct-read wait beyond which a hedged read fires. Sits
 #: above the natural program-interference stall (2.5 ms) so fault-free
 #: runs never hedge, and well below an injected stall storm (10 ms).
@@ -138,16 +136,15 @@ class PurityArray:
         self.datapath.obs = self.obs
         self.segwriter.obs = self.obs
         self.segreader.obs = self.obs
-        #: Recycled scratch buffers for the flush and read paths: plain
-        #: slots, None-safe at every call site.
+        #: Recycled segio buffers for the flush path: a plain slot,
+        #: None-safe at its call site. Reads use no pool; this empty
+        #: ``pool.read`` stays only because ``benchmarks/perf`` reads it.
         self.segwriter.buffer_pool = BufferPool(
             SEGIO_BUFFER_POOL, metrics=self.obs.metrics,
             name="pool.segio",
         )
-        self.datapath.read_pool = BufferPool(
-            READ_BUFFER_POOL, metrics=self.obs.metrics,
-            name="pool.read",
-        )
+        self.datapath.read_pool = BufferPool(0, metrics=self.obs.metrics,
+                                             name="pool.read")
         self._write_latency = self.obs.metrics.histogram("io.write.latency")
         self._read_latency = self.obs.metrics.histogram("io.read.latency")
         # Degraded-mode policy layer (see :mod:`repro.degrade`): the

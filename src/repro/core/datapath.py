@@ -7,7 +7,7 @@ anchor-extend), and the unique remainder is compressed into cblocks
 appended to the open segio. Address-map facts record where everything
 went; they are derived facts, replayable from the raw NVRAM record.
 
-Read path (Sections 3.4, 4.5): plan, fetch, paint. The plan takes each
+Read path (Sections 3.4, 4.5): plan, fetch, join. The plan takes each
 medium's overlapping extents newest first, keeps only the pieces no
 newer extent covers, and descends the medium chain only under the bytes
 still uncovered — each medium's extents are a patch over its underlying
@@ -20,7 +20,8 @@ hops) are the price of the capacity savings, and flash makes them cheap.
 import bisect
 from collections import OrderedDict
 
-from repro.compression.cblock import build_cblock, parse_cblock, split_write
+from repro.compression.cblock import (build_cblock, parse_cblock,
+                                      split_write, unpack_cblock)
 from repro.compression.engine import (
     CompressionStats,
     NullCompressor,
@@ -167,8 +168,6 @@ class DataPath:
         #: Observability handle (see :mod:`repro.obs`); the array wires
         #: its own in. Standalone datapaths keep the always-off NULL_OBS.
         self.obs = NULL_OBS
-        #: Recycled read paint buffers; None-safe (fresh bytearrays).
-        self.read_pool = None
         #: Optional :class:`repro.degrade.DegradeEngine`; wired by the
         #: array. Gates writes (read-only rung) and forces write-through
         #: flushing while the NVRAM mirror is torn.
@@ -294,10 +293,10 @@ class DataPath:
         the extents that could be replaced and `_process_cblock` keeps
         the remainder of each one it lands on.
 
-        A large write's chunks are compressed ahead on a helper thread
+        A large write's chunks are compressed ahead on the helper thread
         while this thread works through them (see
-        :mod:`repro.compression.helper`); the helper is joined before
-        this returns or raises.
+        :mod:`repro.compression.helper`); the helper is done with them
+        before this returns or raises.
         """
         self.logical_bytes_written += len(data)
         end = offset + len(data)
@@ -496,49 +495,46 @@ class DataPath:
     # Read path
 
     def read(self, medium_id, offset, length):
-        """Read a byte range; returns (bytes, latency)."""
+        """Read a byte range; returns (bytes, latency).
+
+        Plan, then fetch, then join: the plan names the extent piece
+        that supplies each visible byte, the fetch reads every planned
+        cblock the cache lacks, and one join copies the pieces, in
+        place order, into the result. Bytes a hole or nothing maps are
+        zero.
+        """
         if length <= 0:
             raise VolumeError("zero-length read")
-        pool = self.read_pool
-        buffer = pool.acquire(length) if pool is not None else bytearray(length)
-        try:
-            latency = self._read_into(medium_id, offset, length, buffer)
-            return bytes(buffer), latency
-        finally:
-            if pool is not None:
-                pool.release(buffer)
-
-    def _read_into(self, medium_id, offset, length, buffer):
-        """Fill ``buffer[:length]``, which must be zeroed, with (medium,
-        offset)'s bytes; returns the read's latency.
-
-        Plan, then fetch, then paint: the plan names the extent piece
-        that supplies each visible byte, the fetch reads every planned
-        cblock the cache lacks, and the paint copies each piece into
-        place. Bytes a hole or nothing maps stay zero.
-        """
         pieces = []
         self._plan(medium_id, [(offset, offset + length)], -offset, 0, pieces)
         cblocks, latency = self._fetch(pieces)
+        pieces.sort(key=lambda piece: piece[0])  # disjoint: one per place
+        parts = []
+        cursor = 0
         for at, fact, inner, nbytes in pieces:
+            if at > cursor:
+                parts.append(bytes(at - cursor))
             location = T.extent_location(fact.value)
-            data = cblocks[location[:2]][inner : inner + nbytes]
+            data = memoryview(cblocks[location[:2]])[inner : inner + nbytes]
             if len(data) != nbytes:
                 raise VolumeError(
                     "extent at (%d, %d) shorter than mapped range"
                     % (fact.key[0], fact.key[1])
                 )
-            buffer[at : at + nbytes] = data
-        return latency
+            parts.append(data)
+            cursor = at + nbytes
+        if cursor < length:
+            parts.append(bytes(length - cursor))
+        return b"".join(parts), latency
 
     def _plan(self, medium_id, windows, shift, depth, pieces, holes=False):
         """Append the extent pieces that supply ``windows`` to ``pieces``.
 
         ``windows`` are sorted, disjoint ``[lo, hi)`` ranges of
-        ``medium_id``; the byte at ``x`` lands at buffer position
+        ``medium_id``; the byte at ``x`` lands at result position
         ``x + shift``. This medium's extents claim bytes by rank, newest
         first, each only those no newer extent has claimed, so a hidden
-        extent yields no piece and is never fetched. A piece is (buffer
+        extent yields no piece and is never fetched. A piece is (result
         position, fact, offset into its cblock, length); a hole claims
         its bytes and yields a piece only with ``holes`` set (never on
         a read). The medium chain is descended only under the bytes
@@ -598,9 +594,10 @@ class DataPath:
 
         Each cblock is looked up in the cache once, in plan order. The
         misses are read as runs of payload-adjacent cblocks, one read
-        per run, and every cblock in a run takes the run's latency. A
-        large fetch's every other zlib cblock is inflated on a helper
-        thread while this thread inflates the rest (see
+        per run, and every cblock in a run takes the run's latency; each
+        miss's header is parsed once. A large fetch's zlib cblocks are
+        inflated from both ends, by this thread from the first and the
+        helper thread from the last (see
         :mod:`repro.compression.helper`), and the cache is filled in
         ``misses`` order either way.
         """
@@ -628,9 +625,10 @@ class DataPath:
             for payload_offset, stored_length in run:
                 lo = payload_offset - start
                 blobs[(segment_id, payload_offset)] = view[lo : lo + stored_length]
-        with inflate_helper([blobs[key] for key in misses]) as helper:
-            for index, key in enumerate(misses):
-                data = parse_cblock(blobs[key], helper.reach(index))
+        headers = [unpack_cblock(blobs[key]) for key in misses]
+        with inflate_helper(headers) as helper:
+            for index, (key, header) in enumerate(zip(misses, headers)):
+                data = parse_cblock(blobs[key], helper.reach(index), header)
                 cache.put(key, data)
                 cblocks[key] = data
         return cblocks, latency

@@ -1,30 +1,30 @@
-"""Buffer pools: recycled scratch buffers for the flush and read paths.
+"""Buffer pools: recycled scratch buffers for the flush path.
 
 Every ``OpenSegio`` used to allocate a fresh multi-hundred-KiB payload
-bytearray, and every ``DataPath.read`` a fresh paint buffer — pure
-allocator churn, since both are dropped the moment the segio flushes or
-the read returns. A :class:`BufferPool` keeps a small size-classed free
+bytearray — pure allocator churn, since it is dropped the moment the
+segio flushes. A :class:`BufferPool` keeps a small size-classed free
 list instead, with hit/miss counters wired into the obs metrics
-registry (``pool.segio.*`` / ``pool.read.*``) so the bench gate can
-watch the flush path's allocation rate.
+registry (``pool.segio.*``) so the bench gate can watch the flush
+path's allocation rate. Reads use no paint buffer: ``DataPath.read``
+joins views of its cached cblocks into the result in one copy. The
+array's ``pool.read`` is constructed only because ``benchmarks/perf``
+reads its (now zero) counters.
 
 Acquire returns a **zeroed** buffer: the segio payload contract is that
-unwritten gap bytes read as zeros, and the read path's paint buffer
-must start zeroed for unmapped ranges — recycling must be
+unwritten gap bytes read as zeros, so recycling must be
 indistinguishable from fresh allocation, byte for byte. Zeroing is one
 in-place ``memset`` (numpy ``fill`` over the buffer), which is the whole
 point: reuse the allocation, not the contents. The pool retains only
 the buffers on its free list, at most ``max_buffers`` of them — no
-per-size zero template outlives them (reads come in dozens of sizes).
+per-size zero template outlives them.
 
 Nothing is ever stored by reference to a pooled buffer: it is recycled
 (and, sanitized, poison-filled) the moment its user releases it, so
 whatever must outlive the release copies out first. Those copies are
 safety, not waste: ``OpenSegio.finalize`` materialises write units that
-own their bytes before the accumulation buffer comes back here, and
-``DataPath.read`` returns ``bytes`` of its paint buffer — for the same
-reason ``CBlockCache.put`` owns what it caches rather than aliasing a
-caller's write buffer.
+own their bytes before the accumulation buffer comes back here — for
+the same reason ``CBlockCache.put`` owns what it caches rather than
+aliasing a caller's write buffer.
 
 Under ``REPRO_SANITIZE=1`` (see :mod:`repro.sanitize`) every pool
 carries a :class:`~repro.sanitize.BufferSentry`: released buffers are

@@ -13,7 +13,7 @@ compressed metadata page format of Section 4.9 is
 
 from repro.errors import EncodingError
 
-_TAG_INT = 0
+TAG_INT = 0
 _TAG_BYTES = 1
 _TAG_STR = 2
 _TAG_NONE = 3
@@ -65,10 +65,10 @@ def encode_field_into(field, out):
         out.append(_TAG_NONE)
     elif isinstance(field, bool):
         # bools are ints in Python; encode as int so decode returns 0/1.
-        out.append(_TAG_INT)
+        out.append(TAG_INT)
         encode_varint(_zigzag(int(field)), out)
     elif isinstance(field, int):
-        out.append(_TAG_INT)
+        out.append(TAG_INT)
         encode_varint(_zigzag(field), out)
     elif isinstance(field, bytes):
         out.append(_TAG_BYTES)
@@ -95,7 +95,7 @@ def _decode_field(data, offset):
     offset += 1
     if tag == _TAG_NONE:
         return None, offset
-    if tag == _TAG_INT:
+    if tag == TAG_INT:
         raw, offset = decode_varint(data, offset)
         return _unzigzag(raw), offset
     if tag == _TAG_BYTES:

@@ -104,6 +104,30 @@ def test_a_range_clone_reads_its_source_at_the_range_offset():
     assert datapath.read(clone, 0, 16 * KIB)[0] == expected
 
 
+def test_a_read_zero_fills_gaps_at_its_start_middle_and_end():
+    """Unwritten bytes before, between and after two extents, and a
+    hole punched inside one (over a clone's base), read as zeros from
+    one read, cached or not."""
+    array = make_engine(seed=5, volume="v", size=SIZE)
+    stream = RandomStream(5).fork("read-plan-gaps")
+    model = bytearray(SIZE)
+    for offset, length in ((8 * KIB, 12 * KIB), (28 * KIB, 20 * KIB)):
+        data = stream.randbytes(length)
+        array.write("v", offset, data)
+        model[offset : offset + length] = data
+    array.snapshot("v", "s")
+    array.clone("v", "s", "c")
+    array.unmap("c", 32 * KIB, 4 * KIB)
+    model[32 * KIB : 36 * KIB] = bytes(4 * KIB)
+    array.drain()
+    array.datapath.drop_caches()
+    for offset, length in ((0, SIZE), (4 * KIB, 50 * KIB)) * 2:
+        data, _latency = array.read("c", offset, length)
+        assert data == model[offset : offset + length]
+    assert not any(model[: 8 * KIB]) and not any(model[48 * KIB :])
+    assert not any(model[20 * KIB : 28 * KIB])
+
+
 def _sequential_array():
     """512 KiB written at the published geometry, drained, cache cold.
     Returns (array, data, the run's (segment, start, length))."""

@@ -1,23 +1,25 @@
-"""The zlib helper thread: same bytes, same calls, no thread left behind.
+"""The zlib helper thread: same bytes, same calls, no job left behind.
 
 A write or a read whose zlib work covers ``SPLIT_MIN_CBLOCKS`` cblocks
-or more runs every other cblock's ``zlib.compress`` /
-``zlib.decompress`` on a helper thread started for that call and joined
-before it returns (``repro.compression.helper``). Nothing observable may
-depend on whether the helper ran: every test here plays the same corpus
-with the threshold patched to "never" and to "always" and compares what
-the array stored, mapped, cached, counted and returned.
+or more runs some cblocks' ``zlib.compress`` / ``zlib.decompress`` on
+the process's one resident helper thread, which is done with that I/O's
+jobs before the I/O returns (``repro.compression.helper``). Nothing
+observable may depend on whether the helper ran: every test here plays
+the same corpus with the threshold patched to "never" and to "always"
+and compares what the array stored, mapped, cached, counted and
+returned.
 """
 
 import os
 import sys
 import threading
+import time
 import zlib
 
 import pytest
 
 from repro.compression import helper
-from repro.compression.cblock import build_cblock, parse_cblock, zlib_payload
+from repro.compression.cblock import build_cblock, parse_cblock, unpack_cblock
 from repro.compression.engine import ZlibCompressor
 from repro.core import datapath as datapath_module
 from repro.core import tables as T
@@ -190,13 +192,25 @@ def test_only_the_controller_thread_calls_traced_entry_points(split,
     assert calls == serial
 
 
+def _helper_threads():
+    return [thread for thread in threading.enumerate()
+            if thread.name == "zlib-helper"]
+
+
+def _settle():
+    """Return once the helper has taken every task queued before."""
+    taken = threading.Event()
+    helper._helper_queue().put(taken.set)
+    assert taken.wait(timeout=10)
+
+
 def test_split_ios_hold_under_a_short_switch_interval(split):
     """With a thread switch forced every microsecond, every read still
-    returns what was written and every helper is joined."""
+    returns what was written and no thread but the one helper starts."""
     ran = split(True)
     array = make_engine(seed=7, volume="v", size=VOLUME)
     stream = RandomStream(35).fork("switches")
-    threads = threading.active_count()
+    before = set(threading.enumerate())
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -208,8 +222,9 @@ def test_split_ios_hold_under_a_short_switch_interval(split):
             assert array.read("v", offset, len(data))[0] == data
     finally:
         sys.setswitchinterval(interval)
-    assert threading.active_count() == threads
-    assert ran
+    assert len(_helper_threads()) == 1
+    assert set(threading.enumerate()) - before <= set(_helper_threads())
+    assert set(ran) == {_helper_threads()[0].ident}
 
 
 def _write_read(array, cblocks, stream):
@@ -220,33 +235,108 @@ def _write_read(array, cblocks, stream):
     assert array.read("v", 0, len(data))[0] == data
 
 
-def test_no_thread_outlives_the_io(split):
+def test_one_helper_thread_serves_every_array_and_io(split):
     ran = split(True)
+    stream = RandomStream(36).fork("resident")
+    before = set(threading.enumerate())
+    for seed in range(3):
+        array = make_engine(seed=10 + seed, volume="v", size=VOLUME)
+        for cblocks in (2, 5, 9):
+            _write_read(array, cblocks, stream)
+            assert len(_helper_threads()) == 1
+    assert set(threading.enumerate()) - before <= set(_helper_threads())
+    assert set(ran) == {_helper_threads()[0].ident}
+
+
+class Crash(Exception):
+    pass
+
+
+class Armed:
+    def hit(self, name, **context):
+        if name == "segwriter.pre-flush":
+            raise Crash(name)
+
+
+def test_no_job_runs_after_its_io_returns_or_raises(split, monkeypatch):
+    """Every helper zlib call starts and ends inside the write or read
+    that made it, also when that I/O raises part-way: at a crashpoint
+    mid-write, or at a failed inflate mid-read."""
+    ran = split(True)
+    counting = helper.zlib
+    inside = [False]
+    late = []
+
+    def watched(name):
+        def call(*args):
+            if not inside[0]:
+                late.append(name)
+            time.sleep(0.001)  # hold the job long enough to outlive a bad I/O
+            result = getattr(counting, name)(*args)
+            if not inside[0]:
+                late.append(name)
+            return result
+        return staticmethod(call)
+
+    class Watched:
+        compress = watched("compress")
+        decompress = watched("decompress")
+
+    monkeypatch.setattr(helper, "zlib", Watched)
+
+    def io(call, *args):
+        inside[0] = True
+        try:
+            return call(*args)
+        finally:
+            inside[0] = False
+
     array = make_engine(seed=4, volume="v", size=VOLUME)
     stream = RandomStream(32).fork("lifetimes")
-    threads = threading.active_count()
-    caller = bytearray(_compressible(stream, 16 * MAX_CBLOCK))
-    array.write("v", 0, caller)
-    assert threading.active_count() == threads
-    caller.extend(b"\0" * SECTOR)  # no view of it is left anywhere
-    array.drain()
+    for round_ in range(4):
+        data = _compressible(stream, 12 * MAX_CBLOCK)
+        io(array.write, "v", round_ * len(data), data)
+        array.drain()
+        array.datapath.drop_caches()
+        assert io(array.read, "v", round_ * len(data), len(data))[0] == data
+    parse, parsed = datapath_module.parse_cblock, []
+
+    def failing(blob, job=None, header=None):
+        parsed.append(blob)
+        if len(parsed) == 3:
+            raise EncodingError("injected")
+        return parse(blob, job, header)
+
+    monkeypatch.setattr(datapath_module, "parse_cblock", failing)
     array.datapath.drop_caches()
-    assert array.read("v", 0, 16 * MAX_CBLOCK)[0] == caller[:-SECTOR]
-    assert threading.active_count() == threads
-    assert ran
-
-    class Crash(Exception):
-        pass
-
-    class Armed:
-        def hit(self, name, **context):
-            if name == "segwriter.pre-flush":
-                raise Crash(name)
-
+    with pytest.raises(EncodingError, match="injected"):
+        io(array.read, "v", 0, 12 * MAX_CBLOCK)
+    monkeypatch.setattr(datapath_module, "parse_cblock", parse)
     array.segwriter.crashpoints = Armed()
     with pytest.raises(Crash):
-        array.write("v", 1024 * KIB, _compressible(stream, 16 * MAX_CBLOCK))
-    assert threading.active_count() == threads
+        io(array.write, "v", 1024 * KIB, _compressible(stream, 16 * MAX_CBLOCK))
+    _settle()
+    assert ran
+    assert late == []
+    assert len(_helper_threads()) == 1
+
+
+def test_the_callers_buffer_can_be_resized_right_after_write(split):
+    """No view of a caller's write buffer outlives ``write()``: a
+    bytearray with a live export raises BufferError on resize."""
+    ran = split(True)
+    array = make_engine(seed=4, volume="v", size=VOLUME)
+    stream = RandomStream(37).fork("resize")
+    for cblocks in (4, 16):
+        caller = bytearray(_compressible(stream, cblocks * MAX_CBLOCK))
+        expected = bytes(caller)
+        array.write("v", 0, caller)
+        caller.extend(b"\0" * SECTOR)
+        del caller[:]
+        array.drain()
+        array.datapath.drop_caches()
+        assert array.read("v", 0, len(expected))[0] == expected
+    assert ran
 
 
 def test_a_helper_inflate_error_is_an_encoding_error():
@@ -256,7 +346,7 @@ def test_a_helper_inflate_error_is_an_encoding_error():
     blob = bytearray(build_cblock(data, ZlibCompressor())[0])
     middle = len(blob) - len(zlib.compress(data, 1)) // 2
     blob[middle : middle + 2] = bytes(b ^ 0xFF for b in blob[middle : middle + 2])
-    job = helper.ZlibJob(zlib.decompress, zlib_payload(blob))
+    job = helper.ZlibJob(zlib.decompress, unpack_cblock(blob)[2])
     worker = threading.Thread(target=job.run)
     worker.start()
     worker.join(timeout=10)
@@ -268,8 +358,8 @@ def test_a_helper_inflate_error_is_an_encoding_error():
 @pytest.mark.parametrize("chunk", [2, 3])
 def test_a_corrupt_payload_is_an_encoding_error(split, monkeypatch, chunk):
     """One damaged cblock in a 6-cblock read raises EncodingError. The
-    two adjacent chunks sit next to each other in the fetch order, one
-    of them a helper job."""
+    two chunks sit on either side of the middle of the fetch order,
+    where the two threads inflating from its ends meet."""
     split(True)
     array = make_engine(seed=5, volume="v", size=VOLUME)
     stream = RandomStream(33).fork("corrupt")
@@ -298,25 +388,58 @@ def test_a_corrupt_payload_is_an_encoding_error(split, monkeypatch, chunk):
     assert threading.active_count() == threads
 
 
-def test_small_io_and_one_cpu_start_no_thread(monkeypatch):
-    started = []
-    start = threading.Thread.start
+def test_small_io_and_one_cpu_submit_no_job(monkeypatch):
+    jobs, submitted = [], []
+    job_class, queue_of = helper.ZlibJob, helper._helper_queue
 
-    def counted(thread):
-        started.append(thread.name)
-        return start(thread)
+    def counted_job(*args):
+        jobs.append(args[0])
+        return job_class(*args)
 
-    monkeypatch.setattr(threading.Thread, "start", counted)
+    def counted_queue():
+        submitted.append(threading.get_ident())
+        return queue_of()
+
+    monkeypatch.setattr(helper, "ZlibJob", counted_job)
+    monkeypatch.setattr(helper, "_helper_queue", counted_queue)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     stream = RandomStream(34).fork("selection")
     array = make_engine(seed=6, volume="v", size=VOLUME)
     _write_read(array, helper.SPLIT_MIN_CBLOCKS - 1, stream)
-    assert started == []
+    assert jobs == submitted == []
     _write_read(array, helper.SPLIT_MIN_CBLOCKS, stream)
-    assert started == ["zlib-helper", "zlib-helper"]
+    assert len(submitted) == 2
+    assert len(jobs) == 2 * helper.SPLIT_MIN_CBLOCKS  # every chunk, every inflate
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
-    started.clear()
+    jobs.clear()
+    submitted.clear()
     _write_read(array, 20, stream)
-    assert started == []
+    assert jobs == submitted == []
+
+
+def test_a_changed_pid_starts_a_new_worker(split, monkeypatch):
+    """A forked child (another pid) cannot use its parent's thread: its
+    first large I/O starts a worker of its own, and later ones reuse it."""
+    ran = split(True)
+    stream = RandomStream(38).fork("fork")
+    array = make_engine(seed=8, volume="v", size=VOLUME)
+    _write_read(array, 6, stream)
+    parent = _helper_threads()
+    assert len(parent) == 1
+    monkeypatch.setattr(helper, "_resident", helper._resident)
+    pid = os.getpid()
+    monkeypatch.setattr(os, "getpid", lambda: pid + 1)
+    ran.clear()
+    for _ in range(2):
+        _write_read(array, 6, stream)
+    child = [thread for thread in _helper_threads() if thread not in parent]
+    assert len(child) == 1
+    assert set(ran) == {child[0].ident}
+    # A real fork leaves no parent thread in the child; stop the
+    # stand-in child's quietly (it exits by raising SystemExit).
+    monkeypatch.setattr(threading, "excepthook", lambda args: None)
+    helper._resident[1].put(sys.exit)
+    child[0].join(timeout=10)
+    assert not child[0].is_alive()
