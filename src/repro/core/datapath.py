@@ -158,11 +158,6 @@ class DataPath:
         #: segment id -> descriptor, until the segment table next changes
         #: (a GC pass elides the row of every segment it frees).
         self._descriptors = self.tables.segments.memo("descriptor")
-        #: read-only medium id -> (extent starts, extents) of all its
-        #: visible extents in key order, until one of them changes.
-        self._frozen_extents = self.tables.address_map.memo(
-            "frozen-extents", by_first_field=True
-        )
         #: Fault-injection crashpoint router (see :mod:`repro.faults`).
         self.crashpoints = None
         #: Observability handle (see :mod:`repro.obs`); the array wires
@@ -314,9 +309,7 @@ class DataPath:
         ``end`` on. Empty for uniform-size rewrites and fresh ranges.
         """
         at_risk = {}
-        for fact in self.tables.address_map.scan(
-            (medium_id, offset), (medium_id, end - 1)
-        ):
+        for fact in self._extents_between(medium_id, offset, end - 1):
             if fact.key[1] + T.extent_length(fact.value) > end:
                 at_risk[fact.key[1]] = fact
         return at_risk
@@ -346,8 +339,7 @@ class DataPath:
             for at, owner, inner, nbytes in pieces:
                 if owner.key != fact.key:
                     continue
-                hidden = self.tables.address_map.get((medium_id, at))
-                if hidden is not None:
+                for hidden in self._extents_between(medium_id, at, at):
                     pending.append((at + nbytes, hidden))
                 entries.append(((medium_id, at),
                                 T.trimmed(value, inner, nbytes)))
@@ -656,26 +648,9 @@ class DataPath:
         return runs
 
     def _extents_between(self, medium_id, lo, hi):
-        """The visible extents of ``medium_id`` keyed in ``[lo, hi]``.
-
-        A read-only medium (a snapshot's, a frozen base) takes no client
-        writes, so its extents are scanned once and then sliced from
-        memory until one of them changes (GC repoints it, background
-        dedup or a flatten rewrites it, its medium is swept).
-        """
-        memo = self._frozen_extents.get(medium_id)
-        if memo is None:
-            if self.medium_table.is_writable(medium_id):
-                return self.tables.address_map.scan(
-                    (medium_id, lo), (medium_id, hi)
-                )
-            facts = tuple(self.tables.address_map.scan(
-                (medium_id, 0), (medium_id, 2 ** 62)
-            ))
-            memo = self._frozen_extents[medium_id] = (
-                [fact.key[1] for fact in facts], facts
-            )
-        starts, facts = memo
+        """The visible extents of ``medium_id`` keyed in ``[lo, hi]``,
+        bisected from the medium's view in the address map."""
+        starts, facts = self.tables.address_map.view(medium_id)
         return facts[bisect.bisect_left(starts, lo)
                      : bisect.bisect_right(starts, hi)]
 

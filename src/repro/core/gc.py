@@ -484,7 +484,7 @@ class GarbageCollector:
         return target, offset, hops
 
     def _has_extents(self, medium_id, offset, length):
-        lo = (medium_id, max(0, offset - MAX_CBLOCK + SECTOR))
-        hi = (medium_id, offset + length - 1)
         return any(fact.key[1] + T.extent_length(fact.value) > offset
-                   for fact in self.array.tables.address_map.scan(lo, hi))
+                   for fact in self.array.datapath._extents_between(
+                       medium_id, max(0, offset - MAX_CBLOCK + SECTOR),
+                       offset + length - 1))

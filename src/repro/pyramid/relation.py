@@ -14,14 +14,30 @@ adopted patch, a merge — goes through this class and empties the memos.
 Sealing only moves facts from the memtable into a patch, so it keeps
 them. A catalog row (a volume, a snapshot, a medium's ranges, a
 segment's placements) is thus looked up in the index once per change to
-its relation, not once per I/O. A memo kept per first key field (the
-address map's per-medium memo) loses only that field's entry to an
-insert.
+its relation, not once per I/O. A view (:meth:`Relation.view`, a
+medium's extents) is instead updated in place by an insert, so a lookup
+bisects one list however many patches the pyramid holds.
 """
 
+import bisect
+
+from repro import sanitize
 from repro.pyramid.elision import ElideTable, KeyPrefixPredicate, KeyRangePredicate
 from repro.pyramid.pyramid import Pyramid
 from repro.pyramid.tuples import Fact
+
+
+class _Above:
+    """Sorts after any key field, so ``(first, _ABOVE)`` bounds a prefix."""
+
+    def __lt__(self, other):
+        return False
+
+    def __gt__(self, other):
+        return True
+
+
+_ABOVE = _Above()
 
 
 class Relation:
@@ -35,31 +51,67 @@ class Relation:
         self.pyramid = Pyramid(name, fanout=fanout)
         self.elide_table = ElideTable(name + ".elide")
         self._memos = {}
-        self._memos_by_first_field = {}
+        #: first key field -> (second key fields, facts); see :meth:`view`.
+        self._views = {}
+        #: Cross-check every view against a fresh scan (REPRO_SANITIZE).
+        self._sanitize = sanitize.enabled()
         #: key -> newest visible fact or None, for :meth:`get`'s common form.
         self._latest = self.memo("get")
 
-    def memo(self, name, by_first_field=False):
+    def memo(self, name):
         """The dict ``name`` for answers derived from this relation.
 
         Every change to the relation empties it in place, so a caller may
-        keep the dict and trust any entry it finds in it. A dict
-        ``by_first_field`` is keyed by a key's first field: an insert
-        then drops only the entry of its fact's first field, and every
-        other change still empties it whole.
+        keep the dict and trust any entry it finds in it.
         """
-        memos = self._memos_by_first_field if by_first_field else self._memos
-        return memos.setdefault(name, {})
+        return self._memos.setdefault(name, {})
+
+    def view(self, first):
+        """``(second key fields, facts)`` of the newest visible facts whose
+        two-field key starts with ``first``, in key order: one scan on
+        first use, kept current by inserts (:meth:`_changed`) and dropped
+        by any other change. Slice the lists; never mutate them."""
+        view = self._views.get(first)
+        if view is None or self._sanitize:
+            facts = list(self.scan((first,), (first, _ABOVE)))
+            fresh = ([fact.key[1] for fact in facts], facts)
+            if view is None:
+                view = self._views[first] = fresh
+            elif view != fresh:
+                raise sanitize.SanitizeError(
+                    "sanitize[%s]: view of %r differs from a scan of it"
+                    % (self.name, first))
+        return view
 
     def _changed(self, fact=None):
-        """Forget what a change invalidates; ``fact`` names an insert."""
+        """Forget what a change invalidates; ``fact`` names an insert,
+        which updates its first field's view in place: a newer fact takes
+        its key, an older one (or a tie a scan ranks second) is ignored,
+        and an elided one removes its key. Elision is monotone in seqno
+        (an elided fact's older versions are elided too), so the view
+        always equals a scan."""
         for memo in self._memos.values():
             memo.clear()
-        for memo in self._memos_by_first_field.values():
-            if fact is None:
-                memo.clear()
-            else:
-                memo.pop(fact.key[0], None)
+        if fact is None:
+            self._views.clear()
+            return
+        view = self._views.get(fact.key[0])
+        if view is None:
+            return
+        seconds, facts = view
+        index = bisect.bisect_left(seconds, fact.key[1])
+        found = index < len(seconds) and seconds[index] == fact.key[1]
+        if found and (facts[index].seqno, fact.value) >= (
+                fact.seqno, facts[index].value):
+            return
+        if self.elide_table.is_elided(fact):
+            if found:
+                del seconds[index], facts[index]
+        elif found:
+            facts[index] = fact
+        else:
+            seconds.insert(index, fact.key[1])
+            facts.insert(index, fact)
 
     def make_fact(self, key, value, seqno):
         """Build a fact, validating key arity."""

@@ -166,11 +166,21 @@ def count_index_reads(monkeypatch, array):
     return reads
 
 
-def test_reads_resolve_the_chain_from_memory(array, volume, stream, monkeypatch):
+def unsanitized_array(monkeypatch):
+    """An array whose relations skip the sanitizer's cross-check, which
+    scans the index on every view lookup on purpose."""
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    return make_engine(ArrayConfig.small())
+
+
+def test_reads_resolve_the_chain_from_memory(stream, monkeypatch):
     """Once a clone has been read, reading it again reads no catalog row
-    and no frozen medium's extents from the index: only the writable top
-    medium's extents are scanned. A write or a catalog change is seen by
-    the very next read."""
+    and no medium's extents from the index, its writable top's included:
+    each medium's live view answers. A write or a catalog change is seen
+    by the very next read."""
+    array = unsanitized_array(monkeypatch)
+    volume = "vol0"
+    array.create_volume(volume, 2 * MIB)
     base = unique_bytes(16 * KIB, stream)
     array.write(volume, 0, base)
     array.snapshot(volume, "s")
@@ -179,16 +189,38 @@ def test_reads_resolve_the_chain_from_memory(array, volume, stream, monkeypatch)
     reads = count_index_reads(monkeypatch, array)
     for _ in range(3):
         assert array.read("c", 0, 16 * KIB)[0] == base
-    assert reads == [("address_map", "scan_latest")] * 3
+    assert reads == []
 
     top = unique_bytes(4 * KIB, stream)
     array.write("c", 0, top)
     assert array.read("c", 0, 16 * KIB)[0] == top + base[4 * KIB:]
+    assert ("address_map", "scan_latest") not in reads
     array.destroy_volume("c")
     with pytest.raises(VolumeNotFoundError):
         array.read("c", 0, 4 * KIB)
     array.clone(volume, "s", "c")  # the same name, a fresh medium
     assert array.read("c", 0, 16 * KIB)[0] == base
+
+
+def test_a_write_finds_its_at_risk_extents_in_the_view(stream, monkeypatch):
+    """Once a medium has a view, a write's at-risk extents, and the
+    remainder it keeps of the one it replaces, come from the view: no
+    address-map scan at all."""
+    array = unsanitized_array(monkeypatch)
+    array.create_volume("v", 256 * KIB)
+    base = unique_bytes(32 * KIB, stream)
+    array.write("v", 0, base)
+    medium = array.volumes.anchor_medium("v")
+    array.tables.address_map.view(medium)
+    reads = count_index_reads(monkeypatch, array)
+    at_risk = array.datapath._at_risk_extents(medium, 0, 4 * KIB)
+    assert list(at_risk) == [0]  # the 32 KiB extent runs past the write
+    top = unique_bytes(4 * KIB, stream)
+    array.write("v", 0, top)
+    assert ("address_map", "scan_latest") not in reads
+    assert array.datapath.tails_repointed == 1
+    assert array.read("v", 0, 32 * KIB)[0] == top + base[4 * KIB:]
+    assert ("address_map", "scan_latest") not in reads
 
 
 def test_seeded_churn_reads_match_a_model_through_gc_and_recovery(stream):

@@ -1,8 +1,10 @@
 """Tests for relations (pyramid + elide rules)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.pyramid.elision import KeyPrefixPredicate
+from repro.pyramid.elision import KeyPrefixPredicate, KeyRangePredicate
 from repro.pyramid.patch import Patch
 from repro.pyramid.relation import Relation
 from repro.pyramid.tuples import Fact, SequenceGenerator
@@ -156,14 +158,16 @@ def test_every_change_empties_what_it_invalidates(relation, seq, change):
     relation.seal()
     assert relation.get((1, 0)).value == ("old",)
     whole = relation.memo("whole")
-    by_medium = relation.memo("by-medium", by_first_field=True)
-    whole["answer"] = by_medium[1] = by_medium[2] = "memoized"
+    whole["answer"] = "memoized"
+    view = relation.view(1)
     apply(relation, seq)
     fact = relation.get((1, 0))
     assert (fact.value if fact is not None else None) == expected
     assert relation.memo("whole") is whole and not whole
-    # An insert drops only its own first field's entry.
-    assert by_medium == ({2: "memoized"} if is_insert else {})
+    # An insert updates the view in place; every other change drops it.
+    assert (relation.view(1) is view) == is_insert
+    assert [fact.value for fact in relation.view(1)[1]] == (
+        [expected] if expected else [])
 
 
 def test_memoized_get_agrees_with_the_index_under_seeded_churn(seq):
@@ -188,3 +192,52 @@ def test_memoized_get_agrees_with_the_index_under_seeded_churn(seq):
             assert relation.get(key) == latest
             checked += 1
     assert checked > 500
+
+
+#: One step of a random history over keys (0..3, 0..5) and seqnos 1..40,
+#: drawn out of order; a value of 0..2 makes same-seqno ties.
+FIRSTS = st.integers(0, 3)
+KEYS = st.tuples(FIRSTS, st.integers(0, 5))
+SEQNOS = st.integers(1, 40)
+STEPS = st.one_of(
+    st.tuples(st.just("insert"), KEYS, SEQNOS, st.integers(0, 2)),
+    st.just(("reinsert",)),
+    st.tuples(st.just("elide_range"), st.integers(0, 5), st.integers(0, 5),
+              st.sampled_from([0, 1]), st.none() | SEQNOS),
+    st.tuples(st.just("elide_prefix"), FIRSTS, st.none() | SEQNOS),
+    st.tuples(st.just("adopt_patch"), KEYS, SEQNOS, st.integers(0, 2)),
+    st.sampled_from([("seal",), ("compact",), ("flatten",)]),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(STEPS, max_size=40))
+def test_view_equals_a_fresh_scan_after_every_step(steps):
+    """Each first field's view, built early and then kept by inserts in
+    place, equals a fresh scan of its prefix after every step."""
+    relation = Relation("views", key_arity=2, fanout=2)
+    last = None
+    for step in steps:
+        kind, args = step[0], step[1:]
+        if kind == "insert":
+            key, seqno, value = args
+            last = relation.insert(key, (value,), seqno)
+        elif kind == "reinsert" and last is not None:
+            relation.insert_fact(last)
+        elif kind == "elide_range":
+            lo, hi, field, as_of_seq = args
+            relation.elide(KeyRangePredicate(min(lo, hi), max(lo, hi),
+                                             as_of_seq=as_of_seq, field=field))
+        elif kind == "elide_prefix":
+            first, as_of_seq = args
+            relation.elide_prefix((first,), as_of_seq=as_of_seq)
+        elif kind == "adopt_patch":
+            key, seqno, value = args
+            relation.adopt_patch(Patch([Fact(key, seqno, (value,))]))
+        elif kind in ("seal", "compact", "flatten"):
+            getattr(relation, kind)()
+        for first in range(4):
+            seconds, facts = relation.view(first)
+            scanned = list(relation.scan((first, 0), (first, 5)))
+            assert facts == scanned, (step, first)
+            assert seconds == [fact.key[1] for fact in scanned]
